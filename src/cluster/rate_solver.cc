@@ -46,9 +46,12 @@ double WaterFill(double capacity, const std::vector<double>& populations,
     consumed += populations[i] * wants[i];
     above_weight -= populations[i];
   }
-  // All wants below capacity — contradiction with total > capacity.
-  DAGPERF_CHECK_MSG(false, "water-fill found no level");
-  return 0.0;
+  // Only reachable when the wants sum to the capacity within rounding: the
+  // unsorted total above landed an ulp over it, while the sorted pass used
+  // up the weight (or left it a hair below zero) without finding a level.
+  // The resource is then exactly saturated, so the level is the one at
+  // which every flow receives its full want.
+  return wants[order.back()];
 }
 
 }  // namespace

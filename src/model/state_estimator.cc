@@ -171,6 +171,7 @@ struct Workspace {
   std::vector<int> delta;
   std::vector<size_t> context_slot;
   std::vector<NormalParams> dists;
+  std::vector<Duration> task_times;  // Indexed like context.running.
   std::vector<std::optional<TaskAttribution>> attributions;
   EstimationContext context;
   std::vector<WaveState> rest_waves;  // RestTime's non-mutating copy.
@@ -515,18 +516,27 @@ Status StateBasedEstimator::EstimateInto(const DagWorkflow& flow,
     } else {
       ws.attributions.clear();
     }
+    // Skew-unaware, the point estimate alone drives the wave model. The
+    // running set and Δ are fixed for the whole state, so one batched query
+    // prices every running stage (for BOE, one contention solve).
+    if (!options_.skew_aware && !ws.context.running.empty()) {
+      const double query_start = metrics_on ? obs::MonotonicUs() : 0.0;
+      source.TaskTimes(ws.context, &ws.task_times);
+      if (metrics_on) {
+        Metrics().task_time_query_us.Record(obs::MonotonicUs() - query_start);
+      }
+    }
     for (size_t i = 0; i < num_running; ++i) {
       if (ws.context_slot[i] == SIZE_MAX) continue;
       ws.context.query = ws.context_slot[i];
-      const double query_start = metrics_on ? obs::MonotonicUs() : 0.0;
-      ws.dists[i] = source.TaskTimeDist(ws.context);
-      if (!options_.skew_aware) {
-        // Point estimate drives the wave model when skew-unaware.
-        ws.dists[i].mean = source.TaskTime(ws.context).seconds();
-        ws.dists[i].stddev = 0.0;
-      }
-      if (metrics_on) {
-        Metrics().task_time_query_us.Record(obs::MonotonicUs() - query_start);
+      if (options_.skew_aware) {
+        const double query_start = metrics_on ? obs::MonotonicUs() : 0.0;
+        ws.dists[i] = source.TaskTimeDist(ws.context);
+        if (metrics_on) {
+          Metrics().task_time_query_us.Record(obs::MonotonicUs() - query_start);
+        }
+      } else {
+        ws.dists[i] = {ws.task_times[ws.context_slot[i]].seconds(), 0.0};
       }
       if (options_.attribute_bottlenecks) {
         ws.attributions[i] = source.Attribution(ws.context);

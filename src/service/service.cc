@@ -90,8 +90,9 @@ resilience::FaultPoint& ExecuteFault() {
 }
 
 /// TaskTimeSource decorator arming coalesce-group abandonment: every 64th
-/// compute query runs `poll` (which fires the group's abandon token once
-/// every attached caller has cancelled). CancelToken carries no callbacks,
+/// compute query (a batched TaskTimes() counts one per stage it prices)
+/// runs `poll` (which fires the group's abandon token once every attached
+/// caller has cancelled). CancelToken carries no callbacks,
 /// so abandonment has to be discovered by polling — and the task-time path
 /// is the only place a leader reliably visits often, with a period that
 /// keeps the poll off the hot path. Wraps the raw source (inside the memo
@@ -107,6 +108,12 @@ class AbandonPollSource : public TaskTimeSource {
     return inner_.TaskTime(context);
   }
 
+  void TaskTimes(const EstimationContext& context,
+                 std::vector<Duration>* out) const override {
+    MaybePoll(context.running.size());
+    inner_.TaskTimes(context, out);
+  }
+
   NormalParams TaskTimeDist(const EstimationContext& context) const override {
     MaybePoll();
     return inner_.TaskTimeDist(context);
@@ -118,10 +125,10 @@ class AbandonPollSource : public TaskTimeSource {
   }
 
  private:
-  void MaybePoll() const {
-    if ((queries_.fetch_add(1, std::memory_order_relaxed) & 63) == 63) {
-      poll_();
-    }
+  void MaybePoll(std::uint64_t queries = 1) const {
+    const std::uint64_t before =
+        queries_.fetch_add(queries, std::memory_order_relaxed);
+    if ((before >> 6) != ((before + queries) >> 6)) poll_();
   }
 
   const TaskTimeSource& inner_;

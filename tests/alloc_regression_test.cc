@@ -17,6 +17,7 @@
 
 #include "boe/boe_model.h"
 #include "model/state_estimator.h"
+#include "model/task_time_cache.h"
 #include "model/task_time_source.h"
 #include "workloads/micro.h"
 #include "workloads/tpch.h"
@@ -130,6 +131,55 @@ TEST(AllocRegressionTest, WarmEstimateStaysFreeAcrossFlowSizes) {
   const std::uint64_t total =
       CountWarmAllocations(estimator, small, source, &out, golden);
   EXPECT_LE(total, kMaxTotalAllocations);
+}
+
+
+TEST(AllocRegressionTest, WarmEstimateWithDefaultBatchIsAllocationFree) {
+  // A profile source keeps TaskTimeSource's default TaskTimes (a loop over
+  // TaskTime), which must be as allocation-free once warm as the BOE batch.
+  const ClusterSpec cluster = ClusterSpec::PaperCluster();
+  const DagWorkflow flow = TpchQueryFlow(9, Bytes::FromGB(8)).value();
+  ProfileTaskTimeSource source(ProfileStatistic::kMean);
+  for (JobId id = 0; id < flow.num_jobs(); ++id) {
+    const JobProfile& job = flow.job(id);
+    source.AddProfile(job.map.name, {10.0 + id, 12.0 + id});
+    if (job.has_reduce()) source.AddProfile(job.reduce->name, {20.0 + id});
+  }
+  // One contention bucket, so the lookup builds its full bucket key.
+  source.AddContextProfile({flow.job(0).map.name}, flow.job(0).map.name, {9.0});
+  const StateBasedEstimator estimator(cluster, SchedulerConfig{});
+
+  DagEstimate out;
+  ASSERT_TRUE(estimator.EstimateInto(flow, source, &out).ok());
+  ASSERT_TRUE(estimator.EstimateInto(flow, source, &out).ok());
+  const double golden = out.makespan.seconds();
+
+  const std::uint64_t total =
+      CountWarmAllocations(estimator, flow, source, &out, golden);
+  EXPECT_LE(total, kMaxTotalAllocations);
+}
+
+TEST(AllocRegressionTest, WarmMemoizedEstimateIsAllocationFree) {
+  // Every batched memo probe hits once warm: no key, vector or entry is
+  // allocated on the way to the answer.
+  const ClusterSpec cluster = ClusterSpec::PaperCluster();
+  const DagWorkflow flow = TpchQueryFlow(9, Bytes::FromGB(8)).value();
+  const BoeModel boe(cluster.node);
+  const BoeTaskTimeSource base(boe, Duration::Seconds(1));
+  TaskTimeMemo memo;
+  const MemoizedTaskTimeSource source(base, &memo, "scope");
+  const StateBasedEstimator estimator(cluster, SchedulerConfig{});
+
+  DagEstimate out;
+  ASSERT_TRUE(estimator.EstimateInto(flow, source, &out).ok());
+  ASSERT_TRUE(estimator.EstimateInto(flow, source, &out).ok());
+  const double golden = out.makespan.seconds();
+  const std::uint64_t misses = memo.stats().misses;
+
+  const std::uint64_t total =
+      CountWarmAllocations(estimator, flow, source, &out, golden);
+  EXPECT_LE(total, kMaxTotalAllocations);
+  EXPECT_EQ(memo.stats().misses, misses);
 }
 
 }  // namespace

@@ -213,5 +213,33 @@ TEST(RateSolverTest, MoreContendersNeverFaster) {
   }
 }
 
+
+TEST(RateSolverTest, WantsSummingExactlyToCapacityFindALevel) {
+  // The four network flows of `dagperf estimate --flow TS-Q18 --nodes 61`:
+  // their wants sum to exactly the 240 MB/s capacity, but the unsorted sum
+  // rounds one ulp above it while the sorted pass runs out of weight before
+  // finding a level. Demand 1 per progress unit and a per-task cap equal to
+  // the want feed the water-fill exactly these (population, want) pairs.
+  const double pops[] = {0x1.a3ac10c9714fcp+0, 0x1.e7504742cb848p-7,
+                         0x1.5af9edcff789ep-7, 0x1.2a9958d75c13bp-4};
+  const double wants[] = {0x1.12dd7054f30ep+27, 0x1.dcd65p+26,
+                          0x1.12dd7054f30ep+27, 0x1.37478p+22};
+  std::vector<Flow> flows;
+  for (int i = 0; i < 4; ++i) {
+    Flow f;
+    f.population = pops[i];
+    f.demand[Resource::kNetwork] = 1.0;
+    f.per_task_cap[Resource::kNetwork] = wants[i];
+    flows.push_back(f);
+  }
+  const ResourceVector caps = Caps(0, 0, 240e6, 0);
+  const auto rates = SolveRates(caps, flows);
+  ASSERT_EQ(rates.size(), flows.size());
+  // Every flow is granted its full want.
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rates[i].progress_rate, wants[i]) << i;
+  const ResourceVector util = SolutionUtilization(caps, flows, rates);
+  EXPECT_NEAR(util[Resource::kNetwork], 1.0, 1e-12);
+}
+
 }  // namespace
 }  // namespace dagperf

@@ -441,6 +441,23 @@ TEST(ProtocolTest, InlineFlowDocument) {
   EXPECT_GT(parsed.value().Get("result")->GetNumber("makespan_s", 0.0), 0.0);
 }
 
+TEST(ProtocolTest, SaturatingWaterFillStateIsAnswered) {
+  // TS-Q18 on 61 nodes reaches a state whose network wants sum to exactly
+  // the node's capacity; the rate solver used to abort the whole process
+  // on it, so one wire line took the server down.
+  EstimationService service;
+  Result<NamedFlow> named = TableThreeFlow("TS-Q18", 1.0);
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  ASSERT_TRUE(service.RegisterWorkflow("TS-Q18", std::move(named).value().flow).ok());
+  Protocol protocol(&service);
+  const std::string response = protocol.HandleLine(
+      R"({"op":"estimate","workflow":"TS-Q18","nodes":61})");
+  Result<Json> parsed = Json::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  ASSERT_TRUE(parsed.value().GetBool("ok", false)) << response;
+  EXPECT_GT(parsed.value().Get("result")->GetNumber("makespan_s", 0.0), 0.0);
+}
+
 TEST(ServerTest, ServeLinesPumpsUntilDrain) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/stats.h"
 #include "sim/simulator.h"
 
@@ -206,6 +209,84 @@ TEST(StateEstimatorTest, ParallelismSplitsAcrossJobs) {
   ASSERT_EQ(est.running(est.states[0]).size(), 2u);
   EXPECT_EQ(est.running(est.states[0])[0].parallelism, 24);
   EXPECT_EQ(est.running(est.states[0])[1].parallelism, 24);
+}
+
+
+/// Wraps a source and counts each kind of query the estimator makes.
+class CountingSource : public TaskTimeSource {
+ public:
+  explicit CountingSource(const TaskTimeSource& base) : base_(base) {}
+  Duration TaskTime(const EstimationContext& context) const override {
+    ++task_time_calls;
+    return base_.TaskTime(context);
+  }
+  void TaskTimes(const EstimationContext& context,
+                 std::vector<Duration>* out) const override {
+    ++task_times_calls;
+    base_.TaskTimes(context, out);
+  }
+  NormalParams TaskTimeDist(const EstimationContext& context) const override {
+    ++task_time_dist_calls;
+    return base_.TaskTimeDist(context);
+  }
+
+  mutable int task_time_calls = 0;
+  mutable int task_times_calls = 0;
+  mutable int task_time_dist_calls = 0;
+
+ private:
+  const TaskTimeSource& base_;
+};
+
+/// Two source jobs, one with a child, so some states run several stages at
+/// once.
+DagWorkflow FanFlow() {
+  DagBuilder builder("fan");
+  const JobId a = builder.AddJob(SimpleJob("a", 6.0));
+  builder.AddJob(SimpleJob("b", 3.0));
+  builder.AddJobAfter(a, SimpleJob("c", 2.0));
+  return std::move(builder).Build().value();
+}
+
+TEST(StateEstimatorTest, SkewUnawarePricesEachStateWithOneBatchedQuery) {
+  const DagWorkflow flow = FanFlow();
+  const ClusterSpec cluster = TestCluster();
+  const BoeModel boe(cluster.node);
+  const BoeTaskTimeSource base(boe, Duration::Seconds(1));
+  const CountingSource counting(base);
+
+  const StateBasedEstimator estimator(cluster, SchedulerConfig{});
+  const DagEstimate estimate = estimator.Estimate(flow, counting).value();
+  EXPECT_EQ(counting.task_times_calls, static_cast<int>(estimate.states.size()));
+  EXPECT_EQ(counting.task_time_dist_calls, 0);
+  EXPECT_EQ(counting.task_time_calls, 0);
+  // Some state runs several stages at once, so the batch really is shared.
+  int max_running = 0;
+  for (const StateEstimate& state : estimate.states) {
+    max_running = std::max(max_running, state.running_count);
+  }
+  EXPECT_GT(max_running, 1);
+  EXPECT_EQ(estimate.makespan.seconds(),
+            estimator.Estimate(flow, base).value().makespan.seconds());
+}
+
+TEST(StateEstimatorTest, SkewAwareKeepsPerStageDistributionQueries) {
+  const DagWorkflow flow = FanFlow();
+  const ClusterSpec cluster = TestCluster();
+  const BoeModel boe(cluster.node);
+  const BoeTaskTimeSource base(boe, Duration::Seconds(1));
+  const CountingSource counting(base);
+
+  EstimatorOptions options;
+  options.skew_aware = true;
+  const StateBasedEstimator estimator(cluster, SchedulerConfig{}, options);
+  const DagEstimate estimate = estimator.Estimate(flow, counting).value();
+  int granted = 0;  // Running stages that received containers.
+  for (const RunningStageEstimate& rse : estimate.running_pool) {
+    if (rse.parallelism > 0) ++granted;
+  }
+  EXPECT_EQ(counting.task_times_calls, 0);
+  EXPECT_EQ(counting.task_time_dist_calls, granted);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "sim/simulator.h"
 
 namespace dagperf {
@@ -108,6 +111,82 @@ TEST(ProfileTaskTimeSourceDeathTest, UnknownStageAborts) {
   EstimationContext ctx;
   ctx.running.push_back({&stage, 1.0});
   EXPECT_DEATH((void)source.TaskTime(ctx), "job/map");
+}
+
+
+/// A stage with 1-3 sub-stages, each demanding a random subset of the
+/// resources (possibly none) in random amounts.
+StageProfile RandomStage(std::mt19937_64& rng, int index) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  StageProfile stage;
+  stage.name = "job" + std::to_string(index) + "/map";
+  stage.num_tasks = 1 + static_cast<int>(unit(rng) * 200);
+  stage.task_size_cv = unit(rng);
+  const int substages = 1 + static_cast<int>(unit(rng) * 3);
+  for (int s = 0; s < substages; ++s) {
+    SubStageProfile ss;
+    ss.name = "sub" + std::to_string(s);
+    for (Resource r : kAllResources) {
+      if (unit(rng) < 0.4) continue;
+      ss.demand[r] = r == Resource::kCpu ? 0.1 + 50.0 * unit(rng)
+                                         : Bytes::FromMB(1 + 1000 * unit(rng)).value();
+    }
+    stage.substages.push_back(ss);
+  }
+  return stage;
+}
+
+TEST(TaskTimesContractTest, BoeBatchEqualsPerQueryInEveryContentionMode) {
+  std::mt19937_64 rng(2021);
+  std::uniform_real_distribution<double> population(0.05, 12.0);
+  for (const BoeOptions::ContentionMode mode :
+       {BoeOptions::ContentionMode::kPaper, BoeOptions::ContentionMode::kSteadyState,
+        BoeOptions::ContentionMode::kAlignedSelf}) {
+    BoeOptions options;
+    options.mode = mode;
+    const BoeModel model(TestNode(), options);
+    const BoeTaskTimeSource source(model, Duration::Seconds(0.5));
+    for (int trial = 0; trial < 200; ++trial) {
+      const int k = 1 + trial % 6;
+      std::vector<StageProfile> stages;
+      for (int i = 0; i < k; ++i) stages.push_back(RandomStage(rng, i));
+      EstimationContext ctx;
+      for (const StageProfile& stage : stages) {
+        ctx.running.push_back({&stage, population(rng)});
+      }
+      ctx.query = static_cast<size_t>(trial) % k;  // Ignored by TaskTimes.
+      std::vector<Duration> batched;
+      source.TaskTimes(ctx, &batched);
+      ASSERT_EQ(batched.size(), stages.size());
+      for (int q = 0; q < k; ++q) {
+        ctx.query = q;
+        EXPECT_EQ(batched[q].seconds(), source.TaskTime(ctx).seconds())
+            << "mode " << static_cast<int>(mode) << " trial " << trial
+            << " query " << q;
+      }
+    }
+  }
+}
+
+TEST(TaskTimesContractTest, DefaultBatchLoopsOverTaskTime) {
+  // ProfileTaskTimeSource keeps the default TaskTimes: one TaskTime per
+  // running stage, contention buckets included.
+  StageProfile a = NetStage();
+  a.name = "a/map";
+  StageProfile b = NetStage();
+  b.name = "b/map";
+  ProfileTaskTimeSource source(ProfileStatistic::kMean);
+  source.AddProfile("a/map", {10});
+  source.AddProfile("b/map", {20});
+  source.AddContextProfile({"b/map", "a/map"}, "b/map", {30});
+  EstimationContext ctx;
+  ctx.running.push_back({&a, 1.0});
+  ctx.running.push_back({&b, 2.0});
+  std::vector<Duration> batched = {Duration(99), Duration(99), Duration(99)};
+  source.TaskTimes(ctx, &batched);
+  ASSERT_EQ(batched.size(), 2u);
+  EXPECT_EQ(batched[0].seconds(), 10.0);
+  EXPECT_EQ(batched[1].seconds(), 30.0);
 }
 
 }  // namespace
