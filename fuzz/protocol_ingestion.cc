@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "workloads/suite.h"
@@ -41,13 +42,18 @@ int RunProtocolIngestion(const uint8_t* data, size_t size) {
   const ServeSummary summary =
       ServeLines(service, in, out, kFuzzMaxLineBytes);
   // Cheap self-checks the sanitizers can't do: every response line the pump
-  // produced is itself one line of valid JSON.
+  // produced is itself one line of valid JSON, and a fixpoint of
+  // Json::Parse(line)->DumpCompact() — sorted keys and canonical numbers,
+  // whichever writer produced it.
   const std::string responses = out.str();
   std::size_t lines = 0;
   std::size_t start = 0;
   while (start < responses.size()) {
     std::size_t end = responses.find('\n', start);
     if (end == std::string::npos) end = responses.size();
+    const std::string line = responses.substr(start, end - start);
+    Result<Json> parsed = Json::Parse(line);
+    if (!parsed.ok() || parsed.value().DumpCompact() != line) __builtin_trap();
     ++lines;
     start = end + 1;
   }

@@ -11,8 +11,9 @@ namespace dagperf {
 /// NUL bytes, valid and malformed requests) and pumps it through ServeLines
 /// against a real single-threaded EstimationService with a small line cap so
 /// the framing limits are actually reachable. Any input must produce one
-/// response line per request line and a clean return — never an abort, an
-/// uncaught exception, or UB.
+/// response line per request line, each a valid JSON document that is a
+/// fixpoint of Json::Parse(line)->DumpCompact(), and a clean return — never
+/// an abort, an uncaught exception, or UB.
 ///
 /// Used by both the libFuzzer harness (protocol_fuzzer.cc) and the
 /// checked-in corpus replay test (corpus_replay for corpus_protocol/), so

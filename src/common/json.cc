@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -68,33 +70,33 @@ std::vector<Json>& Json::MutableArray() {
   return array_;
 }
 
-const std::map<std::string, Json>& Json::AsObject() const {
+const Json::Object& Json::AsObject() const {
   DAGPERF_CHECK(type_ == Type::kObject);
   return object_;
 }
 
-void Json::Set(const std::string& key, Json value) {
+void Json::Set(std::string key, Json value) {
   DAGPERF_CHECK(type_ == Type::kObject);
-  object_[key] = std::move(value);
+  object_.insert_or_assign(std::move(key), std::move(value));
 }
 
-const Json* Json::Get(const std::string& key) const {
+const Json* Json::Get(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   auto it = object_.find(key);
   return it == object_.end() ? nullptr : &it->second;
 }
 
-double Json::GetNumber(const std::string& key, double fallback) const {
+double Json::GetNumber(std::string_view key, double fallback) const {
   const Json* v = Get(key);
   return v != nullptr && v->type_ == Type::kNumber ? v->number_ : fallback;
 }
 
-bool Json::GetBool(const std::string& key, bool fallback) const {
+bool Json::GetBool(std::string_view key, bool fallback) const {
   const Json* v = Get(key);
   return v != nullptr && v->type_ == Type::kBool ? v->bool_ : fallback;
 }
 
-std::string Json::GetString(const std::string& key,
+std::string Json::GetString(std::string_view key,
                             const std::string& fallback) const {
   const Json* v = Get(key);
   return v != nullptr && v->type_ == Type::kString ? v->string_ : fallback;
@@ -107,9 +109,25 @@ void Json::Append(Json value) {
 
 namespace {
 
-void EscapeTo(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
+/// The bytes EscapeTo rewrites: the quote, the backslash and the C0 controls.
+constexpr std::array<bool, 256> kMustEscape = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 0x20; ++c) table[c] = true;
+  table['"'] = true;
+  table['\\'] = true;
+  return table;
+}();
+
+/// Appends the body of `s` as a JSON string (no quotes), copying runs of
+/// plain bytes whole. Every byte not in kMustEscape (UTF-8 included) passes
+/// through unchanged.
+void AppendEscaped(std::string_view s, std::string& out) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (!kMustEscape[c]) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -126,29 +144,44 @@ void EscapeTo(const std::string& s, std::string& out) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// Appends `s` as a quoted JSON string.
+void EscapeTo(std::string_view s, std::string& out) {
+  out += '"';
+  AppendEscaped(s, out);
   out += '"';
 }
 
-void NumberTo(double v, std::string& out) {
+/// Writes `v` into [first, first + 32) and returns the end of the text:
+/// `%.0f` for integral |v| < 1e15, `%.17g` otherwise — byte for byte, via
+/// std::to_chars instead of the locale-aware printf machinery. An integral
+/// value below 1e15 is exact in an int64, whose digits are `%.0f`'s; only
+/// -0 needs its sign spelled out.
+char* FormatNumber(double v, char* first) {
+  char* const last = first + 32;
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    if (v == 0 && std::signbit(v)) {
+      *first++ = '-';
+      *first++ = '0';
+      return first;
+    }
+    return std::to_chars(first, last, static_cast<std::int64_t>(v)).ptr;
   }
+  return std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
+}
+
+void NumberTo(double v, std::string& out) {
+  char buf[32];
+  out.append(buf, FormatNumber(v, buf));
 }
 
 }  // namespace
@@ -214,48 +247,111 @@ std::string Json::Dump() const {
   return out;
 }
 
-void Json::DumpCompactTo(std::string& out) const {
-  switch (type_) {
-    case Type::kNull:
-      out += "null";
-      break;
-    case Type::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Type::kNumber:
-      NumberTo(number_, out);
-      break;
-    case Type::kString:
-      EscapeTo(string_, out);
-      break;
-    case Type::kArray: {
-      out += '[';
-      for (size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) out += ',';
-        array_[i].DumpCompactTo(out);
-      }
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      out += '{';
-      size_t i = 0;
-      for (const auto& [key, value] : object_) {
-        if (i++ > 0) out += ',';
-        EscapeTo(key, out);
-        out += ':';
-        value.DumpCompactTo(out);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
 std::string Json::DumpCompact() const {
   std::string out;
-  DumpCompactTo(out);
+  JsonWriter(out).Value(*this);
   return out;
+}
+
+void JsonWriter::Separate() {
+  if (need_comma_) out_ += ',';
+  need_comma_ = true;
+}
+
+void JsonWriter::OpenQuote() {
+  if (need_comma_) {
+    out_.append(",\"", 2);
+  } else {
+    out_ += '"';
+  }
+  need_comma_ = true;
+}
+
+JsonWriter& JsonWriter::BeginObject() {
+  Separate();
+  out_ += '{';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndObject() {
+  out_ += '}';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::BeginArray() {
+  Separate();
+  out_ += '[';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndArray() {
+  out_ += ']';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  OpenQuote();
+  AppendEscaped(key, out_);
+  out_.append("\":", 2);
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Null() {
+  Separate();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool value) {
+  Separate();
+  out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double value) {
+  char buf[33];  // The separator, then FormatNumber's 32 bytes.
+  char* first = buf;
+  if (need_comma_) *first++ = ',';
+  need_comma_ = true;
+  out_.append(buf, FormatNumber(value, first));
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  OpenQuote();
+  AppendEscaped(value, out_);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::Value(const Json& value) {
+  switch (value.type_) {
+    case Json::Type::kNull:
+      return Null();
+    case Json::Type::kBool:
+      return Bool(value.bool_);
+    case Json::Type::kNumber:
+      return Number(value.number_);
+    case Json::Type::kString:
+      return String(value.string_);
+    case Json::Type::kArray:
+      BeginArray();
+      for (const Json& element : value.array_) Value(element);
+      return EndArray();
+    case Json::Type::kObject:
+      BeginObject();
+      for (const auto& [key, member] : value.object_) {
+        Key(key);
+        Value(member);
+      }
+      return EndObject();
+  }
+  return *this;
 }
 
 namespace {
@@ -265,14 +361,18 @@ namespace {
 /// rejected with a parse error instead.
 constexpr int kMaxParseDepth = 128;
 
-/// Recursive-descent parser over a string view with position tracking.
-class Parser {
+}  // namespace
+
+/// Recursive-descent parser over a string with position tracking. Values are
+/// built in place — in the array element or object member they belong to —
+/// so no Json is moved on the way up.
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Result<Json> ParseDocument() {
-    Result<Json> value = ParseValue();
-    if (!value.ok()) return value;
+    Json value;
+    if (Status status = ParseValue(&value); !status.ok()) return status;
     SkipSpace();
     if (pos_ != text_.size()) return Error("trailing characters");
     return value;
@@ -299,24 +399,24 @@ class Parser {
     return false;
   }
 
-  Result<Json> ParseValue() {
+  /// Parses one value into `*out`, a null Json.
+  Status ParseValue(Json* out) {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     if (depth_ >= kMaxParseDepth) return Error("nesting too deep");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{') return ParseObject(out);
+    if (c == '[') return ParseArray(out);
     if (c == '"') {
-      Result<std::string> s = ParseString();
-      if (!s.ok()) return s.status();
-      return Json::MakeString(std::move(s).value());
+      out->type_ = Json::Type::kString;
+      return ParseString(&out->string_);
     }
-    if (c == 't' || c == 'f') return ParseKeyword();
-    if (c == 'n') return ParseKeyword();
-    return ParseNumber();
+    if (c == 't' || c == 'f') return ParseKeyword(out);
+    if (c == 'n') return ParseKeyword(out);
+    return ParseNumber(out);
   }
 
-  Result<Json> ParseKeyword() {
+  Status ParseKeyword(Json* out) {
     const auto match = [&](const char* word) {
       const size_t len = std::strlen(word);
       if (text_.compare(pos_, len, word) == 0) {
@@ -325,13 +425,18 @@ class Parser {
       }
       return false;
     };
-    if (match("true")) return Json::MakeBool(true);
-    if (match("false")) return Json::MakeBool(false);
-    if (match("null")) return Json();
+    for (const bool value : {true, false}) {
+      if (match(value ? "true" : "false")) {
+        out->type_ = Json::Type::kBool;
+        out->bool_ = value;
+        return Status::Ok();
+      }
+    }
+    if (match("null")) return Status::Ok();
     return Error("invalid keyword");
   }
 
-  Result<Json> ParseNumber() {
+  Status ParseNumber(Json* out) {
     const size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
     bool digits = false;
@@ -343,108 +448,138 @@ class Parser {
       ++pos_;
     }
     if (!digits) return Error("invalid number");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return Error("invalid number");
-    return Json::MakeNumber(value);
+    // from_chars reads the token in place; whatever it does not cleanly
+    // consume (a leading '+', overflow, underflow, a malformed token) goes
+    // through strtod as before, so every token keeps its value and every
+    // rejected token stays rejected.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result read = std::from_chars(first, last, value);
+    if (read.ec != std::errc() || read.ptr != last) {
+      const std::string token(first, last);
+      char* end = nullptr;
+      value = std::strtod(token.c_str(), &end);
+      if (end == nullptr || *end != '\0') return Error("invalid number");
+    }
+    out->type_ = Json::Type::kNumber;
+    out->number_ = value;
+    return Status::Ok();
   }
 
-  Result<std::string> ParseString() {
+  Status ParseString(std::string* out) {
     if (!Consume('"')) return Error("expected string");
-    std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            const long code = std::strtol(hex.c_str(), nullptr, 16);
-            // ASCII only; everything else degrades to '?' (the library never
-            // generates non-ASCII escapes).
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
+      // Copy the run of plain characters up to the next quote or escape.
+      std::size_t run_end = pos_;
+      while (run_end < text_.size() && text_[run_end] != '"' &&
+             text_[run_end] != '\\') {
+        ++run_end;
+      }
+      out->append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_++] == '"') return Status::Ok();
+      if (pos_ >= text_.size()) break;
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+          *out += '"';
+          break;
+        case '\\':
+          *out += '\\';
+          break;
+        case '/':
+          *out += '/';
+          break;
+        case 'n':
+          *out += '\n';
+          break;
+        case 't':
+          *out += '\t';
+          break;
+        case 'r':
+          *out += '\r';
+          break;
+        case 'b':
+          *out += '\b';
+          break;
+        case 'f':
+          *out += '\f';
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
+          int code = 0;
+          for (std::size_t k = 0; k < 4; ++k) {
+            const int digit = HexDigit(text_[pos_ + k]);
+            if (digit < 0) return Error("bad \\u escape");
+            code = code * 16 + digit;
           }
-          default:
-            return Error("bad escape");
+          pos_ += 4;
+          // ASCII only; everything else degrades to '?' (the library never
+          // generates non-ASCII escapes).
+          *out += code < 0x80 ? static_cast<char>(code) : '?';
+          break;
         }
-      } else {
-        out += c;
+        default:
+          return Error("bad escape");
       }
     }
     return Error("unterminated string");
   }
 
-  Result<Json> ParseArray() {
+  static int HexDigit(char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  }
+
+  Status ParseArray(Json* out) {
     if (!Consume('[')) return Error("expected array");
     ++depth_;
-    Json array = Json::MakeArray();
+    out->type_ = Json::Type::kArray;
+    std::vector<Json>& elements = out->array_;
     SkipSpace();
     if (Consume(']')) {
       --depth_;
-      return array;
+      return Status::Ok();
     }
     while (true) {
-      Result<Json> value = ParseValue();
-      if (!value.ok()) return value;
-      array.Append(std::move(value).value());
+      if (Status status = ParseValue(&elements.emplace_back()); !status.ok()) {
+        return status;
+      }
       if (Consume(']')) {
         --depth_;
-        return array;
+        return Status::Ok();
       }
       if (!Consume(',')) return Error("expected ',' or ']'");
     }
   }
 
-  Result<Json> ParseObject() {
+  Status ParseObject(Json* out) {
     if (!Consume('{')) return Error("expected object");
     ++depth_;
-    Json object = Json::MakeObject();
+    out->type_ = Json::Type::kObject;
     SkipSpace();
     if (Consume('}')) {
       --depth_;
-      return object;
+      return Status::Ok();
     }
     while (true) {
       SkipSpace();
-      Result<std::string> key = ParseString();
-      if (!key.ok()) return key.status();
+      std::string key;
+      if (Status status = ParseString(&key); !status.ok()) return status;
       if (!Consume(':')) return Error("expected ':'");
-      Result<Json> value = ParseValue();
-      if (!value.ok()) return value;
-      object.Set(*key, std::move(value).value());
+      // A repeated key keeps its last value, as Set would.
+      const auto [member, inserted] = out->object_.try_emplace(std::move(key));
+      if (!inserted) member->second = Json();
+      if (Status status = ParseValue(&member->second); !status.ok()) {
+        return status;
+      }
       if (Consume('}')) {
         --depth_;
-        return object;
+        return Status::Ok();
       }
       if (!Consume(',')) return Error("expected ',' or '}'");
     }
@@ -455,10 +590,8 @@ class Parser {
   int depth_ = 0;
 };
 
-}  // namespace
-
 Result<Json> Json::Parse(const std::string& text) {
-  Parser parser(text);
+  JsonParser parser(text);
   return parser.ParseDocument();
 }
 

@@ -1,9 +1,11 @@
 #ifndef DAGPERF_COMMON_JSON_H_
 #define DAGPERF_COMMON_JSON_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -17,6 +19,9 @@ namespace dagperf {
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// Object members, sorted by key; the transparent comparator lets Get look
+  /// a key up without building a std::string.
+  using Object = std::map<std::string, Json, std::less<>>;
 
   Json() : type_(Type::kNull) {}
   static Json MakeBool(bool value);
@@ -35,17 +40,17 @@ class Json {
   const std::string& AsString() const;
   const std::vector<Json>& AsArray() const;
   std::vector<Json>& MutableArray();
-  const std::map<std::string, Json>& AsObject() const;
+  const Object& AsObject() const;
 
   /// Object field access. Set replaces; Get returns nullptr when absent or
   /// when this value is not an object.
-  void Set(const std::string& key, Json value);
-  const Json* Get(const std::string& key) const;
+  void Set(std::string key, Json value);
+  const Json* Get(std::string_view key) const;
 
   /// Fallible typed field reads with defaults, for consuming user files.
-  double GetNumber(const std::string& key, double fallback) const;
-  bool GetBool(const std::string& key, bool fallback) const;
-  std::string GetString(const std::string& key, const std::string& fallback) const;
+  double GetNumber(std::string_view key, double fallback) const;
+  bool GetBool(std::string_view key, bool fallback) const;
+  std::string GetString(std::string_view key, const std::string& fallback) const;
 
   /// Appends to an array value.
   void Append(Json value);
@@ -54,22 +59,67 @@ class Json {
   std::string Dump() const;
 
   /// Serialises to a single line with no whitespace — the newline-delimited
-  /// framing of the service wire protocol (one document per line).
+  /// framing of the service wire protocol (one document per line). Written
+  /// through JsonWriter, so a document streamed through a JsonWriter in
+  /// sorted key order is byte-identical to the DumpCompact of its tree.
   std::string DumpCompact() const;
 
   /// Strict parse of a complete JSON document (trailing garbage rejected).
   static Result<Json> Parse(const std::string& text);
 
  private:
+  friend class JsonParser;
+  friend class JsonWriter;
+
   void DumpTo(std::string& out, int indent) const;
-  void DumpCompactTo(std::string& out) const;
 
   Type type_;
   bool bool_ = false;
   double number_ = 0;
   std::string string_;
   std::vector<Json> array_;
-  std::map<std::string, Json> object_;
+  Object object_;
+};
+
+/// Append-only writer of one compact JSON document into a caller's string:
+/// the same number, escape and structure code as Json::DumpCompact, without
+/// building a tree. Commas are placed automatically; the caller opens and
+/// closes containers in order and emits object keys in sorted order (the
+/// order DumpCompact uses), which keeps the output a fixpoint of
+/// Json::Parse(out)->DumpCompact().
+///
+/// Numbers: integral values with |v| < 1e15 print with no fraction (`%.0f`);
+/// everything else prints with 17 significant digits (`%.17g`), which
+/// round-trips every finite double exactly. Non-finite values print as
+/// `inf`/`nan`, which no JSON parser reads back, so callers must not write
+/// them.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(out) {}
+
+  JsonWriter& BeginObject();
+  JsonWriter& EndObject();
+  JsonWriter& BeginArray();
+  JsonWriter& EndArray();
+  /// An object member's key; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& Null();
+  JsonWriter& Bool(bool value);
+  JsonWriter& Number(double value);
+  JsonWriter& String(std::string_view value);
+  /// A whole tree, exactly as DumpCompact writes it.
+  JsonWriter& Value(const Json& value);
+
+ private:
+  /// Writes the ',' that separates this value or key from its predecessor.
+  void Separate();
+  /// Separate(), then the opening quote of a key or string.
+  void OpenQuote();
+
+  std::string& out_;
+  /// Whether the enclosing container already holds an element.
+  bool need_comma_ = false;
 };
 
 }  // namespace dagperf

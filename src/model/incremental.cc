@@ -53,13 +53,20 @@ void AppendInt(std::string& out, std::int64_t value) {
 }  // namespace
 
 std::size_t EstimatorCheckpoint::ByteSize() const {
-  return sizeof(*this) + key.size() + done.size() * sizeof(JobId) +
-         jobs.size() * sizeof(JobId) +
-         stage_state.size() * sizeof(StageDynState) +
-         waves.size() * sizeof(WaveState) +
-         states.size() * sizeof(StateEstimate) +
-         running_pool.size() * sizeof(RunningStageEstimate) +
-         stages.size() * sizeof(StageSpanEstimate);
+  return ByteSizeFor(key.size(), done.size(), jobs.size(), stage_state.size(),
+                     waves.size(), states.size(), running_pool.size(),
+                     stages.size());
+}
+
+std::size_t EstimatorCheckpoint::ByteSizeFor(
+    std::size_t key_bytes, std::size_t done, std::size_t jobs,
+    std::size_t stage_states, std::size_t waves, std::size_t states,
+    std::size_t running, std::size_t stages) {
+  return sizeof(EstimatorCheckpoint) + key_bytes + done * sizeof(JobId) +
+         jobs * sizeof(JobId) + stage_states * sizeof(StageDynState) +
+         waves * sizeof(WaveState) + states * sizeof(StateEstimate) +
+         running * sizeof(RunningStageEstimate) +
+         stages * sizeof(StageSpanEstimate);
 }
 
 PrefixCheckpointStore::PrefixCheckpointStore()
@@ -154,9 +161,19 @@ std::shared_ptr<const EstimatorCheckpoint> PrefixCheckpointStore::Lookup(
   return nullptr;
 }
 
-bool PrefixCheckpointStore::Contains(const std::string& key) const {
+bool PrefixCheckpointStore::Admits(const std::string& key, std::size_t bytes) {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return entries_.find(key) != entries_.end();
+  if (entries_.find(key) != entries_.end()) return false;
+  if (bytes_ + bytes > options_.max_bytes) {
+    CountRejectedFull();
+    return false;
+  }
+  return true;
+}
+
+void PrefixCheckpointStore::CountRejectedFull() {
+  rejected_full_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().store_rejected.Add(1);
 }
 
 void PrefixCheckpointStore::Insert(
@@ -165,8 +182,7 @@ void PrefixCheckpointStore::Insert(
   std::unique_lock<std::shared_mutex> lock(mutex_);
   if (entries_.find(checkpoint->key) != entries_.end()) return;  // First wins.
   if (bytes_ + size > options_.max_bytes) {
-    rejected_full_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().store_rejected.Add(1);
+    CountRejectedFull();
     return;
   }
   // Register the done set for probing, deepest-first with lexicographic

@@ -95,6 +95,13 @@ struct EstimatorCheckpoint {
 
   /// Approximate retained heap footprint, for the store's byte cap.
   std::size_t ByteSize() const;
+
+  /// ByteSize() of a checkpoint holding these element counts, so a caller
+  /// can ask PrefixCheckpointStore::Admits before building one.
+  static std::size_t ByteSizeFor(std::size_t key_bytes, std::size_t done,
+                                 std::size_t jobs, std::size_t stage_states,
+                                 std::size_t waves, std::size_t states,
+                                 std::size_t running, std::size_t stages);
 };
 
 /// Thread-safe store of prefix checkpoints, shared across the candidates of
@@ -140,9 +147,12 @@ class PrefixCheckpointStore {
       const DagWorkflow& flow, const std::string& global_fp,
       const std::vector<std::string>& job_fps) const;
 
-  /// Whether `key` is already stored — the estimator probes this before
-  /// paying the capture cost of a checkpoint someone already recorded.
-  bool Contains(const std::string& key) const;
+  /// Whether Insert would store a checkpoint of `bytes` (its ByteSize())
+  /// under `key` right now — the estimator asks before paying the capture
+  /// copies. False when the key is already stored, or when the byte cap
+  /// would be exceeded; the latter counts in Stats::rejected_full exactly as
+  /// a rejected Insert does, so the caller must not then Insert.
+  bool Admits(const std::string& key, std::size_t bytes);
 
   /// Stores a checkpoint under its `key`. First insert wins; inserts beyond
   /// the byte cap are rejected (counted in Stats::rejected_full).
@@ -190,6 +200,8 @@ class PrefixCheckpointStore {
                        std::size_t done_count, std::string* out);
 
  private:
+  void CountRejectedFull();
+
   Options options_;
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const EstimatorCheckpoint>>

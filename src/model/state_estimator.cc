@@ -301,9 +301,10 @@ void RestoreCheckpoint(const EstimatorCheckpoint& cp, const DagWorkflow& flow,
   estimate.stages = cp.stages;
 }
 
-/// Captures the current state into the store, unless a checkpoint for this
-/// boundary already exists (the common case once one candidate has paved the
-/// prefix — Contains() keeps the hot path from paying the capture copies).
+/// Captures the current state into the store, unless the store would not
+/// keep it: a checkpoint for this boundary already exists (the common case
+/// once one candidate has paved the prefix), or the store is full. Admits()
+/// answers from the exact size, so neither case pays the capture copies.
 void MaybeStoreCheckpoint(PrefixCheckpointStore& store, const DagWorkflow& flow,
                           Workspace& ws, const DagEstimate& estimate,
                           double now, int state_index) {
@@ -316,13 +317,29 @@ void MaybeStoreCheckpoint(PrefixCheckpointStore& store, const DagWorkflow& flow,
                                        &ws.key)) {
     return;
   }
-  if (store.Contains(ws.key)) return;
+  std::size_t jobs = 0;
+  std::size_t waves = 0;
+  for (JobId id = 0; id < ws.n; ++id) {
+    if (ws.unfinished_parents[id] != 0) continue;
+    ++jobs;
+    waves += ws.waves[2 * id].size() + ws.waves[2 * id + 1].size();
+  }
+  if (!store.Admits(ws.key, EstimatorCheckpoint::ByteSizeFor(
+                                ws.key.size(), ws.done_ids.size(), jobs,
+                                2 * jobs, waves, estimate.states.size(),
+                                estimate.running_pool.size(),
+                                estimate.stages.size()))) {
+    return;
+  }
 
   auto cp = std::make_shared<EstimatorCheckpoint>();
   cp->key = ws.key;
   cp->done = ws.done_ids;
   cp->now = now;
   cp->next_state_index = state_index;
+  cp->jobs.reserve(jobs);
+  cp->stage_state.reserve(2 * jobs);
+  cp->waves.reserve(waves);
   for (JobId id = 0; id < ws.n; ++id) {
     // unfinished_parents == 0 <=> every parent done <=> activated.
     if (ws.unfinished_parents[id] != 0) continue;

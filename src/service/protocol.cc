@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,26 +19,24 @@ namespace dagperf {
 
 namespace {
 
-Json ErrorResponseWithCode(const Json* id, const std::string& code,
-                           bool retryable, const std::string& message,
-                           double retry_after_ms = 0.0) {
-  Json error = Json::MakeObject();
-  error.Set("code", Json::MakeString(code));
-  error.Set("retryable", Json::MakeBool(retryable));
-  error.Set("message", Json::MakeString(message));
+/// The error line {"error":{..},"id":..,"ok":false}, keys sorted.
+std::string ErrorResponseWithCode(const Json* id, std::string_view code,
+                                  bool retryable, std::string_view message,
+                                  double retry_after_ms = 0.0) {
+  std::string line;
+  JsonWriter w(line);
+  w.BeginObject().Key("error").BeginObject();
+  w.Key("code").String(code).Key("message").String(message);
   // Server-paced backoff hint (overload / fair-share sheds). Emitted only
   // when the server actually set one, so existing error shapes are stable.
-  if (retry_after_ms > 0) {
-    error.Set("retry_after_ms", Json::MakeNumber(retry_after_ms));
-  }
-  Json response = Json::MakeObject();
-  if (id != nullptr) response.Set("id", *id);
-  response.Set("ok", Json::MakeBool(false));
-  response.Set("error", std::move(error));
-  return response;
+  if (retry_after_ms > 0) w.Key("retry_after_ms").Number(retry_after_ms);
+  w.Key("retryable").Bool(retryable).EndObject();
+  if (id != nullptr) w.Key("id").Value(*id);
+  w.Key("ok").Bool(false).EndObject();
+  return line;
 }
 
-Json ErrorResponse(const Json* id, const Status& status) {
+std::string ErrorResponse(const Json* id, const Status& status) {
   return ErrorResponseWithCode(id, ErrorCodeName(status.code()),
                                IsRetryable(status.code()), status.message(),
                                status.retry_after_ms());
@@ -49,124 +49,129 @@ const Json& NullId() {
   return *null_id;
 }
 
-Json OkResponse(const Json* id, Json result) {
-  Json response = Json::MakeObject();
-  if (id != nullptr) response.Set("id", *id);
-  response.Set("ok", Json::MakeBool(true));
-  response.Set("result", std::move(result));
-  return response;
+/// The success line {"id":..,"ok":true,"result":..}, keys sorted;
+/// `write_result` writes the result value.
+template <typename WriteResult>
+std::string OkResponseWith(const Json* id, const WriteResult& write_result) {
+  std::string line;
+  JsonWriter w(line);
+  w.BeginObject();
+  if (id != nullptr) w.Key("id").Value(*id);
+  w.Key("ok").Bool(true).Key("result");
+  write_result(w);
+  w.EndObject();
+  return line;
 }
 
-Json StageSpansToJson(const DagWorkflow& flow, const DagEstimate& estimate) {
-  Json stages = Json::MakeArray();
+std::string OkResponse(const Json* id, const Json& result) {
+  return OkResponseWith(id, [&result](JsonWriter& w) { w.Value(result); });
+}
+
+void WriteStageSpans(JsonWriter& w, const DagWorkflow& flow,
+                     const DagEstimate& estimate) {
+  w.BeginArray();
   for (const StageSpanEstimate& span : estimate.stages) {
-    Json s = Json::MakeObject();
-    s.Set("job", Json::MakeString(flow.job(span.job).name));
-    s.Set("kind", Json::MakeString(StageKindName(span.kind)));
-    s.Set("start_s", Json::MakeNumber(span.start));
-    s.Set("end_s", Json::MakeNumber(span.end));
-    stages.Append(std::move(s));
+    w.BeginObject()
+        .Key("end_s").Number(span.end)
+        .Key("job").String(flow.job(span.job).name)
+        .Key("kind").String(StageKindName(span.kind))
+        .Key("start_s").Number(span.start)
+        .EndObject();
   }
-  return stages;
+  w.EndArray();
 }
 
-Json EstimateToJson(const WorkflowEstimate& served, bool explain) {
-  Json result = Json::MakeObject();
-  result.Set("workflow", Json::MakeString(served.workflow));
-  result.Set("cluster", Json::MakeString(served.cluster));
-  result.Set("makespan_s", Json::MakeNumber(served.estimate.makespan.seconds()));
-  result.Set("states", Json::MakeNumber(
-                           static_cast<double>(served.estimate.states.size())));
-  result.Set("queue_wait_ms", Json::MakeNumber(served.queue_wait_ms));
-  result.Set("service_ms", Json::MakeNumber(served.service_ms));
+/// An estimate / explain result object, keys sorted.
+void WriteEstimate(JsonWriter& w, const WorkflowEstimate& served, bool explain) {
+  w.BeginObject();
+  w.Key("cluster").String(served.cluster);
+  // Coalesce tag (emit-only-when-set, like "degraded"): this answer was a
+  // copy of an identical in-flight computation's result.
+  if (served.coalesced) w.Key("coalesced").Bool(true);
+  if (explain) {
+    w.Key("critical_path").BeginArray();
+    for (const CriticalSegment& segment : served.critical_path) {
+      w.BeginObject()
+          .Key("duration_s").Number(segment.duration)
+          .Key("job").String(served.flow->job(segment.job).name)
+          .Key("kind").String(StageKindName(segment.kind))
+          .Key("start_s").Number(segment.start)
+          .EndObject();
+    }
+    w.EndArray();
+  }
   // Brownout tag: the answer is still the paper's model, but attribution may
   // be absent and the state budget capped. Emitted only when set, so the
   // healthy response shape is unchanged.
   if (served.degraded) {
-    result.Set("degraded", Json::MakeBool(true));
-    result.Set("degrade_level", Json::MakeNumber(served.degrade_level));
+    w.Key("degrade_level").Number(served.degrade_level);
+    w.Key("degraded").Bool(true);
   }
-  // Coalesce tag (emit-only-when-set, like "degraded"): this answer was a
-  // copy of an identical in-flight computation's result.
-  if (served.coalesced) {
-    result.Set("coalesced", Json::MakeBool(true));
-  }
-  result.Set("stages", StageSpansToJson(*served.flow, served.estimate));
-  if (explain) {
-    Json path = Json::MakeArray();
-    for (const CriticalSegment& segment : served.critical_path) {
-      Json s = Json::MakeObject();
-      s.Set("job", Json::MakeString(served.flow->job(segment.job).name));
-      s.Set("kind", Json::MakeString(StageKindName(segment.kind)));
-      s.Set("start_s", Json::MakeNumber(segment.start));
-      s.Set("duration_s", Json::MakeNumber(segment.duration));
-      path.Append(std::move(s));
-    }
-    result.Set("critical_path", std::move(path));
-  }
-  return result;
+  w.Key("makespan_s").Number(served.estimate.makespan.seconds());
+  w.Key("queue_wait_ms").Number(served.queue_wait_ms);
+  w.Key("service_ms").Number(served.service_ms);
+  w.Key("stages");
+  WriteStageSpans(w, *served.flow, served.estimate);
+  w.Key("states").Number(static_cast<double>(served.estimate.states.size()));
+  w.Key("workflow").String(served.workflow);
+  w.EndObject();
 }
 
-Json SweepToJson(const ServiceSweepResult& served) {
-  Json result = Json::MakeObject();
-  result.Set("workflow", Json::MakeString(served.workflow));
-  result.Set("cluster", Json::MakeString(served.cluster));
-  result.Set("service_ms", Json::MakeNumber(served.service_ms));
-  Json candidates = Json::MakeArray();
-  for (std::size_t i = 0; i < served.sweep.estimates.size(); ++i) {
-    const Result<DagEstimate>& estimate = served.sweep.estimates[i];
-    Json c = Json::MakeObject();
-    if (i < served.nodes_list.size()) {
-      c.Set("nodes", Json::MakeNumber(served.nodes_list[i]));
-    }
-    c.Set("ok", Json::MakeBool(estimate.ok()));
-    if (estimate.ok()) {
-      c.Set("makespan_s", Json::MakeNumber(estimate.value().makespan.seconds()));
-    } else {
-      c.Set("code", Json::MakeString(ErrorCodeName(estimate.status().code())));
-      c.Set("message", Json::MakeString(estimate.status().message()));
-    }
-    candidates.Append(std::move(c));
-  }
-  result.Set("candidates", std::move(candidates));
+/// A sweep result object, keys sorted.
+void WriteSweep(JsonWriter& w, const ServiceSweepResult& served) {
   const SweepStats& stats = served.sweep.stats;
+  w.BeginObject();
   if (stats.best_index >= 0 &&
       stats.best_index < static_cast<int>(served.nodes_list.size())) {
-    Json best = Json::MakeObject();
-    best.Set("nodes", Json::MakeNumber(served.nodes_list[stats.best_index]));
-    best.Set("makespan_s", Json::MakeNumber(stats.best_makespan.seconds()));
-    result.Set("best", std::move(best));
+    w.Key("best").BeginObject()
+        .Key("makespan_s").Number(stats.best_makespan.seconds())
+        .Key("nodes").Number(served.nodes_list[stats.best_index])
+        .EndObject();
   }
-  Json sweep_stats = Json::MakeObject();
-  sweep_stats.Set("completed", Json::MakeNumber(stats.completed));
-  sweep_stats.Set("failures", Json::MakeNumber(stats.failures));
-  sweep_stats.Set("cancelled", Json::MakeNumber(stats.cancelled));
-  sweep_stats.Set("deadline_exceeded", Json::MakeNumber(stats.deadline_exceeded));
-  sweep_stats.Set("cache_hit_rate", Json::MakeNumber(stats.cache_hit_rate));
-  Json incremental = Json::MakeObject();
-  incremental.Set("prefix_hits",
-                  Json::MakeNumber(static_cast<double>(stats.prefix_hits)));
-  incremental.Set("prefix_misses",
-                  Json::MakeNumber(static_cast<double>(stats.prefix_misses)));
-  incremental.Set("resumed_states",
-                  Json::MakeNumber(static_cast<double>(stats.resumed_states)));
-  incremental.Set(
-      "checkpoints_stored",
-      Json::MakeNumber(static_cast<double>(stats.checkpoints_stored)));
-  sweep_stats.Set("incremental", std::move(incremental));
+  w.Key("candidates").BeginArray();
+  for (std::size_t i = 0; i < served.sweep.estimates.size(); ++i) {
+    const Result<DagEstimate>& estimate = served.sweep.estimates[i];
+    w.BeginObject();
+    if (estimate.ok()) {
+      w.Key("makespan_s").Number(estimate.value().makespan.seconds());
+    } else {
+      w.Key("code").String(ErrorCodeName(estimate.status().code()));
+      w.Key("message").String(estimate.status().message());
+    }
+    if (i < served.nodes_list.size()) {
+      w.Key("nodes").Number(served.nodes_list[i]);
+    }
+    w.Key("ok").Bool(estimate.ok());
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("cluster").String(served.cluster);
+  w.Key("service_ms").Number(served.service_ms);
+  w.Key("stats").BeginObject()
+      .Key("cache_hit_rate").Number(stats.cache_hit_rate)
+      .Key("cancelled").Number(stats.cancelled)
+      .Key("completed").Number(stats.completed)
+      .Key("deadline_exceeded").Number(stats.deadline_exceeded)
+      .Key("failures").Number(stats.failures);
   // Hedge accounting appears only when the race actually launched hedges,
   // so unhedged sweeps keep their response shape.
   if (stats.hedges_launched > 0) {
-    Json hedges = Json::MakeObject();
-    hedges.Set("launched",
-               Json::MakeNumber(static_cast<double>(stats.hedges_launched)));
-    hedges.Set("won", Json::MakeNumber(static_cast<double>(stats.hedges_won)));
-    hedges.Set("wasted",
-               Json::MakeNumber(static_cast<double>(stats.hedges_wasted)));
-    sweep_stats.Set("hedges", std::move(hedges));
+    w.Key("hedges").BeginObject()
+        .Key("launched").Number(static_cast<double>(stats.hedges_launched))
+        .Key("wasted").Number(static_cast<double>(stats.hedges_wasted))
+        .Key("won").Number(static_cast<double>(stats.hedges_won))
+        .EndObject();
   }
-  result.Set("stats", std::move(sweep_stats));
-  return result;
+  w.Key("incremental").BeginObject()
+      .Key("checkpoints_stored")
+      .Number(static_cast<double>(stats.checkpoints_stored))
+      .Key("prefix_hits").Number(static_cast<double>(stats.prefix_hits))
+      .Key("prefix_misses").Number(static_cast<double>(stats.prefix_misses))
+      .Key("resumed_states").Number(static_cast<double>(stats.resumed_states))
+      .EndObject();
+  w.EndObject();  // stats
+  w.Key("workflow").String(served.workflow);
+  w.EndObject();
 }
 
 Json StatsToJson(const ServiceStats& stats) {
@@ -289,6 +294,33 @@ Json SloReportToJson(const obs::SloTracker::Report& report) {
   return result;
 }
 
+/// Whether `value` is an integer in [lo, INT_MAX], checked before any cast
+/// to int (casting an out-of-range double is undefined behaviour).
+bool IntegerIn(double value, int lo) {
+  return value >= lo && value <= std::numeric_limits<int>::max() &&
+         value == std::floor(value);
+}
+
+/// Whether every number inside `value` is finite.
+bool AllFinite(const Json& value) {
+  switch (value.type()) {
+    case Json::Type::kNumber:
+      return std::isfinite(value.AsNumber());
+    case Json::Type::kArray:
+      for (const Json& element : value.AsArray()) {
+        if (!AllFinite(element)) return false;
+      }
+      return true;
+    case Json::Type::kObject:
+      for (const auto& [key, member] : value.AsObject()) {
+        if (!AllFinite(member)) return false;
+      }
+      return true;
+    default:
+      return true;
+  }
+}
+
 /// Parses one wire line into a request object. Returns false (and fills
 /// *error_line with the protocol-shaped error response) when the line is
 /// not valid JSON or not an object.
@@ -301,15 +333,22 @@ bool ParseRequestLine(const std::string& line, Json* request,
     // cannot help) with an explicit null id, so a pipelining client sees
     // the response slot consumed instead of a silent skip.
     *error_line = ErrorResponseWithCode(&NullId(), "PARSE_ERROR", false,
-                                        parsed.status().message())
-                      .DumpCompact();
+                                        parsed.status().message());
     return false;
   }
   if (parsed.value().type() != Json::Type::kObject) {
     *error_line =
         ErrorResponse(&NullId(),
-                      Status::InvalidArgument("request must be a JSON object"))
-            .DumpCompact();
+                      Status::InvalidArgument("request must be a JSON object"));
+    return false;
+  }
+  // The id is echoed verbatim; an infinite one (an overflowing literal such
+  // as 1e400) has no JSON spelling, so the answer could not be parsed.
+  if (const Json* id = parsed.value().Get("id");
+      id != nullptr && !AllFinite(*id)) {
+    *error_line = ErrorResponse(
+        &NullId(), Status::InvalidArgument(
+                       "\"id\" must not hold a number beyond the double range"));
     return false;
   }
   *request = std::move(parsed).value();
@@ -385,16 +424,15 @@ std::string Protocol::HandleRequest(const Json& request) {
             request, &service_request.workflow, &service_request.flow,
             &service_request.cluster, &service_request.budget);
         !common.ok()) {
-      return ErrorResponse(id, common).DumpCompact();
+      return ErrorResponse(id, common);
     }
     const double nodes = request.GetNumber("nodes", 0.0);
-    service_request.nodes = static_cast<int>(nodes);
-    if (nodes < 0 || nodes != static_cast<double>(service_request.nodes)) {
+    if (!IntegerIn(nodes, 0)) {
       return ErrorResponse(
-                 id, Status::InvalidArgument("\"nodes\" must be a non-negative "
-                                             "integer"))
-          .DumpCompact();
+          id, Status::InvalidArgument("\"nodes\" must be a non-negative "
+                                      "integer"));
     }
+    service_request.nodes = static_cast<int>(nodes);
     // Lowered struct -> the 0.8 unified builder. Wire "coalesce": false
     // opts this request out of in-flight coalescing.
     EstimateRequest unified =
@@ -408,10 +446,11 @@ std::string Protocol::HandleRequest(const Json& request) {
         .WithExplain(service_request.explain);
     if (!request.GetBool("coalesce", true)) unified.WithoutCoalescing();
     Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
-    if (!served.ok()) return ErrorResponse(id, served.status()).DumpCompact();
-    return OkResponse(id, EstimateToJson(*served.value().estimate,
-                                         op == "explain"))
-        .DumpCompact();
+    if (!served.ok()) return ErrorResponse(id, served.status());
+    const WorkflowEstimate& estimate = *served.value().estimate;
+    return OkResponseWith(id, [&](JsonWriter& w) {
+      WriteEstimate(w, estimate, op == "explain");
+    });
   }
 
   if (op == "sweep") {
@@ -421,21 +460,18 @@ std::string Protocol::HandleRequest(const Json& request) {
             request, &sweep_request.workflow, &sweep_request.flow,
             &sweep_request.cluster, &sweep_request.budget);
         !common.ok()) {
-      return ErrorResponse(id, common).DumpCompact();
+      return ErrorResponse(id, common);
     }
     const Json* nodes_list = request.Get("nodes_list");
     if (nodes_list == nullptr || nodes_list->type() != Json::Type::kArray) {
       return ErrorResponse(id, Status::InvalidArgument(
-                                   "sweep requires a \"nodes_list\" array"))
-          .DumpCompact();
+                                   "sweep requires a \"nodes_list\" array"));
     }
     for (const Json& entry : nodes_list->AsArray()) {
-      if (entry.type() != Json::Type::kNumber || entry.AsNumber() < 1 ||
-          entry.AsNumber() != std::floor(entry.AsNumber())) {
+      if (entry.type() != Json::Type::kNumber || !IntegerIn(entry.AsNumber(), 1)) {
         return ErrorResponse(id, Status::InvalidArgument(
                                      "\"nodes_list\" entries must be integers "
-                                     ">= 1"))
-            .DumpCompact();
+                                     ">= 1"));
       }
       sweep_request.nodes_list.push_back(static_cast<int>(entry.AsNumber()));
     }
@@ -456,12 +492,13 @@ std::string Protocol::HandleRequest(const Json& request) {
       unified.WithHedging(hedge);
     }
     Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
-    if (!served.ok()) return ErrorResponse(id, served.status()).DumpCompact();
-    return OkResponse(id, SweepToJson(*served.value().sweep)).DumpCompact();
+    if (!served.ok()) return ErrorResponse(id, served.status());
+    const ServiceSweepResult& sweep = *served.value().sweep;
+    return OkResponseWith(id, [&](JsonWriter& w) { WriteSweep(w, sweep); });
   }
 
   if (op == "stats") {
-    return OkResponse(id, StatsToJson(service_->Stats())).DumpCompact();
+    return OkResponse(id, StatsToJson(service_->Stats()));
   }
 
   if (op == "slo") {
@@ -469,7 +506,7 @@ std::string Protocol::HandleRequest(const Json& request) {
     // Refresh the slo.* gauges alongside the report so a Prometheus scrape
     // racing this verb sees the same windowed figures.
     service_->slo_tracker().PublishGauges(report);
-    return OkResponse(id, SloReportToJson(report)).DumpCompact();
+    return OkResponse(id, SloReportToJson(report));
   }
 
   if (op == "flightrecorder") {
@@ -479,10 +516,9 @@ std::string Protocol::HandleRequest(const Json& request) {
     Result<Json> dump = Json::Parse(service_->flight_recorder().ToJson());
     if (!dump.ok()) {
       return ErrorResponse(id, Status::Internal("flight recorder dump: " +
-                                                dump.status().message()))
-          .DumpCompact();
+                                                dump.status().message()));
     }
-    return OkResponse(id, std::move(dump).value()).DumpCompact();
+    return OkResponse(id, dump.value());
   }
 
   if (op == "metrics") {
@@ -492,21 +528,19 @@ std::string Protocol::HandleRequest(const Json& request) {
       result.Set("content_type",
                  Json::MakeString("text/plain; version=0.0.4; charset=utf-8"));
       result.Set("text", Json::MakeString(obs::WritePrometheusText()));
-      return OkResponse(id, std::move(result)).DumpCompact();
+      return OkResponse(id, result);
     }
     if (format != "json") {
       return ErrorResponse(id,
                            Status::InvalidArgument(
-                               "\"format\" must be \"json\" or \"prom\""))
-          .DumpCompact();
+                               "\"format\" must be \"json\" or \"prom\""));
     }
     Result<Json> parsed = Json::Parse(obs::MetricsRegistry::Default().ToJson());
     if (!parsed.ok()) {
       return ErrorResponse(id, Status::Internal("metrics snapshot: " +
-                                                parsed.status().message()))
-          .DumpCompact();
+                                                parsed.status().message()));
     }
-    return OkResponse(id, std::move(parsed).value()).DumpCompact();
+    return OkResponse(id, parsed.value());
   }
 
   if (op == "watch") {
@@ -525,12 +559,12 @@ std::string Protocol::HandleRequest(const Json& request) {
 
   if (op == "drain") {
     Result<int> inflight = service_->Drain();
-    if (!inflight.ok()) return ErrorResponse(id, inflight.status()).DumpCompact();
+    if (!inflight.ok()) return ErrorResponse(id, inflight.status());
     drain_requested_ = true;
     Json result = Json::MakeObject();
     result.Set("drained", Json::MakeBool(true));
     result.Set("inflight", Json::MakeNumber(inflight.value()));
-    return OkResponse(id, std::move(result)).DumpCompact();
+    return OkResponse(id, result);
   }
 
   return ErrorResponse(
@@ -539,8 +573,7 @@ std::string Protocol::HandleRequest(const Json& request) {
                          ? "request carries no \"op\""
                          : "unknown op \"" + op +
                                "\" (estimate|explain|sweep|stats|slo|"
-                               "flightrecorder|metrics|watch|drain)"))
-      .DumpCompact();
+                               "flightrecorder|metrics|watch|drain)"));
 }
 
 void Protocol::RunWatch(const Json& request, const Json* id,
@@ -548,17 +581,17 @@ void Protocol::RunWatch(const Json& request, const Json* id,
   const double interval_raw = request.GetNumber("interval_ms", 1000.0);
   if (interval_raw < 0) {
     sink(ErrorResponse(id, Status::InvalidArgument(
-                               "\"interval_ms\" must be >= 0"))
-             .DumpCompact());
+                               "\"interval_ms\" must be >= 0")));
     return;
   }
   const double interval_ms = std::min(60000.0, std::max(10.0, interval_raw));
   const double count_raw = request.GetNumber("count", 0.0);
-  if (count_raw < 0 || count_raw != std::floor(count_raw)) {
+  // Below 2^64, so the cast to the frame counter is defined.
+  if (count_raw < 0 || count_raw >= 18446744073709551616.0 ||
+      count_raw != std::floor(count_raw)) {
     sink(ErrorResponse(id, Status::InvalidArgument(
                                "\"count\" must be a non-negative integer "
-                               "(0 = unbounded)"))
-             .DumpCompact());
+                               "(0 = unbounded)")));
     return;
   }
   const std::uint64_t max_frames = static_cast<std::uint64_t>(count_raw);
@@ -584,7 +617,7 @@ void Protocol::RunWatch(const Json& request, const Json* id,
       }
     }
     frame.Set("breakers", std::move(breakers));
-    if (!sink(OkResponse(id, std::move(frame)).DumpCompact())) return;
+    if (!sink(OkResponse(id, frame))) return;
     if (single_frame) return;
     if (max_frames != 0 && seq >= max_frames) return;
     if (service_->draining()) return;
@@ -602,7 +635,7 @@ void Protocol::RunWatch(const Json& request, const Json* id,
 }
 
 std::string Protocol::TransportErrorLine(const Status& status) {
-  return ErrorResponse(&NullId(), status).DumpCompact();
+  return ErrorResponse(&NullId(), status);
 }
 
 }  // namespace dagperf

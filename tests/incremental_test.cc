@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "model/state_estimator.h"
 #include "model/task_time_source.h"
+#include "obs/metrics.h"
 #include "workloads/micro.h"
 
 namespace dagperf {
@@ -119,6 +122,88 @@ TEST(PrefixCheckpointStoreTest, ByteCapRejectsInsertsDeterministically) {
   const StateBasedEstimator plain(kCluster, kSched);
   ExpectIdentical(first, plain.Estimate(flow, source).value());
   ExpectIdentical(second, first);
+}
+
+TEST(PrefixCheckpointStoreTest, PartlyFullStoreCountsRejectionsLikeInsert) {
+  const BoeModel boe(kCluster.node);
+  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
+  const DagWorkflow flow = ChainWithReducers(8);
+  const StateBasedEstimator plain(kCluster, kSched);
+  const DagEstimate reference = plain.Estimate(flow, source).value();
+
+  // Uncapped, the estimate stores one checkpoint per boundary; on a chain
+  // they are stored shallowest first.
+  PrefixCheckpointStore uncapped;
+  EstimatorOptions uncapped_options;
+  uncapped_options.checkpoints = &uncapped;
+  (void)StateBasedEstimator(kCluster, kSched, uncapped_options)
+      .Estimate(flow, source)
+      .value();
+  std::vector<std::shared_ptr<const EstimatorCheckpoint>> stored =
+      uncapped.Export();
+  const std::size_t boundaries = stored.size();
+  ASSERT_GE(boundaries, 3u);
+  std::sort(stored.begin(), stored.end(), [](const auto& a, const auto& b) {
+    return a->done.size() < b->done.size();
+  });
+  const std::size_t two = stored[0]->ByteSize() + stored[1]->ByteSize();
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+
+  // A cap of exactly two checkpoints keeps two; one byte less keeps one.
+  // Either way every other boundary is one rejection, in the store's stats
+  // and in the incremental.store_rejected metric, just as Insert counts it.
+  for (const std::size_t kept : {std::size_t{2}, std::size_t{1}}) {
+    obs::Counter& store_rejected =
+        obs::MetricsRegistry::Default().GetCounter("incremental.store_rejected");
+    const std::uint64_t rejected_before = store_rejected.value();
+    PrefixCheckpointStore::Options store_options;
+    store_options.max_bytes = kept == 2 ? two : two - 1;
+    PrefixCheckpointStore store(store_options);
+    EstimatorOptions options;
+    options.checkpoints = &store;
+    const StateBasedEstimator estimator(kCluster, kSched, options);
+
+    const DagEstimate first = estimator.Estimate(flow, source).value();
+    PrefixCheckpointStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.inserts, kept);
+    EXPECT_EQ(stats.rejected_full, boundaries - kept);
+    EXPECT_EQ(stats.bytes, kept == 2 ? two : stored[0]->ByteSize());
+
+    // The re-run resumes at the deepest kept boundary and is rejected again
+    // at every boundary past it.
+    const DagEstimate resumed = estimator.Estimate(flow, source).value();
+    stats = store.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_GT(stats.resumed_states, 0u);
+    EXPECT_EQ(stats.rejected_full, 2 * (boundaries - kept));
+    EXPECT_EQ(store_rejected.value() - rejected_before, stats.rejected_full);
+    ExpectIdentical(first, reference);
+    ExpectIdentical(resumed, reference);
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
+}
+
+TEST(PrefixCheckpointStoreTest, AdmitsAnswersForInsertWithoutStoring) {
+  PrefixCheckpointStore::Options store_options;
+  auto checkpoint = std::make_shared<EstimatorCheckpoint>();
+  checkpoint->key = "k";
+  store_options.max_bytes = checkpoint->ByteSize();
+  PrefixCheckpointStore store(store_options);
+
+  EXPECT_TRUE(store.Admits("k", checkpoint->ByteSize()));
+  EXPECT_FALSE(store.Admits("k", checkpoint->ByteSize() + 1));
+  EXPECT_EQ(store.stats().rejected_full, 1u);
+  EXPECT_EQ(store.stats().entries, 0u);  // Asking stores nothing.
+
+  store.Insert(checkpoint);
+  EXPECT_EQ(store.stats().inserts, 1u);
+  // A stored key is not admitted again, and that is not a rejection.
+  EXPECT_FALSE(store.Admits("k", 1));
+  EXPECT_EQ(store.stats().rejected_full, 1u);
+  // The store is now full.
+  EXPECT_FALSE(store.Admits("other", 1));
+  EXPECT_EQ(store.stats().rejected_full, 2u);
 }
 
 TEST(PrefixCheckpointStoreTest, ClearEmptiesTheStore) {

@@ -458,6 +458,112 @@ TEST(ProtocolTest, SaturatingWaterFillStateIsAnswered) {
   EXPECT_GT(parsed.value().Get("result")->GetNumber("makespan_s", 0.0), 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// Golden answer lines: the exact bytes the wire carries, byte for byte. Only
+// the two timing values differ between runs, so they are masked.
+
+std::string MaskTimings(std::string line) {
+  for (const std::string key : {"\"queue_wait_ms\":", "\"service_ms\":"}) {
+    for (std::size_t at = line.find(key); at != std::string::npos;
+         at = line.find(key, at)) {
+      at += key.size();
+      const std::size_t end = line.find_first_of(",}", at);
+      if (end == std::string::npos) break;
+      line.replace(at, end - at, "#");
+    }
+  }
+  return line;
+}
+
+struct GoldenLine {
+  std::string request;
+  std::string answer;
+};
+
+void ExpectGoldenAnswers(Protocol& protocol,
+                         const std::vector<GoldenLine>& cases) {
+  for (const GoldenLine& c : cases) {
+    const std::string got = MaskTimings(protocol.HandleLine(c.request));
+    EXPECT_EQ(got, c.answer) << c.request;
+  }
+}
+
+TEST(ProtocolGoldenTest, AnswersAndErrorShapesMatchGoldenBytes) {
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  Protocol protocol(&service);
+  ExpectGoldenAnswers(
+      protocol,
+      {
+          {R"({"op":"estimate","workflow":"q6","id":1})", R"json({"id":1,"ok":true,"result":{"cluster":"default","makespan_s":24.541666666666664,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":2.1684577777777778,"job":"Q6-filter-sum","kind":"map","start_s":0},{"end_s":3.041666666666667,"job":"TS","kind":"map","start_s":0},{"end_s":3.3317617777777779,"job":"Q6-filter-sum","kind":"reduce","start_s":2.1684577777777778},{"end_s":5.3344284444444448,"job":"Q6-final","kind":"map","start_s":3.3317617777777779},{"end_s":7.1280284444444444,"job":"Q6-final","kind":"reduce","start_s":5.3344284444444448},{"end_s":24.541666666666664,"job":"TS","kind":"reduce","start_s":3.041666666666667}],"states":6,"workflow":"q6"}})json"},
+          {R"({"op":"explain","workflow":"q6","id":"explain-1"})", R"json({"id":"explain-1","ok":true,"result":{"cluster":"default","critical_path":[{"duration_s":2.1684577777777778,"job":"Q6-filter-sum","kind":"map","start_s":0},{"duration_s":0.87320888888888915,"job":"TS","kind":"map","start_s":2.1684577777777778},{"duration_s":0.29009511111111091,"job":"Q6-filter-sum","kind":"reduce","start_s":3.041666666666667},{"duration_s":2.0026666666666668,"job":"Q6-final","kind":"map","start_s":3.3317617777777779},{"duration_s":1.7936000000000001,"job":"Q6-final","kind":"reduce","start_s":5.3344284444444448},{"duration_s":17.413638222222222,"job":"TS","kind":"reduce","start_s":7.1280284444444444}],"makespan_s":24.541666666666664,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":2.1684577777777778,"job":"Q6-filter-sum","kind":"map","start_s":0},{"end_s":3.041666666666667,"job":"TS","kind":"map","start_s":0},{"end_s":3.3317617777777779,"job":"Q6-filter-sum","kind":"reduce","start_s":2.1684577777777778},{"end_s":5.3344284444444448,"job":"Q6-final","kind":"map","start_s":3.3317617777777779},{"end_s":7.1280284444444444,"job":"Q6-final","kind":"reduce","start_s":5.3344284444444448},{"end_s":24.541666666666664,"job":"TS","kind":"reduce","start_s":3.041666666666667}],"states":6,"workflow":"q6"}})json"},
+          {R"({"op":"estimate","id":3,"flow":{"name":"diamond","jobs":[{"name":"a","input_gb":10},{"name":"b","input_gb":5,"split_mb":64},{"name":"c","input_gb":5,"num_reduce_tasks":7},{"name":"d","input_gb":2.5}],"edges":[[0,1],[0,2],[1,3],[2,3]]}})",
+           R"json({"id":3,"ok":true,"result":{"cluster":"default","makespan_s":101.12406895764161,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":8.3863636363636367,"job":"a","kind":"map","start_s":0},{"end_s":37.553030303030305,"job":"a","kind":"reduce","start_s":8.3863636363636367},{"end_s":42.714255765145076,"job":"b","kind":"map","start_s":37.553030303030305},{"end_s":46.056610990415933,"job":"c","kind":"map","start_s":37.553030303030305},{"end_s":67.581406707519335,"job":"c","kind":"reduce","start_s":46.056610990415933},{"end_s":72.110180068752712,"job":"b","kind":"reduce","start_s":42.714255765145076},{"end_s":76.651846735419383,"job":"d","kind":"map","start_s":72.110180068752712},{"end_s":101.12406895764161,"job":"d","kind":"reduce","start_s":76.651846735419383}],"states":8,"workflow":"diamond"}})json"},
+          {R"({"op":"sweep","workflow":"q6","nodes_list":[2,20000000,4],"id":4})",
+           R"json({"id":4,"ok":true,"result":{"best":{"makespan_s":24.973657793298905,"nodes":4},"candidates":[{"makespan_s":27.394338943758569,"nodes":2,"ok":true},{"code":"INVALID_ARGUMENT","message":"cluster: 1 violation: /num_nodes: exceeds the 10000000 node cap","nodes":20000000,"ok":false},{"makespan_s":24.973657793298905,"nodes":4,"ok":true}],"cluster":"default","service_ms":#,"stats":{"cache_hit_rate":0,"cancelled":0,"completed":2,"deadline_exceeded":0,"failures":1,"incremental":{"checkpoints_stored":6,"prefix_hits":0,"prefix_misses":2,"resumed_states":0}},"workflow":"q6"}})json"},
+          {"this is not json", R"json({"error":{"code":"PARSE_ERROR","message":"JSON parse error at offset 0: invalid keyword","retryable":false},"id":null,"ok":false})json"},
+          {"[1,2,3]", R"json({"error":{"code":"INVALID_ARGUMENT","message":"request must be a JSON object","retryable":false},"id":null,"ok":false})json"},
+          {R"({"op":"bogus"})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"unknown op \"bogus\" (estimate|explain|sweep|stats|slo|flightrecorder|metrics|watch|drain)","retryable":false},"ok":false})json"},
+          {R"({"op":"bogus","id":null})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"unknown op \"bogus\" (estimate|explain|sweep|stats|slo|flightrecorder|metrics|watch|drain)","retryable":false},"id":null,"ok":false})json"},
+          {R"({"op":"estimate","workflow":"nope","id":7})", R"json({"error":{"code":"NOT_FOUND","message":"workflow not registered: nope","retryable":false},"id":7,"ok":false})json"},
+          {R"({"op":"estimate","workflow":"q6","nodes":-1,"id":2.5})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"\"nodes\" must be a non-negative integer","retryable":false},"id":2.5,"ok":false})json"},
+          {R"({"op":"estimate","id":"a\"b\\c\u0001\n"})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"request must carry \"workflow\" (a registered name) or an inline \"flow\" document","retryable":false},"id":"a\"b\\c\u0001\n","ok":false})json"},
+          {R"({"op":"sweep","workflow":"q6","id":{"b":1,"a":[true,false,null,-0,1e300]}})",
+           R"json({"error":{"code":"INVALID_ARGUMENT","message":"sweep requires a \"nodes_list\" array","retryable":false},"id":{"a":[true,false,null,-0,1.0000000000000001e+300],"b":1},"ok":false})json"},
+      });
+}
+
+TEST(ProtocolGoldenTest, DegradedAndShedAnswersMatchGoldenBytes) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.overload_target_sojourn_ms = 50.0;
+  options.expensive_job_threshold = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  resilience::OverloadController* controller = service.overload_controller();
+  ASSERT_NE(controller, nullptr);
+  Protocol protocol(&service);
+  controller->ForceLevelForTest(0);
+  (void)protocol.HandleLine(R"({"op":"estimate","workflow":"q6"})");
+  controller->ForceLevelForTest(1);
+  ExpectGoldenAnswers(
+      protocol,
+      {
+          // Warm: served, but degraded.
+          {R"({"op":"explain","workflow":"q6","id":5})", R"json({"id":5,"ok":true,"result":{"cluster":"default","critical_path":[],"degrade_level":1,"degraded":true,"makespan_s":24.541666666666664,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":2.1684577777777778,"job":"Q6-filter-sum","kind":"map","start_s":0},{"end_s":3.041666666666667,"job":"TS","kind":"map","start_s":0},{"end_s":3.3317617777777779,"job":"Q6-filter-sum","kind":"reduce","start_s":2.1684577777777778},{"end_s":5.3344284444444448,"job":"Q6-final","kind":"map","start_s":3.3317617777777779},{"end_s":7.1280284444444444,"job":"Q6-final","kind":"reduce","start_s":5.3344284444444448},{"end_s":24.541666666666664,"job":"TS","kind":"reduce","start_s":3.041666666666667}],"states":6,"workflow":"q6"}})json"},
+          // Cold and expensive: shed with a retry hint.
+          {R"({"op":"estimate","workflow":"q6","nodes":7,"id":6})", R"json({"error":{"code":"RESOURCE_EXHAUSTED","message":"overloaded (brownout level 1): shedding expensive work, retry with backoff","retry_after_ms":50,"retryable":true},"id":6,"ok":false})json"},
+      });
+}
+
+TEST(ProtocolGoldenTest, CoalescedAnswerMatchesGoldenBytes) {
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+  Protocol protocol(&service);
+
+  std::future<Result<EstimateResponse>> leader =
+      service.Submit(EstimateRequest::For("q6"));
+  gate.WaitUntilEntered();
+  std::string answer;
+  std::thread follower([&] {
+    answer = protocol.HandleLine(R"({"op":"estimate","workflow":"q6","id":8})");
+  });
+  while (service.Stats().coalesce_attached == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+  follower.join();
+  ASSERT_TRUE(leader.get().ok());
+  EXPECT_EQ(MaskTimings(answer),
+            R"json({"id":8,"ok":true,"result":{"cluster":"default","coalesced":true,"makespan_s":4,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":1,"job":"TS","kind":"map","start_s":0},{"end_s":1,"job":"Q6-filter-sum","kind":"map","start_s":0},{"end_s":2,"job":"TS","kind":"reduce","start_s":1},{"end_s":2,"job":"Q6-filter-sum","kind":"reduce","start_s":1},{"end_s":3,"job":"Q6-final","kind":"map","start_s":2},{"end_s":4,"job":"Q6-final","kind":"reduce","start_s":3}],"states":4,"workflow":"q6"}})json");
+}
+
 TEST(ServerTest, ServeLinesPumpsUntilDrain) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
