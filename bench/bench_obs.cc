@@ -39,11 +39,6 @@
 #include "service/service.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -83,10 +78,10 @@ RunResult DriveClients(EstimationService& service, int clients, int per_client,
     threads.emplace_back([&, c] {
       latencies[c].reserve(per_client);
       for (int i = 0; i < per_client; ++i) {
-        ServiceRequest request;
-        request.workflow = names[(c + i) % names.size()];
         const double begin = Now();
-        if (!service.Submit(std::move(request)).get().ok()) {
+        if (!service.Submit(EstimateRequest::For(names[(c + i) % names.size()]))
+                 .get()
+                 .ok()) {
           failed.fetch_add(1, std::memory_order_relaxed);
         }
         latencies[c].push_back(Now() - begin);

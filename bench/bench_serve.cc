@@ -65,11 +65,6 @@
 #include "workloads/micro.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -185,9 +180,7 @@ int Main(int argc, char** argv) {
   }
   RunResult warm =
       DriveClients(clients, per_client, names, [&](const std::string& name) {
-        ServiceRequest request;
-        request.workflow = name;
-        return service.Submit(std::move(request)).get().ok();
+        return service.Submit(EstimateRequest::For(name)).get().ok();
       });
   const ServiceStats warm_stats = service.Stats();
   const TaskTimeMemo::Stats cache = warm_stats.cache;
@@ -220,10 +213,9 @@ int Main(int argc, char** argv) {
   EstimationService mt(mt_options);
   register_all(mt);
   for (std::size_t i = 0; i < distinct; ++i) {
-    ServiceRequest request;
-    request.workflow = names[i];
-    request.tenant = "warmup";
-    if (!mt.Submit(std::move(request)).get().ok()) {
+    if (!mt.Submit(EstimateRequest::For(names[i]).AsTenant("warmup"))
+             .get()
+             .ok()) {
       std::fprintf(stderr, "multi-tenant warmup for %s failed\n",
                    names[i].c_str());
       return 1;
@@ -245,13 +237,11 @@ int Main(int argc, char** argv) {
       const std::string& name = names[static_cast<std::size_t>(i) % names.size()];
       bool served = false;
       for (int attempt = 0; attempt < 1000 && !served; ++attempt) {
-        ServiceRequest request;
-        request.workflow = name;
-        request.tenant = "light";
-        const Result<WorkflowEstimate> result =
-            mt.Submit(std::move(request)).get();
+        const Result<EstimateResponse> result =
+            mt.Submit(EstimateRequest::For(name).AsTenant("light")).get();
         if (result.ok()) {
-          served_ms->push_back(result->queue_wait_ms + result->service_ms);
+          served_ms->push_back(result->estimate->queue_wait_ms +
+                               result->estimate->service_ms);
           served = true;
           break;
         }
@@ -291,15 +281,14 @@ int Main(int argc, char** argv) {
       std::discrete_distribution<int> zipf({1.0, 0.5, 1.0 / 3.0, 0.25});
       std::uint64_t i = 0;
       while (!light_done.load(std::memory_order_acquire)) {
-        ServiceRequest request;
-        request.workflow = names[i++ % names.size()];
-        request.tenant = "zipf-" + std::to_string(zipf(rng));
         ++flood_attempts;
-        const Result<WorkflowEstimate> result =
-            mt.Submit(std::move(request)).get();
+        const Result<EstimateResponse> result =
+            mt.Submit(EstimateRequest::For(names[i++ % names.size()])
+                          .AsTenant("zipf-" + std::to_string(zipf(rng))))
+                .get();
         if (result.ok()) {
           ++flood_completed;
-          if (result->degraded) ++degraded_answers;
+          if (result->estimate->degraded) ++degraded_answers;
         } else if (IsRetryable(result.status().code())) {
           ++flood_shed;
           if (result.status().retry_after_ms() <= 0.0) ++missing_retry_hint;
@@ -347,11 +336,10 @@ int Main(int argc, char** argv) {
   const int probe_requests = 100;
   const std::vector<int> probe_nodes = {0, 20, 40};
   const auto probe_request = [&](int i) {
-    ServiceRequest request;
-    request.workflow = names[static_cast<std::size_t>(i) % names.size()];
-    request.nodes = probe_nodes[(static_cast<std::size_t>(i) / names.size()) %
-                                probe_nodes.size()];
-    return request;
+    return EstimateRequest::For(
+               names[static_cast<std::size_t>(i) % names.size()])
+        .WithNodes(probe_nodes[(static_cast<std::size_t>(i) / names.size()) %
+                               probe_nodes.size()]);
   };
   const auto warm_rate = [&](EstimationService& target) {
     int warm_served = 0;
@@ -435,10 +423,8 @@ int Main(int argc, char** argv) {
     burst.reserve(burst_clients);
     for (int c = 0; c < burst_clients; ++c) {
       burst.emplace_back([&, c] {
-        ServiceRequest request;
-        request.workflow = name;
         const double begin = Now();
-        if (!burst_service.Submit(std::move(request)).get().ok()) {
+        if (!burst_service.Submit(EstimateRequest::For(name)).get().ok()) {
           std::fprintf(stderr, "burst request for %s failed\n", name.c_str());
           std::exit(1);
         }

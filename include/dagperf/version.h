@@ -2,18 +2,18 @@
 #define DAGPERF_VERSION_H_
 
 /// Version of the dagperf public API (the <dagperf/dagperf.h> facade and the
-/// serve wire protocol). Pre-1.0 semantics: a MINOR bump may change or
-/// remove any surface that is not listed as stable in docs/api.md; MAJOR
-/// stays 0 until the first stability promise. Compare numerically:
+/// serve wire protocol). A MINOR bump only adds surface; a MAJOR bump may
+/// remove or change it (docs/api.md lists what is stable). Compare
+/// numerically:
 ///
-///   #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR >= 9
+///   #if DAGPERF_VERSION_MAJOR > 0 || DAGPERF_VERSION_MINOR >= 9
 ///     // sharded fleet serving: router::Router consistent-hash front-end,
 ///     // protocol::LineClient, scoped snapshot import (warm handoff)
 ///   #endif
-#define DAGPERF_VERSION_MAJOR 0
-#define DAGPERF_VERSION_MINOR 9
+#define DAGPERF_VERSION_MAJOR 1
+#define DAGPERF_VERSION_MINOR 0
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "0.9"
+#define DAGPERF_VERSION_STRING "1.0"
 
 #endif  // DAGPERF_VERSION_H_

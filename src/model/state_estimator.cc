@@ -685,13 +685,4 @@ Result<DagEstimate> StateBasedEstimator::Estimate(const DagWorkflow& flow,
   return estimate;
 }
 
-Status StateBasedEstimator::Estimate(const DagWorkflow& flow,
-                                     const TaskTimeSource& source,
-                                     DagEstimate* out) const {
-  Result<DagEstimate> estimate = Estimate(flow, source);
-  if (!estimate.ok()) return estimate.status();
-  *out = std::move(estimate).value();
-  return Status::Ok();
-}
-
 }  // namespace dagperf

@@ -209,12 +209,6 @@ class StateBasedEstimator {
   Status EstimateInto(const DagWorkflow& flow, const TaskTimeSource& source,
                       DagEstimate* out) const;
 
-  /// Pre-Result transition shim: `*out` is written only on success. Will be
-  /// removed next release — call the Result<DagEstimate> overload.
-  [[deprecated("use Estimate(flow, source) returning Result<DagEstimate>")]]
-  Status Estimate(const DagWorkflow& flow, const TaskTimeSource& source,
-                  DagEstimate* out) const;
-
  private:
   ClusterSpec cluster_;
   SchedulerConfig scheduler_;

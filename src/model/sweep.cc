@@ -658,17 +658,6 @@ SweepResult EstimateBatch(const std::vector<SweepCandidate>& requests,
   return result;
 }
 
-Status EstimateBatch(const std::vector<SweepCandidate>& requests,
-                     const SchedulerConfig& scheduler,
-                     const TaskTimeSource& source, const SweepOptions& options,
-                     SweepResult* out) {
-  *out = EstimateBatch(requests, scheduler, source, options);
-  for (const auto& estimate : out->estimates) {
-    if (!estimate.ok()) return estimate.status();
-  }
-  return Status::Ok();
-}
-
 Result<std::vector<DagWorkflow>> BuildReducerCandidates(
     const JobSpec& job, const std::vector<int>& reducer_counts) {
   if (job.num_reduce_tasks == 0) {

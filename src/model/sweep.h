@@ -189,15 +189,6 @@ SweepResult EstimateBatch(const std::vector<SweepCandidate>& requests,
                           const TaskTimeSource& source,
                           const SweepOptions& options = {});
 
-/// Pre-Result transition shim: `*out` receives the full SweepResult and the
-/// returned Status is the first per-candidate error (Ok when every candidate
-/// completed). Will be removed next release — call EstimateBatch directly.
-[[deprecated("use EstimateBatch returning SweepResult")]]
-Status EstimateBatch(const std::vector<SweepCandidate>& requests,
-                     const SchedulerConfig& scheduler,
-                     const TaskTimeSource& source, const SweepOptions& options,
-                     SweepResult* out);
-
 /// Compiles one single-job workflow per reducer count — the candidate set of
 /// a reducer sweep. Fails on invalid counts (< 1) or uncompilable specs.
 /// The returned flows back the EstimateRequests pointing at them.

@@ -355,24 +355,24 @@ bool ParseRequestLine(const std::string& line, Json* request,
   return true;
 }
 
-/// Reads the shared request fields (workflow / inline flow / cluster /
-/// budget). Returns non-Ok on a malformed inline flow or field type.
-Status FillRequestCommon(const Json& request, std::string* workflow,
-                         std::shared_ptr<const DagWorkflow>* flow,
-                         std::string* cluster, Budget* budget) {
-  *workflow = request.GetString("workflow", "");
-  *cluster = request.GetString("cluster", "");
+/// Reads the fields every estimate/explain/sweep line shares (workflow /
+/// inline flow / cluster / tenant / budget) into `*out`. Returns non-Ok on
+/// a malformed inline flow or field type.
+Status FillRequestCommon(const Json& request, EstimateRequest* out) {
+  out->workflow = request.GetString("workflow", "");
+  out->cluster = request.GetString("cluster", "");
+  out->tenant = request.GetString("tenant", "");
   if (const Json* inline_flow = request.Get("flow"); inline_flow != nullptr) {
     Result<DagWorkflow> parsed = WorkflowFromJson(*inline_flow);
     if (!parsed.ok()) return parsed.status();
-    *flow = std::make_shared<const DagWorkflow>(std::move(parsed).value());
+    out->flow = std::make_shared<const DagWorkflow>(std::move(parsed).value());
   }
-  if (workflow->empty() && *flow == nullptr) {
+  if (out->workflow.empty() && out->flow == nullptr) {
     return Status::InvalidArgument(
         "request must carry \"workflow\" (a registered name) or an inline "
         "\"flow\" document");
   }
-  if (!workflow->empty() && *flow != nullptr) {
+  if (!out->workflow.empty() && out->flow != nullptr) {
     return Status::InvalidArgument(
         "\"workflow\" and \"flow\" are mutually exclusive");
   }
@@ -380,7 +380,7 @@ Status FillRequestCommon(const Json& request, std::string* workflow,
   if (deadline_s < 0) {
     return Status::InvalidArgument("\"deadline_s\" must be >= 0");
   }
-  *budget = Budget::Within(deadline_s);
+  out->budget = Budget::Within(deadline_s);
   return Status::Ok();
 }
 
@@ -416,85 +416,57 @@ std::string Protocol::HandleRequest(const Json& request) {
   const Json* id = request.Get("id");
   const std::string op = request.GetString("op", "");
 
-  if (op == "estimate" || op == "explain") {
-    ServiceRequest service_request;
-    service_request.explain = (op == "explain");
-    service_request.tenant = request.GetString("tenant", "");
-    if (Status common = FillRequestCommon(
-            request, &service_request.workflow, &service_request.flow,
-            &service_request.cluster, &service_request.budget);
-        !common.ok()) {
+  if (op == "estimate" || op == "explain" || op == "sweep") {
+    EstimateRequest estimate;
+    if (Status common = FillRequestCommon(request, &estimate); !common.ok()) {
       return ErrorResponse(id, common);
     }
-    const double nodes = request.GetNumber("nodes", 0.0);
-    if (!IntegerIn(nodes, 0)) {
-      return ErrorResponse(
-          id, Status::InvalidArgument("\"nodes\" must be a non-negative "
-                                      "integer"));
-    }
-    service_request.nodes = static_cast<int>(nodes);
-    // Lowered struct -> the 0.8 unified builder. Wire "coalesce": false
-    // opts this request out of in-flight coalescing.
-    EstimateRequest unified =
-        service_request.flow != nullptr
-            ? EstimateRequest::For(std::move(service_request.flow))
-            : EstimateRequest::For(std::move(service_request.workflow));
-    unified.OnCluster(std::move(service_request.cluster))
-        .AsTenant(std::move(service_request.tenant))
-        .WithNodes(service_request.nodes)
-        .WithBudget(std::move(service_request.budget))
-        .WithExplain(service_request.explain);
-    if (!request.GetBool("coalesce", true)) unified.WithoutCoalescing();
-    Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
-    if (!served.ok()) return ErrorResponse(id, served.status());
-    const WorkflowEstimate& estimate = *served.value().estimate;
-    return OkResponseWith(id, [&](JsonWriter& w) {
-      WriteEstimate(w, estimate, op == "explain");
-    });
-  }
-
-  if (op == "sweep") {
-    ServiceSweepRequest sweep_request;
-    sweep_request.tenant = request.GetString("tenant", "");
-    if (Status common = FillRequestCommon(
-            request, &sweep_request.workflow, &sweep_request.flow,
-            &sweep_request.cluster, &sweep_request.budget);
-        !common.ok()) {
-      return ErrorResponse(id, common);
-    }
-    const Json* nodes_list = request.Get("nodes_list");
-    if (nodes_list == nullptr || nodes_list->type() != Json::Type::kArray) {
-      return ErrorResponse(id, Status::InvalidArgument(
-                                   "sweep requires a \"nodes_list\" array"));
-    }
-    for (const Json& entry : nodes_list->AsArray()) {
-      if (entry.type() != Json::Type::kNumber || !IntegerIn(entry.AsNumber(), 1)) {
+    if (op == "sweep") {
+      const Json* nodes_list = request.Get("nodes_list");
+      if (nodes_list == nullptr || nodes_list->type() != Json::Type::kArray) {
         return ErrorResponse(id, Status::InvalidArgument(
-                                     "\"nodes_list\" entries must be integers "
-                                     ">= 1"));
+                                     "sweep requires a \"nodes_list\" array"));
       }
-      sweep_request.nodes_list.push_back(static_cast<int>(entry.AsNumber()));
+      // An empty list would submit a single estimate; reject it here.
+      if (nodes_list->AsArray().empty()) {
+        return ErrorResponse(id, Status::InvalidArgument(
+                                     "\"nodes_list\" must not be empty"));
+      }
+      for (const Json& entry : nodes_list->AsArray()) {
+        if (entry.type() != Json::Type::kNumber ||
+            !IntegerIn(entry.AsNumber(), 1)) {
+          return ErrorResponse(id, Status::InvalidArgument(
+                                       "\"nodes_list\" entries must be "
+                                       "integers >= 1"));
+        }
+        estimate.nodes_list.push_back(static_cast<int>(entry.AsNumber()));
+      }
+      // Wire "hedge": true opts this sweep into straggler hedging with the
+      // SweepHedgeOptions defaults (a sweep that needs tuned knobs sets
+      // ServiceOptions::hedge instead).
+      estimate.hedge.enabled = request.GetBool("hedge", false);
+    } else {
+      const double nodes = request.GetNumber("nodes", 0.0);
+      if (!IntegerIn(nodes, 0)) {
+        return ErrorResponse(
+            id, Status::InvalidArgument("\"nodes\" must be a non-negative "
+                                        "integer"));
+      }
+      estimate.nodes = static_cast<int>(nodes);
+      estimate.explain = op == "explain";
+      // Wire "coalesce": false opts this request out of in-flight
+      // coalescing.
+      estimate.coalesce = request.GetBool("coalesce", true);
     }
-    // Lowered struct -> the 0.8 unified builder. Wire "hedge": true opts
-    // this sweep into straggler hedging with the SweepHedgeOptions defaults
-    // (a sweep that needs tuned knobs sets ServiceOptions::hedge instead).
-    EstimateRequest unified =
-        sweep_request.flow != nullptr
-            ? EstimateRequest::For(std::move(sweep_request.flow))
-            : EstimateRequest::For(std::move(sweep_request.workflow));
-    unified.OnCluster(std::move(sweep_request.cluster))
-        .AsTenant(std::move(sweep_request.tenant))
-        .SweepNodes(std::move(sweep_request.nodes_list))
-        .WithBudget(std::move(sweep_request.budget));
-    if (request.GetBool("hedge", false)) {
-      SweepHedgeOptions hedge;
-      hedge.enabled = true;
-      unified.WithHedging(hedge);
-    }
-    Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
+    Result<EstimateResponse> served = service_->Submit(std::move(estimate)).get();
     if (!served.ok()) return ErrorResponse(id, served.status());
-    const ServiceSweepResult& sweep = *served.value().sweep;
-    return OkResponseWith(id, [&](JsonWriter& w) { WriteSweep(w, sweep); });
+    return OkResponseWith(id, [&](JsonWriter& w) {
+      if (served.value().is_sweep()) {
+        WriteSweep(w, *served.value().sweep);
+      } else {
+        WriteEstimate(w, *served.value().estimate, op == "explain");
+      }
+    });
   }
 
   if (op == "stats") {

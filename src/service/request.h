@@ -15,57 +15,15 @@
 
 namespace dagperf {
 
-/// The request/response vocabulary of the 0.8 submission API.
-///
-/// Pre-0.8 the service grew three parallel entry points (Submit /
-/// SubmitBatch / SubmitSweep), each with its own request struct and future
-/// type. 0.8 collapses them behind one typed builder (EstimateRequest) and
-/// one response union (EstimateResponse): a request either prices one
-/// configuration or sweeps a candidate list, and the builder is the single
-/// place every per-request knob (tenant, budget, explain, coalescing,
-/// hedging) lives. The pre-0.8 structs below remain the lowered form the
-/// service executes — and the deprecated shim signatures still accept them —
-/// but new code should only ever spell EstimateRequest.
-
-/// One estimate query (lowered form). Exactly one of `workflow` (a
-/// registered name) or `flow` (a caller-supplied workflow, shared ownership
-/// so it outlives the async execution) must be set.
-struct ServiceRequest {
-  std::string workflow;
-  std::shared_ptr<const DagWorkflow> flow;
-
-  /// Registered cluster name; empty selects "default".
-  std::string cluster;
-
-  /// Tenant the request is accounted and fair-shared under (wire field
-  /// "tenant"); empty selects "default". See service/tenancy.h.
-  std::string tenant;
-
-  /// When > 0, overrides the cluster's node count for this request only.
-  /// Cheap: node hardware (and thus the BOE model and cache scope) is
-  /// unchanged; per-node task populations are part of every memo key.
-  int nodes = 0;
-
-  /// Per-request budget; merged with the service's default deadline. Polled
-  /// at admission, at dequeue (a request can expire while queued), and per
-  /// estimator state.
-  Budget budget;
-
-  /// Attribute bottlenecks and derive the critical path (explain verb).
-  bool explain = false;
-
-  /// Opt out of in-flight coalescing for this request: it always runs its
-  /// own computation, even when an identical request is already executing.
-  /// Coalescing is value-keyed and bit-exact, so the only reason to opt out
-  /// is wanting this request's *timing* to be its own (benchmarks, probes).
-  bool coalesce = true;
-};
+/// The service's request/response vocabulary: one typed request
+/// (EstimateRequest) that prices one configuration or sweeps a candidate
+/// list, and one response union (EstimateResponse).
 
 /// A served estimate: the model output plus resolved names and the
 /// service-side timing the caller would otherwise have to measure.
 struct WorkflowEstimate {
   DagEstimate estimate;
-  /// Filled when ServiceRequest::explain was set.
+  /// Filled when EstimateRequest::explain was set.
   std::vector<CriticalSegment> critical_path;
   /// The flow that was estimated (registered or caller-supplied) — kept so
   /// renderers (protocol explain reports) can name jobs without a second
@@ -88,23 +46,8 @@ struct WorkflowEstimate {
   bool coalesced = false;
 };
 
-/// A cluster-size sweep query (capacity planning, lowered form): price
-/// `workflow` at every node count in `nodes_list` on one service turn,
-/// sharing the persistent memo across candidates.
-struct ServiceSweepRequest {
-  std::string workflow;
-  std::shared_ptr<const DagWorkflow> flow;
-  std::string cluster;
-  /// Tenant accounting, as on ServiceRequest. A sweep holds one admission
-  /// slot but classifies as expensive work for overload shedding.
-  std::string tenant;
-  std::vector<int> nodes_list;
-  Budget budget;
-  /// Per-request straggler hedging; when not enabled the service-level
-  /// default (ServiceOptions::hedge) applies instead.
-  SweepHedgeOptions hedge;
-};
-
+/// A served cluster-size sweep (capacity planning): one estimate per
+/// requested node count, priced on one service turn.
 struct ServiceSweepResult {
   SweepResult sweep;
   std::vector<int> nodes_list;
@@ -113,24 +56,18 @@ struct ServiceSweepResult {
   double service_ms = 0.0;
 };
 
-/// The 0.8 unified request: a typed builder covering everything the three
-/// pre-0.8 entry points accepted. A request starts from a workflow
-/// (registered name or inline flow) and is refined by chaining; calling
-/// SweepNodes switches it into sweep mode. Lowering (ToEstimate/ToSweep) is
-/// exposed so migrating callers can diff against the structs they used to
-/// fill by hand.
+/// One estimate query. A request starts from a workflow (registered name
+/// or inline flow) and is refined by chaining; calling SweepNodes with a
+/// non-empty list makes it a sweep. The fields are what the service reads.
 ///
 ///   auto response = service.Submit(
 ///       EstimateRequest::For("daily-etl").OnCluster("prod")
 ///           .WithDeadline(0.5).WithExplain());
-class EstimateRequest {
- public:
-  EstimateRequest() = default;
-
+struct EstimateRequest {
   /// A request against a registered workflow name.
   static EstimateRequest For(std::string workflow) {
     EstimateRequest request;
-    request.workflow_ = std::move(workflow);
+    request.workflow = std::move(workflow);
     return request;
   }
 
@@ -138,114 +75,100 @@ class EstimateRequest {
   /// stay alive for the async execution, and shared_ptr makes that so).
   static EstimateRequest For(std::shared_ptr<const DagWorkflow> flow) {
     EstimateRequest request;
-    request.flow_ = std::move(flow);
+    request.flow = std::move(flow);
     return request;
   }
 
-  EstimateRequest& OnCluster(std::string cluster) {
-    cluster_ = std::move(cluster);
+  EstimateRequest& OnCluster(std::string name) {
+    cluster = std::move(name);
     return *this;
   }
 
-  EstimateRequest& AsTenant(std::string tenant) {
-    tenant_ = std::move(tenant);
+  EstimateRequest& AsTenant(std::string name) {
+    tenant = std::move(name);
     return *this;
   }
 
-  /// Single-estimate mode: override the cluster's node count (> 0).
-  EstimateRequest& WithNodes(int nodes) {
-    nodes_ = nodes;
+  EstimateRequest& WithNodes(int count) {
+    nodes = count;
     return *this;
   }
 
-  /// Sweep mode: price every node count in `nodes_list`. A non-empty list
-  /// makes this request a sweep (EstimateResponse::sweep is filled).
-  EstimateRequest& SweepNodes(std::vector<int> nodes_list) {
-    nodes_list_ = std::move(nodes_list);
-    return *this;
-  }
-
-  EstimateRequest& WithBudget(Budget budget) {
-    budget_ = std::move(budget);
+  /// Sweep mode: price every node count in `list`. A non-empty list makes
+  /// this request a sweep (EstimateResponse::sweep is filled).
+  EstimateRequest& SweepNodes(std::vector<int> list) {
+    nodes_list = std::move(list);
     return *this;
   }
 
   /// Deadline `seconds` from submission (<= 0 keeps the budget's deadline).
   EstimateRequest& WithDeadline(double seconds) {
-    if (seconds > 0) budget_.deadline = Deadline::AfterSeconds(seconds);
+    if (seconds > 0) budget.deadline = Deadline::AfterSeconds(seconds);
     return *this;
   }
 
   EstimateRequest& WithCancel(CancelToken cancel) {
-    budget_.cancel = std::move(cancel);
+    budget.cancel = std::move(cancel);
     return *this;
   }
 
-  /// Attribute bottlenecks and derive the critical path.
-  EstimateRequest& WithExplain(bool explain = true) {
-    explain_ = explain;
+  EstimateRequest& WithExplain(bool value = true) {
+    explain = value;
     return *this;
   }
 
-  /// Opt this request out of in-flight coalescing (single-estimate mode).
   EstimateRequest& WithoutCoalescing() {
-    coalesce_ = false;
+    coalesce = false;
     return *this;
   }
 
-  /// Straggler hedging for sweep mode (overrides the service default).
-  EstimateRequest& WithHedging(SweepHedgeOptions hedge) {
-    hedge_ = hedge;
+  EstimateRequest& WithHedging(SweepHedgeOptions value) {
+    hedge = value;
     return *this;
   }
 
-  /// Whether SweepNodes was called — decides which half of the response the
-  /// service fills.
-  bool is_sweep() const { return !nodes_list_.empty(); }
+  /// Whether SweepNodes was given candidates: decides which half of the
+  /// response the service fills.
+  bool is_sweep() const { return !nodes_list.empty(); }
 
-  /// Lowers to the single-estimate struct the service executes. Sweep-only
-  /// fields (nodes_list, hedge) are dropped.
-  ServiceRequest ToEstimate() const {
-    ServiceRequest request;
-    request.workflow = workflow_;
-    request.flow = flow_;
-    request.cluster = cluster_;
-    request.tenant = tenant_;
-    request.nodes = nodes_;
-    request.budget = budget_;
-    request.explain = explain_;
-    request.coalesce = coalesce_;
-    return request;
-  }
+  /// Exactly one of `workflow` (a registered name) or `flow` must be set.
+  std::string workflow;
+  std::shared_ptr<const DagWorkflow> flow;
 
-  /// Lowers to the sweep struct. Single-estimate-only fields (nodes,
-  /// explain, coalesce) are dropped.
-  ServiceSweepRequest ToSweep() const {
-    ServiceSweepRequest request;
-    request.workflow = workflow_;
-    request.flow = flow_;
-    request.cluster = cluster_;
-    request.tenant = tenant_;
-    request.nodes_list = nodes_list_;
-    request.budget = budget_;
-    request.hedge = hedge_;
-    return request;
-  }
+  /// Registered cluster name; empty selects "default".
+  std::string cluster;
 
- private:
-  std::string workflow_;
-  std::shared_ptr<const DagWorkflow> flow_;
-  std::string cluster_;
-  std::string tenant_;
-  int nodes_ = 0;
-  std::vector<int> nodes_list_;
-  Budget budget_;
-  bool explain_ = false;
-  bool coalesce_ = true;
-  SweepHedgeOptions hedge_;
+  /// Tenant the request is accounted and fair-shared under (wire field
+  /// "tenant"); empty selects "default". See service/tenancy.h.
+  std::string tenant;
+
+  /// When > 0, overrides the cluster's node count for this request only.
+  /// Cheap: node hardware (and thus the BOE model and cache scope) is
+  /// unchanged; per-node task populations are part of every memo key.
+  int nodes = 0;
+
+  std::vector<int> nodes_list;
+
+  /// Per-request budget; merged with the service's default deadline. Polled
+  /// at admission, at dequeue (a request can expire while queued), and per
+  /// estimator state.
+  Budget budget;
+
+  /// Attribute bottlenecks and derive the critical path (explain verb).
+  bool explain = false;
+
+  /// In-flight coalescing: when false the request always runs its own
+  /// computation, even when an identical request is already executing.
+  /// Coalescing is value-keyed and bit-exact, so the only reason to opt out
+  /// is wanting this request's *timing* to be its own (benchmarks, probes).
+  bool coalesce = true;
+
+  /// Straggler hedging for a sweep; when not enabled the service-level
+  /// default (ServiceOptions::hedge) applies instead.
+  SweepHedgeOptions hedge;
 };
 
-/// What the unified Submit resolves to: exactly one of the two members is
+/// What Submit resolves to: exactly one of the two members is
 /// engaged, matching EstimateRequest::is_sweep() of the request that
 /// produced it.
 struct EstimateResponse {

@@ -138,24 +138,33 @@ class AbandonPollSource : public TaskTimeSource {
 
 }  // namespace
 
+/// One submitted request's bookkeeping, from submission to its answer.
+struct EstimationService::Call {
+  std::function<void(Result<EstimateResponse>)> done;
+  /// Canonical tenant name (TenantRegistry::Canonical).
+  std::string tenant;
+  /// The caller's raw token, so completion can tell a caller cancel from
+  /// the shutdown signal (MapCancelCause).
+  CancelToken caller_cancel;
+  obs::RequestRecord record;
+  /// Request observability was armed at submission (obs::MetricsEnabled).
+  bool observe = false;
+  /// Holds an admission slot (global + tenant) until Finish releases it.
+  bool admitted = false;
+  double submit_us = 0.0;
+};
+
 /// One in-flight singleflight computation: the leader's abandon signal, the
 /// caller tokens of every member, and the requests parked on the result.
 /// Mutable state is guarded by EstimationService::coalesce_mutex_.
 struct EstimationService::CoalesceGroup {
   /// One attached request, parked until the leader resolves.
   struct Waiter {
-    std::function<void(Result<WorkflowEstimate>)> done;
+    Call call;
     /// The waiter's own signals (caller cancel + shutdown link + deadline)
     /// — what fulfilment checks before handing over the leader's answer.
     Budget budget;
-    /// The caller's raw token, so fulfilment can tell a caller cancel from
-    /// the shutdown signal (MapCancelCause).
-    CancelToken caller_cancel;
     std::string workflow;
-    std::string tenant;
-    obs::RequestRecord record;
-    bool observe = false;
-    double submit_us = 0.0;
   };
 
   std::string key;
@@ -290,53 +299,47 @@ std::vector<std::string> EstimationService::WorkflowNames() const {
   return names;
 }
 
-Result<std::shared_ptr<const DagWorkflow>> EstimationService::ResolveFlow(
-    const std::string& name, const std::shared_ptr<const DagWorkflow>& inline_flow,
-    std::string* resolved_name) const {
-  if (inline_flow != nullptr) {
-    *resolved_name = inline_flow->name();
-    return inline_flow;
-  }
-  if (name.empty()) {
+Result<EstimationService::Resolved> EstimationService::Resolve(
+    const EstimateRequest& request) const {
+  Resolved resolved;
+  if (request.flow != nullptr) {
+    resolved.flow = request.flow;
+    resolved.workflow = request.flow->name();
+  } else if (request.workflow.empty()) {
     return Status::InvalidArgument("request names no workflow");
   }
+  const std::string cluster =
+      request.cluster.empty() ? std::string("default") : request.cluster;
   std::shared_lock lock(registry_mutex_);
-  auto it = workflows_.find(name);
-  if (it == workflows_.end()) {
-    return Status::NotFound("workflow not registered: " + name);
+  if (resolved.flow == nullptr) {
+    auto it = workflows_.find(request.workflow);
+    if (it == workflows_.end()) {
+      return Status::NotFound("workflow not registered: " + request.workflow);
+    }
+    resolved.flow = it->second;
+    resolved.workflow = request.workflow;
   }
-  *resolved_name = name;
-  return it->second;
-}
-
-Result<std::shared_ptr<const EstimationService::ClusterEntry>>
-EstimationService::ResolveCluster(const std::string& name) const {
-  const std::string& key = name.empty() ? std::string("default") : name;
-  std::shared_lock lock(registry_mutex_);
-  auto it = clusters_.find(key);
+  auto it = clusters_.find(cluster);
   if (it == clusters_.end()) {
-    return Status::NotFound("cluster not registered: " + key);
+    return Status::NotFound("cluster not registered: " + cluster);
   }
-  return it->second;
+  resolved.cluster = it->second;
+  return resolved;
 }
 
 EstimationService::CostClass EstimationService::ClassifyCost(
-    const ServiceRequest& request) const {
-  std::string name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &name);
-  if (!flow.ok()) return CostClass::kCheap;
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return CostClass::kCheap;
+    const EstimateRequest& request) const {
+  if (request.is_sweep()) return CostClass::kExpensive;
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return CostClass::kCheap;
   {
     std::lock_guard<std::mutex> lock(warm_mutex_);
-    if (warm_keys_.count(WarmKey(cluster.value()->scope, name, request.nodes)) >
-        0) {
+    if (warm_keys_.count(WarmKey(resolved->cluster->scope, resolved->workflow,
+                                 request.nodes)) > 0) {
       return CostClass::kWarm;
     }
   }
-  return flow.value()->num_jobs() >= options_.expensive_job_threshold
+  return resolved->flow->num_jobs() >= options_.expensive_job_threshold
              ? CostClass::kExpensive
              : CostClass::kCheap;
 }
@@ -418,17 +421,10 @@ void EstimationService::ReleaseSlot() {
   Metrics().queue_depth.Set(depth);
 }
 
-Result<WorkflowEstimate> EstimationService::Execute(
-    const ServiceRequest& request, double submit_us, obs::RequestRecord* record,
+Result<EstimateResponse> EstimationService::Execute(
+    const EstimateRequest& request, Call& call, double start_us,
     const std::shared_ptr<CoalesceGroup>& group) {
-  const double start_us = obs::MonotonicUs();
-  if (record != nullptr) record->start_us = start_us;
-  // Feed the overload controller the queue sojourn every dequeued request
-  // observed — including ones about to expire; their wait is exactly the
-  // signal the controller exists to see.
-  if (overload_ != nullptr) {
-    overload_->ObserveSojourn((start_us - submit_us) * 1e-3, start_us);
-  }
+  obs::RequestRecord* record = call.observe ? &call.record : nullptr;
   const int brownout = overload_ != nullptr ? overload_->level() : 0;
   // A request can spend its whole budget waiting in the queue; detect that
   // here so an expired request costs a check, not an estimate.
@@ -439,17 +435,13 @@ Result<WorkflowEstimate> EstimationService::Execute(
       Metrics().expired_in_queue.Add(1);
       if (record != nullptr) record->expired_in_queue = true;
     }
-    return status;
+    return MapCancelCause(status, call.caller_cancel, record);
   }
 
-  std::string workflow_name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &workflow_name);
-  if (!flow.ok()) return flow.status();
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return cluster.status();
-  const ClusterEntry& entry = **cluster;
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return resolved.status();
+  const std::string& workflow_name = resolved->workflow;
+  const ClusterEntry& entry = *resolved->cluster;
   if (record != nullptr) {
     record->set_workflow(workflow_name);
     record->set_cluster(entry.name);
@@ -525,7 +517,7 @@ Result<WorkflowEstimate> EstimationService::Execute(
     const MemoizedTaskTimeSource cached(*source, &memo_, entry.scope);
     const StateBasedEstimator estimator(spec, options_.scheduler,
                                         estimator_options);
-    Result<DagEstimate> estimate = estimator.Estimate(**flow, cached);
+    Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, cached);
     if (!estimate.ok()) {
       Status status = estimate.status();
       // A brownout state cap is the server's doing, not the workflow's:
@@ -548,8 +540,8 @@ Result<WorkflowEstimate> EstimationService::Execute(
     if (request.explain && brownout < 1) {
       served.critical_path = CriticalPath(served.estimate);
     }
-    served.flow = std::move(flow).value();
-    served.workflow = std::move(workflow_name);
+    served.flow = resolved->flow;
+    served.workflow = workflow_name;
     served.cluster = entry.name;
     served.degraded = brownout >= 1;
     served.degrade_level = brownout;
@@ -557,10 +549,10 @@ Result<WorkflowEstimate> EstimationService::Execute(
     // shedding it and brownout level 3 keeps serving it.
     MarkWarm(WarmKey(entry.scope, served.workflow, request.nodes));
     const double end_us = obs::MonotonicUs();
-    served.queue_wait_ms = (start_us - submit_us) * 1e-3;
+    served.queue_wait_ms = (start_us - call.submit_us) * 1e-3;
     served.service_ms = (end_us - start_us) * 1e-3;
-    Metrics().queue_wait_us.Record(start_us - submit_us);
-    Metrics().latency_us.Record(end_us - submit_us);
+    Metrics().queue_wait_us.Record(start_us - call.submit_us);
+    Metrics().latency_us.Record(end_us - call.submit_us);
     if (record != nullptr) {
       // Cost-class attribution: the decorator is per-request, so its local
       // hit/miss counts are exactly this request's memo behaviour.
@@ -584,10 +576,62 @@ Result<WorkflowEstimate> EstimationService::Execute(
   }();
 
   // kCancelled is neutral to the breaker (Record releases the probe slot
-  // without judging the path); the shutdown/watchdog rewrite happens in the
-  // submit closure, after this record, so a shutdown burst cannot open it.
+  // without judging the path); the shutdown/watchdog rewrite happens after
+  // this record, so a shutdown burst cannot open it.
   if (breaker != nullptr) breaker->Record(result.status());
-  return result;
+  if (!result.ok()) {
+    return MapCancelCause(result.status(), call.caller_cancel, record);
+  }
+  EstimateResponse response;
+  response.estimate = std::move(result).value();
+  return response;
+}
+
+Result<EstimateResponse> EstimationService::ExecuteSweep(
+    const EstimateRequest& request, double start_us,
+    obs::RequestRecord* record) {
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return resolved.status();
+  const ClusterEntry& entry = *resolved->cluster;
+  std::vector<SweepCandidate> candidates;
+  candidates.reserve(request.nodes_list.size());
+  for (int nodes : request.nodes_list) {
+    ClusterSpec spec = entry.spec;
+    spec.num_nodes = nodes;
+    candidates.push_back({resolved->flow.get(), spec,
+                          resolved->workflow + "@" + std::to_string(nodes)});
+  }
+  SweepOptions sweep_options;
+  sweep_options.memo = &memo_;
+  sweep_options.cache_scope = entry.scope;
+  sweep_options.checkpoints = &checkpoints_;
+  // Candidates fan out across the service pool; the worker running this
+  // sweep participates (ParallelFor is nest-safe), so a sweep uses idle
+  // capacity without a second pool.
+  sweep_options.pool = pool_.get();
+  sweep_options.budget = request.budget;
+  sweep_options.estimator = options_.estimator;
+  // Straggler hedging: the request's own options when it set them, else
+  // the service-wide default (off unless the operator opted in).
+  sweep_options.hedge = request.hedge.enabled ? request.hedge : options_.hedge;
+  EstimateResponse response;
+  ServiceSweepResult& result = response.sweep.emplace();
+  result.sweep =
+      EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
+  result.nodes_list = request.nodes_list;
+  result.workflow = resolved->workflow;
+  result.cluster = entry.name;
+  result.service_ms = (obs::MonotonicUs() - start_us) * 1e-3;
+  if (record != nullptr) {
+    const SweepStats& stats = result.sweep.stats;
+    record->resumed_states = static_cast<std::uint32_t>(stats.resumed_states);
+    record->path = stats.resumed_states > 0
+                       ? obs::RequestPath::kIncremental
+                       : (stats.cache_hit_rate > 0.5
+                              ? obs::RequestPath::kMemoWarm
+                              : obs::RequestPath::kFullReplay);
+  }
+  return response;
 }
 
 resilience::CircuitBreaker* EstimationService::BreakerFor(
@@ -645,15 +689,12 @@ Status EstimationService::MapCancelCause(const Status& status,
   return status;
 }
 
-std::string EstimationService::CoalesceKey(const ServiceRequest& request) const {
-  std::string workflow_name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &workflow_name);
-  if (!flow.ok()) return std::string();
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return std::string();
-  const ClusterEntry& entry = **cluster;
+std::string EstimationService::CoalesceKey(
+    const EstimateRequest& request) const {
+  if (request.is_sweep()) return std::string();
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return std::string();
+  const ClusterEntry& entry = *resolved->cluster;
 
   // The same effective inputs Execute derives: node override folded into the
   // spec, explain folded into attribution. Two requests with equal keys run
@@ -671,12 +712,12 @@ std::string EstimationService::CoalesceKey(const ServiceRequest& request) const 
   // coalesce into a response naming the wrong one.
   key += entry.name;
   key += '\x1f';
-  key += workflow_name;
+  key += resolved->workflow;
   key += '\x1f';
   key += request.explain ? '\1' : '\0';
   PrefixCheckpointStore::AppendGlobalFingerprint(
       entry.scope, spec, options_.scheduler, estimator_options, &key);
-  const DagWorkflow& dag = **flow;
+  const DagWorkflow& dag = *resolved->flow;
   for (JobId id = 0; id < dag.num_jobs(); ++id) {
     PrefixCheckpointStore::AppendJobFingerprint(dag, id, &key);
   }
@@ -685,7 +726,7 @@ std::string EstimationService::CoalesceKey(const ServiceRequest& request) const 
 
 void EstimationService::FulfillWaiters(
     const std::shared_ptr<CoalesceGroup>& group,
-    const Result<WorkflowEstimate>& leader_result) {
+    const Result<EstimateResponse>& leader_result) {
   std::vector<CoalesceGroup::Waiter> waiters;
   {
     // Erase before fulfilling: a request that finds the entry always
@@ -698,21 +739,22 @@ void EstimationService::FulfillWaiters(
   coalesce_leaders_.fetch_add(1, std::memory_order_relaxed);
   const double now_us = obs::MonotonicUs();
   for (CoalesceGroup::Waiter& waiter : waiters) {
-    Result<WorkflowEstimate> result = [&]() -> Result<WorkflowEstimate> {
+    Call& call = waiter.call;
+    obs::RequestRecord* record = call.observe ? &call.record : nullptr;
+    Result<EstimateResponse> result = [&]() -> Result<EstimateResponse> {
       // The waiter's own budget first: its cancel/deadline outcome is its
       // own regardless of how the leader fared.
       if (waiter.budget.exhausted()) {
         return MapCancelCause(waiter.budget.Check("serve " + waiter.workflow),
-                              waiter.caller_cancel,
-                              waiter.observe ? &waiter.record : nullptr);
+                              call.caller_cancel, record);
       }
       if (leader_result.ok()) {
-        WorkflowEstimate copy = leader_result.value();
-        copy.coalesced = true;
+        EstimateResponse copy = leader_result.value();
+        copy.estimate->coalesced = true;
         // The waiter's timing is its own: it waited from its submission to
         // this fulfilment and ran zero estimator states.
-        copy.queue_wait_ms = (now_us - waiter.submit_us) * 1e-3;
-        copy.service_ms = 0.0;
+        copy.estimate->queue_wait_ms = (now_us - call.submit_us) * 1e-3;
+        copy.estimate->service_ms = 0.0;
         return copy;
       }
       const ErrorCode code = leader_result.status().code();
@@ -731,103 +773,115 @@ void EstimationService::FulfillWaiters(
       return leader_result.status();
     }();
 
-    // Per-waiter accounting mirrors a normal request with zero execution:
-    // tenant EMA sees free work, the flight/SLO records carry the waiter's
-    // own wait, and its admission slot releases here.
-    tenants_->OnExecuteStart(waiter.tenant);
-    tenants_->OnDone(waiter.tenant, result.ok(), 0.0);
+    // A waiter is accounted like a normal request with zero execution: the
+    // tenant EMA sees free work and its records carry its own wait.
+    tenants_->OnExecuteStart(call.tenant);
+    if (result.ok()) Metrics().path_coalesced.Add(1);
+    if (record != nullptr) {
+      record->start_us = now_us;
+      if (result.ok()) {
+        record->path = obs::RequestPath::kCoalesced;
+        record->set_workflow(result.value().estimate->workflow);
+        record->set_cluster(result.value().estimate->cluster);
+      }
+    }
+    Finish(call, std::move(result), 0.0);
+  }
+}
+
+void EstimationService::Finish(Call& call, Result<EstimateResponse> result,
+                               double exec_ms,
+                               const std::shared_ptr<CoalesceGroup>& group) {
+  if (call.admitted) {
+    // Execution time only (not queue wait): the EMA this feeds prices the
+    // tenant's future admissions, and waiting is not the tenant's cost.
+    tenants_->OnDone(call.tenant, result.ok(), exec_ms);
     if (result.ok()) {
       completed_.fetch_add(1, std::memory_order_relaxed);
       Metrics().completed.Add(1);
-      Metrics().path_coalesced.Add(1);
     } else {
       failed_.fetch_add(1, std::memory_order_relaxed);
       Metrics().failed.Add(1);
     }
-    if (waiter.observe) {
-      waiter.record.start_us = now_us;
-      waiter.record.end_us = obs::MonotonicUs();
-      waiter.record.ok = result.ok();
-      waiter.record.outcome_code =
-          static_cast<std::uint8_t>(result.status().code());
-      waiter.record.deadline_met =
-          !waiter.record.had_deadline ||
-          result.status().code() != ErrorCode::kDeadlineExceeded;
-      if (result.ok()) {
-        waiter.record.path = obs::RequestPath::kCoalesced;
-        waiter.record.set_workflow(result.value().workflow);
-        waiter.record.set_cluster(result.value().cluster);
-      }
-      flight_.Record(waiter.record);
-      slo_.RecordOutcome(obs::OpClassFor(waiter.record.op),
-                         waiter.record.total_us() * 1e-3, waiter.record.ok,
-                         waiter.record.had_deadline,
-                         waiter.record.deadline_met);
-    }
-    ReleaseSlot();
-    waiter.done(std::move(result));
   }
+  if (call.observe) {
+    obs::RequestRecord& record = call.record;
+    record.end_us = obs::MonotonicUs();
+    const ErrorCode code = result.status().code();
+    if (!call.admitted) {
+      // Synchronous rejections (draining / shed) still leave a record:
+      // error rates and the flight recorder must see the requests that
+      // never ran.
+      record.start_us = record.end_us;
+      record.shed = code == ErrorCode::kResourceExhausted;
+    }
+    record.ok = result.ok();
+    record.outcome_code = static_cast<std::uint8_t>(code);
+    record.deadline_met =
+        !record.had_deadline || code != ErrorCode::kDeadlineExceeded;
+    flight_.Record(record);
+    slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
+                       record.ok, record.had_deadline, record.deadline_met);
+  }
+  if (call.admitted) ReleaseSlot();
+  // Waiters resolve before the leader's own callback: attached requests
+  // were submitted earlier and should not queue behind the leader's
+  // continuation.
+  if (group != nullptr) FulfillWaiters(group, result);
+  call.done(std::move(result));
 }
 
-void EstimationService::SubmitEstimateImpl(
-    ServiceRequest request, std::function<void(Result<WorkflowEstimate>)> done) {
+void EstimationService::SubmitImpl(
+    EstimateRequest request,
+    std::function<void(Result<EstimateResponse>)> done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Metrics().submitted.Add(1);
 
-  // Request observability is armed with the metrics flag: when off, `record`
-  // stays a dead stack object and every recording site below is skipped —
-  // the disarmed cost is this one relaxed load (plus the zero-init).
-  const bool observe = obs::MetricsEnabled();
-  obs::RequestRecord record;
-  if (observe) {
-    record.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    record.set_op(request.explain ? "explain" : "estimate");
-    record.set_workflow(request.workflow);
-    record.set_cluster(request.cluster);
-    record.submit_us = obs::MonotonicUs();
+  Call call;
+  call.done = std::move(done);
+  // Request observability is armed with the metrics flag: when off, the
+  // record stays a dead object and every recording site is skipped — the
+  // disarmed cost is this one relaxed load (plus the zero-init).
+  call.observe = obs::MetricsEnabled();
+  if (call.observe) {
+    call.record.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+    call.record.set_op(request.is_sweep()  ? "sweep"
+                       : request.explain ? "explain"
+                                         : "estimate");
+    call.record.set_workflow(request.workflow);
+    call.record.set_cluster(request.cluster);
+    call.record.submit_us = obs::MonotonicUs();
   }
-  // Synchronous rejections (draining / shed) still leave a record: error
-  // rates and the flight recorder must see the requests that never ran.
-  const auto reject = [&](Status status) {
-    if (observe) {
-      record.start_us = record.end_us = obs::MonotonicUs();
-      record.ok = false;
-      record.outcome_code = static_cast<std::uint8_t>(status.code());
-      record.shed = status.code() == ErrorCode::kResourceExhausted;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
-                         false, false, true);
-    }
-    done(Result<WorkflowEstimate>(std::move(status)));
-  };
 
   // Shared lock: many Submits run concurrently; Drain's unique lock ensures
   // no Submit is between the draining check and the pool enqueue when the
   // pool starts waiting.
   std::shared_lock admission(admission_mutex_);
   if (draining_.load(std::memory_order_acquire)) {
-    reject(Status::FailedPrecondition("service is draining"));
+    Finish(call, Status::FailedPrecondition("service is draining"), 0.0);
     return;
   }
-  const std::string tenant = TenantRegistry::Canonical(request.tenant);
-  if (Status admitted = Admit(tenant, ClassifyCost(request)); !admitted.ok()) {
-    reject(std::move(admitted));
+  call.tenant = TenantRegistry::Canonical(request.tenant);
+  if (Status admitted = Admit(call.tenant, ClassifyCost(request));
+      !admitted.ok()) {
+    Finish(call, std::move(admitted), 0.0);
     return;
   }
+  call.admitted = true;
 
   if (options_.default_deadline_seconds > 0 && request.budget.deadline.never()) {
     request.budget.deadline =
         Deadline::AfterSeconds(options_.default_deadline_seconds);
   }
-  record.had_deadline = !request.budget.deadline.never();
-  const CancelToken caller_cancel = request.budget.cancel;
+  call.record.had_deadline = !request.budget.deadline.never();
+  call.caller_cancel = request.budget.cancel;
 
   // Singleflight: attach to an identical in-flight computation instead of
   // queueing a duplicate. The waiter keeps its admission slot (it is real
   // load until answered) but never takes a pool task — the leader's worker
   // resolves it. Skipped under brownout: degraded answers are shaped by the
   // ladder level at execution time, which identical requests submitted at
-  // different moments need not share.
+  // different moments need not share. A sweep has no coalesce key.
   std::shared_ptr<CoalesceGroup> group;
   if (options_.coalescing && request.coalesce &&
       (overload_ == nullptr || overload_->level() == 0)) {
@@ -837,26 +891,22 @@ void EstimationService::SubmitEstimateImpl(
       auto it = coalesce_.find(key);
       if (it != coalesce_.end()) {
         CoalesceGroup::Waiter waiter;
-        waiter.done = std::move(done);
         waiter.budget.cancel =
-            CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
+            CancelToken::LinkedTo({call.caller_cancel, shutdown_cancel_});
         waiter.budget.deadline = request.budget.deadline;
-        waiter.caller_cancel = caller_cancel;
         waiter.workflow = request.workflow.empty() && request.flow != nullptr
                               ? request.flow->name()
                               : request.workflow;
-        waiter.tenant = tenant;
-        waiter.record = record;
-        waiter.observe = observe;
-        waiter.submit_us = obs::MonotonicUs();
-        it->second->member_cancels.push_back(caller_cancel);
+        call.submit_us = obs::MonotonicUs();
+        it->second->member_cancels.push_back(call.caller_cancel);
+        waiter.call = std::move(call);
         it->second->waiters.push_back(std::move(waiter));
         coalesce_attached_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       group = std::make_shared<CoalesceGroup>();
       group->key = std::move(key);
-      group->member_cancels.push_back(caller_cancel);
+      group->member_cancels.push_back(call.caller_cancel);
       coalesce_.emplace(group->key, group);
     }
   }
@@ -867,295 +917,50 @@ void EstimationService::SubmitEstimateImpl(
   // observes the group-abandon signal (all members cancelled) instead of its
   // own caller alone. Cancelling the execution token never propagates to
   // the caller's token, so MapCancelCause can still tell the signals apart.
-  request.budget.cancel =
-      group != nullptr
-          ? CancelToken::LinkedTo({group->abandon, shutdown_cancel_})
-          : CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
+  request.budget.cancel = CancelToken::LinkedTo(
+      {group != nullptr ? group->abandon : call.caller_cancel,
+       shutdown_cancel_});
+  // Only single estimates are watched: a sweep is many estimates, each
+  // already bounded by the shared budget.
   std::uint64_t watch_id = 0;
-  if (watchdog_ != nullptr && !request.budget.deadline.never()) {
+  if (watchdog_ != nullptr && !request.is_sweep() &&
+      !request.budget.deadline.never()) {
     watch_id = watchdog_->Watch(
         request.budget.cancel,
         request.budget.deadline.remaining_seconds() * options_.watchdog_multiple);
   }
 
-  const double submit_us = obs::MonotonicUs();
-  pool_->Submit([this, request = std::move(request), done = std::move(done),
-                 submit_us, caller_cancel, watch_id, record, observe, tenant,
-                 group]() mutable {
-    tenants_->OnExecuteStart(tenant);
-    const double exec_start_us = obs::MonotonicUs();
-    Result<WorkflowEstimate> result =
-        Execute(request, submit_us, observe ? &record : nullptr, group);
-    // Execution time only (not queue wait): the EMA this feeds prices the
-    // tenant's future admissions, and waiting is not the tenant's cost.
-    const double exec_ms = (obs::MonotonicUs() - exec_start_us) * 1e-3;
+  call.submit_us = obs::MonotonicUs();
+  pool_->Submit([this, request = std::move(request), call = std::move(call),
+                 watch_id, group]() mutable {
+    tenants_->OnExecuteStart(call.tenant);
+    const double start_us = obs::MonotonicUs();
+    obs::RequestRecord* record = call.observe ? &call.record : nullptr;
+    if (record != nullptr) record->start_us = start_us;
+    // Feed the overload controller the queue sojourn every dequeued request
+    // observed — including ones about to expire; their wait is exactly the
+    // signal the controller exists to see.
+    if (overload_ != nullptr) {
+      overload_->ObserveSojourn((start_us - call.submit_us) * 1e-3, start_us);
+    }
+    Result<EstimateResponse> result =
+        request.is_sweep() ? ExecuteSweep(request, start_us, record)
+                           : Execute(request, call, start_us, group);
+    const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
     if (watch_id != 0) watchdog_->Unwatch(watch_id);
-    if (!result.ok()) {
-      result = Result<WorkflowEstimate>(MapCancelCause(
-          result.status(), caller_cancel, observe ? &record : nullptr));
-    }
-    tenants_->OnDone(tenant, result.ok(), exec_ms);
-    if (result.ok()) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().completed.Add(1);
-    } else {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().failed.Add(1);
-    }
-    const TaskTimeMemo::Stats cache = memo_.stats();
-    Metrics().cache_hit_rate.Set(cache.hit_rate());
-    if (observe) {
-      record.end_us = obs::MonotonicUs();
-      record.ok = result.ok();
-      record.outcome_code =
-          static_cast<std::uint8_t>(result.status().code());
-      record.deadline_met =
-          !record.had_deadline ||
-          result.status().code() != ErrorCode::kDeadlineExceeded;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
-                         record.ok, record.had_deadline, record.deadline_met);
-    }
-    ReleaseSlot();
-    // Waiters resolve before the leader's own callback: attached requests
-    // were submitted earlier and should not queue behind the leader's
-    // continuation.
-    if (group != nullptr) FulfillWaiters(group, result);
-    done(std::move(result));
+    Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+    Finish(call, std::move(result), exec_ms, group);
   });
-}
-
-std::future<Result<WorkflowEstimate>> EstimationService::SubmitEstimateFuture(
-    ServiceRequest request) {
-  auto promise = std::make_shared<std::promise<Result<WorkflowEstimate>>>();
-  std::future<Result<WorkflowEstimate>> future = promise->get_future();
-  SubmitEstimateImpl(std::move(request),
-                     [promise](Result<WorkflowEstimate> result) {
-                       promise->set_value(std::move(result));
-                     });
-  return future;
-}
-
-std::future<Result<ServiceSweepResult>> EstimationService::SubmitSweepFuture(
-    ServiceSweepRequest request) {
-  auto promise = std::make_shared<std::promise<Result<ServiceSweepResult>>>();
-  std::future<Result<ServiceSweepResult>> future = promise->get_future();
-  SubmitSweepImpl(std::move(request),
-                  [promise](Result<ServiceSweepResult> result) {
-                    promise->set_value(std::move(result));
-                  });
-  return future;
 }
 
 std::future<Result<EstimateResponse>> EstimationService::Submit(
     EstimateRequest request) {
   auto promise = std::make_shared<std::promise<Result<EstimateResponse>>>();
   std::future<Result<EstimateResponse>> future = promise->get_future();
-  if (request.is_sweep()) {
-    SubmitSweepImpl(request.ToSweep(),
-                    [promise](Result<ServiceSweepResult> result) {
-                      if (!result.ok()) {
-                        promise->set_value(
-                            Result<EstimateResponse>(result.status()));
-                        return;
-                      }
-                      EstimateResponse response;
-                      response.sweep = std::move(result).value();
-                      promise->set_value(std::move(response));
-                    });
-  } else {
-    SubmitEstimateImpl(request.ToEstimate(),
-                       [promise](Result<WorkflowEstimate> result) {
-                         if (!result.ok()) {
-                           promise->set_value(
-                               Result<EstimateResponse>(result.status()));
-                           return;
-                         }
-                         EstimateResponse response;
-                         response.estimate = std::move(result).value();
-                         promise->set_value(std::move(response));
-                       });
-  }
-  return future;
-}
-
-std::vector<std::future<Result<EstimateResponse>>>
-EstimationService::SubmitBatch(std::vector<EstimateRequest> requests) {
-  std::vector<std::future<Result<EstimateResponse>>> futures;
-  futures.reserve(requests.size());
-  for (EstimateRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
-  }
-  return futures;
-}
-
-std::future<Result<WorkflowEstimate>> EstimationService::Submit(
-    ServiceRequest request) {
-  return SubmitEstimateFuture(std::move(request));
-}
-
-std::vector<std::future<Result<WorkflowEstimate>>> EstimationService::SubmitBatch(
-    std::vector<ServiceRequest> requests) {
-  std::vector<std::future<Result<WorkflowEstimate>>> futures;
-  futures.reserve(requests.size());
-  for (ServiceRequest& request : requests) {
-    futures.push_back(SubmitEstimateFuture(std::move(request)));
-  }
-  return futures;
-}
-
-void EstimationService::SubmitSweepImpl(
-    ServiceSweepRequest request,
-    std::function<void(Result<ServiceSweepResult>)> done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().submitted.Add(1);
-
-  const bool observe = obs::MetricsEnabled();
-  obs::RequestRecord record;
-  if (observe) {
-    record.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    record.set_op("sweep");
-    record.set_workflow(request.workflow);
-    record.set_cluster(request.cluster);
-    record.submit_us = obs::MonotonicUs();
-  }
-  const auto reject = [&](Status status) {
-    if (observe) {
-      record.start_us = record.end_us = obs::MonotonicUs();
-      record.ok = false;
-      record.outcome_code = static_cast<std::uint8_t>(status.code());
-      record.shed = status.code() == ErrorCode::kResourceExhausted;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClass::kSweep, record.total_us() * 1e-3, false,
-                         false, true);
-    }
-    done(Result<ServiceSweepResult>(std::move(status)));
-  };
-
-  std::shared_lock admission(admission_mutex_);
-  if (draining_.load(std::memory_order_acquire)) {
-    reject(Status::FailedPrecondition("service is draining"));
-    return;
-  }
-  const std::string tenant = TenantRegistry::Canonical(request.tenant);
-  // A sweep is many estimates on one slot — always expensive work to the
-  // overload controller, so brownout sheds batch capacity-planning first.
-  if (Status admitted = Admit(tenant, CostClass::kExpensive); !admitted.ok()) {
-    reject(std::move(admitted));
-    return;
-  }
-  if (options_.default_deadline_seconds > 0 && request.budget.deadline.never()) {
-    request.budget.deadline =
-        Deadline::AfterSeconds(options_.default_deadline_seconds);
-  }
-  record.had_deadline = !request.budget.deadline.never();
-  // Sweeps observe shutdown too (cancelled candidates surface per-candidate
-  // inside the sweep result); no watchdog — a sweep is many estimates, each
-  // already bounded by the shared budget.
-  request.budget.cancel =
-      CancelToken::LinkedTo({request.budget.cancel, shutdown_cancel_});
-
-  const double submit_us = obs::MonotonicUs();
-  pool_->Submit([this, request = std::move(request), done = std::move(done),
-                 record, observe, tenant, submit_us]() mutable {
-    const double start_us = obs::MonotonicUs();
-    record.start_us = start_us;
-    tenants_->OnExecuteStart(tenant);
-    if (overload_ != nullptr) {
-      overload_->ObserveSojourn((start_us - submit_us) * 1e-3, start_us);
-    }
-    const auto finish = [&](Result<ServiceSweepResult> result) {
-      tenants_->OnDone(tenant, result.ok(),
-                       (obs::MonotonicUs() - start_us) * 1e-3);
-      if (result.ok()) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().completed.Add(1);
-      } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().failed.Add(1);
-      }
-      if (observe) {
-        record.end_us = obs::MonotonicUs();
-        record.ok = result.ok();
-        record.outcome_code =
-            static_cast<std::uint8_t>(result.status().code());
-        record.deadline_met =
-            !record.had_deadline ||
-            result.status().code() != ErrorCode::kDeadlineExceeded;
-        if (result.ok()) {
-          const SweepStats& stats = result.value().sweep.stats;
-          record.resumed_states =
-              static_cast<std::uint32_t>(stats.resumed_states);
-          record.path = stats.resumed_states > 0
-                            ? obs::RequestPath::kIncremental
-                            : (stats.cache_hit_rate > 0.5
-                                   ? obs::RequestPath::kMemoWarm
-                                   : obs::RequestPath::kFullReplay);
-        }
-        flight_.Record(record);
-        slo_.RecordOutcome(obs::OpClass::kSweep, record.total_us() * 1e-3,
-                           record.ok, record.had_deadline,
-                           record.deadline_met);
-      }
-      ReleaseSlot();
-      done(std::move(result));
-    };
-    if (request.nodes_list.empty()) {
-      finish(Status::InvalidArgument("sweep has an empty nodes list"));
-      return;
-    }
-    std::string workflow_name;
-    Result<std::shared_ptr<const DagWorkflow>> flow =
-        ResolveFlow(request.workflow, request.flow, &workflow_name);
-    if (!flow.ok()) {
-      finish(flow.status());
-      return;
-    }
-    Result<std::shared_ptr<const ClusterEntry>> cluster =
-        ResolveCluster(request.cluster);
-    if (!cluster.ok()) {
-      finish(cluster.status());
-      return;
-    }
-    const ClusterEntry& entry = **cluster;
-    std::vector<SweepCandidate> candidates;
-    candidates.reserve(request.nodes_list.size());
-    for (int nodes : request.nodes_list) {
-      ClusterSpec spec = entry.spec;
-      spec.num_nodes = nodes;
-      candidates.push_back(
-          {flow.value().get(), spec, workflow_name + "@" + std::to_string(nodes)});
-    }
-    SweepOptions sweep_options;
-    sweep_options.memo = &memo_;
-    sweep_options.cache_scope = entry.scope;
-    sweep_options.checkpoints = &checkpoints_;
-    // Candidates fan out across the service pool; the worker running this
-    // closure participates (ParallelFor is nest-safe), so a sweep uses idle
-    // capacity without a second pool.
-    sweep_options.pool = pool_.get();
-    sweep_options.budget = request.budget;
-    sweep_options.estimator = options_.estimator;
-    // Straggler hedging: the request's own options when it set them, else
-    // the service-wide default (off unless the operator opted in).
-    sweep_options.hedge =
-        request.hedge.enabled ? request.hedge : options_.hedge;
-    ServiceSweepResult result;
-    result.sweep =
-        EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
-    result.nodes_list = request.nodes_list;
-    result.workflow = std::move(workflow_name);
-    result.cluster = entry.name;
-    result.service_ms = (obs::MonotonicUs() - start_us) * 1e-3;
-    const TaskTimeMemo::Stats cache = memo_.stats();
-    Metrics().cache_hit_rate.Set(cache.hit_rate());
-    finish(std::move(result));
+  SubmitImpl(std::move(request), [promise](Result<EstimateResponse> result) {
+    promise->set_value(std::move(result));
   });
-}
-
-std::future<Result<ServiceSweepResult>> EstimationService::SubmitSweep(
-    ServiceSweepRequest request) {
-  return SubmitSweepFuture(std::move(request));
+  return future;
 }
 
 void EstimationService::ResetWarmState() {

@@ -136,7 +136,8 @@ struct ServiceOptions {
   /// per-waiter: a cancelled/expired leader resolves live waiters with
   /// retryable UNAVAILABLE, deterministic errors propagate as-is, and a
   /// waiter whose own budget fired gets its own status. Disabled here it is
-  /// off for every request; per-request opt-out via ServiceRequest::coalesce.
+  /// off for every request; per-request opt-out via
+  /// EstimateRequest::WithoutCoalescing.
   bool coalescing = true;
 
   /// Service-wide default for sweep straggler hedging (SweepHedgeOptions);
@@ -144,11 +145,6 @@ struct ServiceOptions {
   /// by default — hedging spends duplicate work for tail latency.
   SweepHedgeOptions hedge;
 };
-
-/// Request/response types (ServiceRequest, WorkflowEstimate,
-/// ServiceSweepRequest, ServiceSweepResult) and the 0.8 unified
-/// EstimateRequest builder + EstimateResponse union live in
-/// service/request.h, included above.
 
 /// Monotonic service counters plus the memo cache's cumulative behaviour.
 struct ServiceStats {
@@ -223,37 +219,16 @@ class EstimationService {
 
   std::vector<std::string> WorkflowNames() const;
 
-  /// The 0.8 unified entry point: submits one EstimateRequest — a single
-  /// estimate or, when the request carries a SweepNodes list, a sweep — and
-  /// resolves to the matching half of EstimateResponse. Never blocks on
-  /// estimation: the returned future is either already failed (shed /
-  /// draining / unresolvable name) or will be fulfilled by a worker. Safe
-  /// from any thread. Identical concurrent single-estimate requests are
-  /// coalesced onto one computation (ServiceOptions::coalescing).
+  /// The entry point: submits one EstimateRequest — a single estimate or,
+  /// when the request carries a SweepNodes list, a sweep — and resolves to
+  /// the matching half of EstimateResponse. Never blocks on estimation: the
+  /// returned future is either already failed (shed / draining /
+  /// unresolvable name) or will be fulfilled by a worker. Safe from any
+  /// thread. Identical concurrent single-estimate requests are coalesced
+  /// onto one computation (ServiceOptions::coalescing). A sweep holds one
+  /// admission slot; its candidates fan out across the same pool and share
+  /// the persistent memo.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
-
-  /// Batch convenience over the unified entry point: one future per
-  /// request, admitted independently (a full queue sheds the tail, not the
-  /// whole batch).
-  std::vector<std::future<Result<EstimateResponse>>> SubmitBatch(
-      std::vector<EstimateRequest> requests);
-
-  /// Pre-0.8 shim: equivalent to
-  /// Submit(EstimateRequest) with the same fields; will be removed in 0.9.
-  [[deprecated("use Submit(EstimateRequest) — the 0.8 unified submission API")]]
-  std::future<Result<WorkflowEstimate>> Submit(ServiceRequest request);
-
-  /// Pre-0.8 shim over the unified batch path; will be removed in 0.9.
-  [[deprecated("use SubmitBatch(std::vector<EstimateRequest>)")]]
-  std::vector<std::future<Result<WorkflowEstimate>>> SubmitBatch(
-      std::vector<ServiceRequest> requests);
-
-  /// Pre-0.8 shim: equivalent to Submit(EstimateRequest::For(...)
-  /// .SweepNodes(...)); will be removed in 0.9. A sweep counts as one
-  /// admission-queue slot; candidates fan out across the same pool and
-  /// share the persistent memo.
-  [[deprecated("use Submit(EstimateRequest) with SweepNodes")]]
-  std::future<Result<ServiceSweepResult>> SubmitSweep(ServiceSweepRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
   /// FailedPrecondition), waits for every queued and in-flight request to
@@ -343,29 +318,32 @@ class EstimationService {
  private:
   struct ClusterEntry;
   struct CoalesceGroup;
+  struct Call;
 
-  /// Completion-callback forms of the two execution paths; every public
-  /// Submit flavour (unified, shims, batch) is a thin adapter over these.
-  /// `done` is invoked exactly once — synchronously for rejected requests,
-  /// from a worker (or a coalesced leader's worker) otherwise.
-  void SubmitEstimateImpl(ServiceRequest request,
-                          std::function<void(Result<WorkflowEstimate>)> done);
-  void SubmitSweepImpl(ServiceSweepRequest request,
-                       std::function<void(Result<ServiceSweepResult>)> done);
+  /// The submission path behind Submit. `done` is invoked exactly once —
+  /// synchronously for rejected requests, from a worker (or a coalesced
+  /// leader's worker) otherwise.
+  void SubmitImpl(EstimateRequest request,
+                  std::function<void(Result<EstimateResponse>)> done);
 
-  /// Future adapters over the impls (what the deprecated shims and
-  /// SubmitBatch call, so no internal caller touches a deprecated symbol).
-  std::future<Result<WorkflowEstimate>> SubmitEstimateFuture(
-      ServiceRequest request);
-  std::future<Result<ServiceSweepResult>> SubmitSweepFuture(
-      ServiceSweepRequest request);
+  /// The one place a request's outcome is accounted and delivered: for an
+  /// admitted request the tenant's completion, the completed/failed
+  /// counters and the slot release; for every request the flight and SLO
+  /// records; then `call.done`. A coalesce leader passes its `group`, whose
+  /// waiters resolve (through Finish each) before the leader's own callback.
+  void Finish(Call& call, Result<EstimateResponse> result, double exec_ms,
+              const std::shared_ptr<CoalesceGroup>& group = nullptr);
 
-  /// Resolves the request's workflow/cluster under the registry lock.
-  Result<std::shared_ptr<const DagWorkflow>> ResolveFlow(
-      const std::string& name, const std::shared_ptr<const DagWorkflow>& inline_flow,
-      std::string* resolved_name) const;
-  Result<std::shared_ptr<const ClusterEntry>> ResolveCluster(
-      const std::string& name) const;
+  /// A request's workflow and cluster as the registries hold them now.
+  struct Resolved {
+    std::shared_ptr<const DagWorkflow> flow;
+    /// The registered name, or the inline flow's own name.
+    std::string workflow;
+    std::shared_ptr<const ClusterEntry> cluster;
+  };
+
+  /// Resolves the request's workflow and cluster under the registry lock.
+  Result<Resolved> Resolve(const EstimateRequest& request) const;
 
   /// Cost classes the fast pre-estimate sorts requests into for overload
   /// shedding: warm work (memo/checkpoint-backed, never shed), cheap cold
@@ -373,11 +351,13 @@ class EstimationService {
   /// to go).
   enum class CostClass { kWarm, kCheap, kExpensive };
 
-  /// Fast pre-classification: warm if the (scope, workflow, nodes) triple
-  /// completed successfully since the last warm-state reset, expensive if
-  /// cold with >= expensive_job_threshold jobs. Resolution failures come out
-  /// kCheap — the real error surfaces downstream with full context.
-  CostClass ClassifyCost(const ServiceRequest& request) const;
+  /// Fast pre-classification: a sweep is always expensive (many estimates
+  /// on one slot, so brownout sheds batch capacity planning first); an
+  /// estimate is warm if the (scope, workflow, nodes) triple completed
+  /// successfully since the last warm-state reset, expensive if cold with
+  /// >= expensive_job_threshold jobs. Resolution failures come out kCheap —
+  /// the real error surfaces downstream with full context.
+  CostClass ClassifyCost(const EstimateRequest& request) const;
 
   /// Admission control; on success the caller owns one global queue slot
   /// AND one queued slot of `tenant` (released together). Rejections carry
@@ -395,28 +375,37 @@ class EstimationService {
   static std::string WarmKey(const std::string& scope,
                              const std::string& workflow, int nodes);
 
-  /// Runs one estimate on a worker thread (slot already held). `record` (null
-  /// while request observability is disarmed) accumulates the request's
-  /// attribution: resolved names, states executed, memo behaviour, path
-  /// class, breaker interaction. `group` (null when the request is not a
-  /// coalesce leader) arms the group-abandon poll: the execution unwinds
-  /// once every attached caller has cancelled.
-  Result<WorkflowEstimate> Execute(const ServiceRequest& request,
-                                   double submit_us, obs::RequestRecord* record,
+  /// Runs one single estimate on a worker thread (slot already held),
+  /// dequeued at `start_us`; a failure carries its cancel cause
+  /// (MapCancelCause). The call's record (when observability is armed)
+  /// accumulates the request's attribution: resolved names, states
+  /// executed, memo behaviour, path class, breaker interaction. `group`
+  /// (null when the request is not a coalesce leader) arms the group-abandon
+  /// poll: the execution unwinds once every attached caller has cancelled.
+  Result<EstimateResponse> Execute(const EstimateRequest& request, Call& call,
+                                   double start_us,
                                    const std::shared_ptr<CoalesceGroup>& group);
+
+  /// Runs one sweep on a worker thread (slot already held): candidates fan
+  /// out across the service pool and share the persistent memo. Cancelled
+  /// candidates surface per candidate inside the result.
+  Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
+                                        double start_us,
+                                        obs::RequestRecord* record);
 
   /// The coalesce key of a single-estimate request: the same value
   /// fingerprint the prefix-checkpoint store keys on (scope + cluster bits +
   /// scheduler + effective estimator options + per-job workflow bytes) plus
   /// the resolved names and the explain flag. Empty when the request cannot
-  /// be keyed (unresolvable names — the leader path surfaces the error).
-  std::string CoalesceKey(const ServiceRequest& request) const;
+  /// be keyed: a sweep, or unresolvable names (the leader path surfaces the
+  /// error).
+  std::string CoalesceKey(const EstimateRequest& request) const;
 
   /// Resolves every waiter of a finished leader: each gets its own status
   /// (own budget first, then the leader outcome mapped per-waiter) and its
   /// own accounting; runs on the leader's worker, outside the coalesce lock.
   void FulfillWaiters(const std::shared_ptr<CoalesceGroup>& group,
-                      const Result<WorkflowEstimate>& leader_result);
+                      const Result<EstimateResponse>& leader_result);
 
   /// The per-cluster breaker (created lazily); nullptr when breakers are
   /// disabled. Entries are never destroyed while the service lives.

@@ -751,11 +751,4 @@ Result<SimResult> Simulator::Run(const DagWorkflow& flow) const {
   return run.Run();
 }
 
-Status Simulator::Run(const DagWorkflow& flow, SimResult* out) const {
-  Result<SimResult> result = Run(flow);
-  if (!result.ok()) return result.status();
-  *out = std::move(result).value();
-  return Status::Ok();
-}
-
 }  // namespace dagperf

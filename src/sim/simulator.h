@@ -84,11 +84,6 @@ class Simulator {
   /// demand exceeds node capacity) or the time bound is hit.
   Result<SimResult> Run(const DagWorkflow& flow) const;
 
-  /// Pre-Result transition shim: `*out` is written only on success. Will be
-  /// removed next release — call the Result<SimResult> overload.
-  [[deprecated("use Run(flow) returning Result<SimResult>")]]
-  Status Run(const DagWorkflow& flow, SimResult* out) const;
-
  private:
   ClusterSpec cluster_;
   SchedulerConfig scheduler_;

@@ -1,7 +1,7 @@
 // Tests of the versioned public facade: <dagperf/dagperf.h> is
 // self-sufficient (this file includes nothing else from the library), the
-// version macros exist and are numerically comparable, and the deprecated
-// Status-out-param shims still behave like their Result<T> replacements.
+// version macros exist and are numerically comparable, and the service's
+// request builder and single Submit entry point are reachable.
 
 #include <dagperf/dagperf.h>
 
@@ -55,7 +55,8 @@ namespace {
 
 TEST(ApiFacadeTest, VersionMacros) {
   EXPECT_GE(DAGPERF_VERSION_MAJOR, 0);
-  EXPECT_GE(DAGPERF_VERSION_MINOR, 4);
+  // The facade is at least 0.4 (compared as a version, not per component).
+  EXPECT_TRUE(DAGPERF_VERSION_MAJOR > 0 || DAGPERF_VERSION_MINOR >= 4);
   const std::string version = DAGPERF_VERSION_STRING;
   EXPECT_EQ(version, std::to_string(DAGPERF_VERSION_MAJOR) + "." +
                          std::to_string(DAGPERF_VERSION_MINOR));
@@ -153,7 +154,7 @@ Result<DagWorkflow> FacadeFlow() {
 }
 
 TEST(ApiFacadeTest, UnifiedSubmitServesEstimatesAndSweeps) {
-  // 0.8 surface: one builder, one entry point, one response union.
+  // One builder, one entry point, one response union.
   Result<DagWorkflow> flow = FacadeFlow();
   ASSERT_TRUE(flow.ok());
   EstimationService service;
@@ -177,23 +178,28 @@ TEST(ApiFacadeTest, UnifiedSubmitServesEstimatesAndSweeps) {
   EXPECT_TRUE(sweep.value().sweep->sweep.estimates[1].ok());
 }
 
-TEST(ApiFacadeTest, BuilderLowersToTheStructsItReplaces) {
-  // Migrating callers can diff the lowered form against the struct they
-  // used to fill by hand; every chainer maps onto exactly one field.
+TEST(ApiFacadeTest, ChainersSetTheFieldsSubmitReads) {
+  // Every chainer maps onto exactly one field the service reads.
+  const CancelToken cancel = CancelToken::Cancellable();
   const EstimateRequest request = EstimateRequest::For("daily-etl")
                                       .OnCluster("prod")
                                       .AsTenant("alice")
                                       .WithNodes(32)
+                                      .WithDeadline(60.0)
+                                      .WithCancel(cancel)
                                       .WithExplain()
                                       .WithoutCoalescing();
   EXPECT_FALSE(request.is_sweep());
-  const ServiceRequest lowered = request.ToEstimate();
-  EXPECT_EQ(lowered.workflow, "daily-etl");
-  EXPECT_EQ(lowered.cluster, "prod");
-  EXPECT_EQ(lowered.tenant, "alice");
-  EXPECT_EQ(lowered.nodes, 32);
-  EXPECT_TRUE(lowered.explain);
-  EXPECT_FALSE(lowered.coalesce);
+  EXPECT_EQ(request.workflow, "daily-etl");
+  EXPECT_EQ(request.cluster, "prod");
+  EXPECT_EQ(request.tenant, "alice");
+  EXPECT_EQ(request.nodes, 32);
+  EXPECT_FALSE(request.budget.deadline.never());
+  EXPECT_FALSE(request.budget.cancel.cancelled());
+  cancel.Cancel();
+  EXPECT_TRUE(request.budget.cancel.cancelled());
+  EXPECT_TRUE(request.explain);
+  EXPECT_FALSE(request.coalesce);
 
   SweepHedgeOptions hedge;
   hedge.enabled = true;
@@ -201,116 +207,10 @@ TEST(ApiFacadeTest, BuilderLowersToTheStructsItReplaces) {
                                     .SweepNodes({8, 16})
                                     .WithHedging(hedge);
   EXPECT_TRUE(sweep.is_sweep());
-  const ServiceSweepRequest sweep_lowered = sweep.ToSweep();
-  EXPECT_EQ(sweep_lowered.workflow, "daily-etl");
-  EXPECT_EQ(sweep_lowered.nodes_list, (std::vector<int>{8, 16}));
-  EXPECT_TRUE(sweep_lowered.hedge.enabled);
+  EXPECT_EQ(sweep.workflow, "daily-etl");
+  EXPECT_EQ(sweep.nodes_list, (std::vector<int>{8, 16}));
+  EXPECT_TRUE(sweep.hedge.enabled);
 }
-
-// The deprecated shims are exercised on purpose; silence the warnings the
-// rest of the build is expected to emit for them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ApiFacadeTest, DeprecatedEstimateShimMatchesResultOverload) {
-  Result<DagWorkflow> flow = FacadeFlow();
-  ASSERT_TRUE(flow.ok());
-  const ClusterSpec cluster = ClusterSpec::PaperCluster();
-  const BoeModel boe(cluster.node);
-  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
-  const StateBasedEstimator estimator(cluster, SchedulerConfig{});
-
-  Result<DagEstimate> direct = estimator.Estimate(*flow, source);
-  ASSERT_TRUE(direct.ok());
-
-  DagEstimate shimmed;
-  const Status status = estimator.Estimate(*flow, source, &shimmed);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(shimmed.makespan.seconds(), direct->makespan.seconds());
-  EXPECT_EQ(shimmed.states.size(), direct->states.size());
-}
-
-TEST(ApiFacadeTest, DeprecatedBatchShimReturnsFirstError) {
-  Result<DagWorkflow> flow = FacadeFlow();
-  ASSERT_TRUE(flow.ok());
-  const ClusterSpec good = ClusterSpec::PaperCluster();
-  ClusterSpec bad = good;
-  bad.num_nodes = -1;
-  const BoeModel boe(good.node);
-  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
-
-  const std::vector<SweepCandidate> requests = {{&*flow, good, "good"},
-                                                 {&*flow, bad, "bad"}};
-  SweepResult out;
-  const Status status =
-      EstimateBatch(requests, SchedulerConfig{}, source, SweepOptions{}, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  ASSERT_EQ(out.estimates.size(), 2u);
-  EXPECT_TRUE(out.estimates[0].ok());
-  EXPECT_FALSE(out.estimates[1].ok());
-}
-
-TEST(ApiFacadeTest, DeprecatedSubmitShimsMatchUnifiedSubmit) {
-  // The pre-0.8 entry points are shims over the unified path; a request
-  // lowered from the builder and the same struct filled by hand must
-  // produce bit-identical estimates.
-  Result<DagWorkflow> flow = FacadeFlow();
-  ASSERT_TRUE(flow.ok());
-  EstimationService service;
-  ASSERT_TRUE(service.RegisterWorkflow("q6", *flow).ok());
-
-  Result<EstimateResponse> unified =
-      service.Submit(EstimateRequest::For("q6").WithExplain()).get();
-  ASSERT_TRUE(unified.ok());
-
-  ServiceRequest legacy;
-  legacy.workflow = "q6";
-  legacy.explain = true;
-  Result<WorkflowEstimate> shimmed = service.Submit(std::move(legacy)).get();
-  ASSERT_TRUE(shimmed.ok()) << shimmed.status().ToString();
-  EXPECT_EQ(shimmed.value().estimate.makespan.seconds(),
-            unified.value().estimate->estimate.makespan.seconds());
-  EXPECT_EQ(shimmed.value().critical_path.size(),
-            unified.value().estimate->critical_path.size());
-
-  Result<EstimateResponse> unified_sweep =
-      service.Submit(EstimateRequest::For("q6").SweepNodes({4, 8})).get();
-  ASSERT_TRUE(unified_sweep.ok());
-
-  ServiceSweepRequest legacy_sweep;
-  legacy_sweep.workflow = "q6";
-  legacy_sweep.nodes_list = {4, 8};
-  Result<ServiceSweepResult> shimmed_sweep =
-      service.SubmitSweep(std::move(legacy_sweep)).get();
-  ASSERT_TRUE(shimmed_sweep.ok()) << shimmed_sweep.status().ToString();
-  const SweepResult& a = shimmed_sweep.value().sweep;
-  const SweepResult& b = unified_sweep.value().sweep->sweep;
-  ASSERT_EQ(a.estimates.size(), b.estimates.size());
-  for (std::size_t i = 0; i < a.estimates.size(); ++i) {
-    ASSERT_TRUE(a.estimates[i].ok());
-    ASSERT_TRUE(b.estimates[i].ok());
-    EXPECT_EQ(a.estimates[i]->makespan.seconds(),
-              b.estimates[i]->makespan.seconds());
-  }
-}
-
-TEST(ApiFacadeTest, DeprecatedSimulatorShimMatchesResultOverload) {
-  Result<DagWorkflow> flow = FacadeFlow();
-  ASSERT_TRUE(flow.ok());
-  const Simulator sim(ClusterSpec::PaperCluster(), SchedulerConfig{},
-                      SimOptions{});
-  Result<SimResult> direct = sim.Run(*flow);
-  ASSERT_TRUE(direct.ok());
-  // SimResult has no default constructor, so the shim's out-param is seeded
-  // with a value it then overwrites.
-  SimResult shimmed = direct.value();
-  const Status status = sim.Run(*flow, &shimmed);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(shimmed.makespan().seconds(), direct->makespan().seconds());
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace dagperf

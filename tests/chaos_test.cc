@@ -37,11 +37,6 @@
 #include "workloads/micro.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -184,9 +179,9 @@ TEST(ChaosTest, SameSeedSameFailureSchedule) {
     EXPECT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
     std::vector<int> failed;
     for (int i = 0; i < 40; ++i) {
-      ServiceRequest request;
-      request.workflow = "q6";
-      if (!service.Submit(std::move(request)).get().ok()) failed.push_back(i);
+      if (!service.Submit(EstimateRequest::For("q6")).get().ok()) {
+        failed.push_back(i);
+      }
     }
     FaultInjector::Default().Disarm();
     return failed;

@@ -10,11 +10,6 @@
 #include "common/json.h"
 #include "common/parallel.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 

@@ -19,11 +19,6 @@
 #include "service/tenancy.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -333,9 +328,8 @@ TEST(ServiceBrownoutTest, ColdExpensiveWorkIsShedWithRetryHint) {
   ASSERT_NE(service.overload_controller(), nullptr);
   service.overload_controller()->ForceLevelForTest(1);
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> shed = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> shed =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_TRUE(IsRetryable(shed.status().code()));
@@ -356,25 +350,21 @@ TEST(ServiceBrownoutTest, WarmWorkIsServedDegradedWithoutAttribution) {
   // Serve once healthy: warms the (workflow, nodes) key and proves explain
   // normally fills the critical path.
   controller->ForceLevelForTest(0);
-  ServiceRequest warmup;
-  warmup.workflow = "q6";
-  warmup.explain = true;
-  Result<WorkflowEstimate> healthy = service.Submit(std::move(warmup)).get();
+  Result<EstimateResponse> healthy =
+      service.Submit(EstimateRequest::For("q6").WithExplain()).get();
   ASSERT_TRUE(healthy.ok());
-  EXPECT_FALSE(healthy.value().degraded);
-  EXPECT_FALSE(healthy.value().critical_path.empty());
+  EXPECT_FALSE(healthy.value().estimate->degraded);
+  EXPECT_FALSE(healthy.value().estimate->critical_path.empty());
 
   // Under pressure the same request is warm: served, but degraded — no
   // attribution work is spent on it.
   controller->ForceLevelForTest(1);
-  ServiceRequest again;
-  again.workflow = "q6";
-  again.explain = true;
-  Result<WorkflowEstimate> degraded = service.Submit(std::move(again)).get();
+  Result<EstimateResponse> degraded =
+      service.Submit(EstimateRequest::For("q6").WithExplain()).get();
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded.value().degraded);
-  EXPECT_EQ(degraded.value().degrade_level, 1);
-  EXPECT_TRUE(degraded.value().critical_path.empty());
+  EXPECT_TRUE(degraded.value().estimate->degraded);
+  EXPECT_EQ(degraded.value().estimate->degrade_level, 1);
+  EXPECT_TRUE(degraded.value().estimate->critical_path.empty());
 }
 
 TEST(ServiceBrownoutTest, FullBrownoutShedsEverythingCold) {
@@ -384,9 +374,8 @@ TEST(ServiceBrownoutTest, FullBrownoutShedsEverythingCold) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
   service.overload_controller()->ForceLevelForTest(3);
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> shed = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> shed =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(shed.ok()) << "...but level 3 sheds even cheap cold work";
   EXPECT_EQ(shed.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_GT(shed.status().retry_after_ms(), 0.0);
@@ -400,9 +389,8 @@ TEST(ServiceBrownoutTest, StateCapFailuresAreRewrittenRetryable) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
   service.overload_controller()->ForceLevelForTest(2);
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> capped = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> capped =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(capped.ok());
   // Under brownout the estimator's state-limit trip is the service's own
   // doing, so it must surface as retryable pushback, not INTERNAL.
@@ -417,13 +405,9 @@ TEST(ServiceBrownoutTest, PerTenantStatsFlowThroughService) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  request.tenant = "alice";
-  ASSERT_TRUE(service.Submit(std::move(request)).get().ok());
-  ServiceRequest anon;
-  anon.workflow = "q6";
-  ASSERT_TRUE(service.Submit(std::move(anon)).get().ok());
+  ASSERT_TRUE(
+      service.Submit(EstimateRequest::For("q6").AsTenant("alice")).get().ok());
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 
   const ServiceStats stats = service.Stats();
   ASSERT_EQ(stats.tenants.size(), 2u);  // Name-ordered: alice, default.

@@ -25,11 +25,6 @@
 #include "service/service.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -503,11 +498,8 @@ TEST(ServiceResilience, WatchdogCancellationSurfacesAsDeadlineExceeded) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  request.budget = Budget::Within(0.05);
-  std::future<Result<WorkflowEstimate>> future =
-      service.Submit(std::move(request));
+  std::future<Result<EstimateResponse>> future =
+      service.Submit(EstimateRequest::For("q6").WithDeadline(0.05));
   gate.WaitUntilEntered(1);
 
   // Hold the worker hostage well past watchdog_multiple x deadline, then
@@ -515,7 +507,7 @@ TEST(ServiceResilience, WatchdogCancellationSurfacesAsDeadlineExceeded) {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   gate.Open();
 
-  Result<WorkflowEstimate> result = future.get();
+  Result<EstimateResponse> result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("watchdog"), std::string::npos)
@@ -531,15 +523,13 @@ TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  std::vector<std::future<Result<WorkflowEstimate>>> futures;
+  std::vector<std::future<Result<EstimateResponse>>> futures;
   for (int i = 0; i < 8; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
     // The eight requests are value-identical; since 0.8 they would coalesce
     // onto one leader and only one worker would ever enter the gate. This
     // test needs eight independent in-flight computations to park.
-    request.coalesce = false;
-    futures.push_back(service.Submit(std::move(request)));
+    futures.push_back(
+        service.Submit(EstimateRequest::For("q6").WithoutCoalescing()));
   }
   gate.WaitUntilEntered(4);  // All workers parked, 4 more requests queued.
 
@@ -558,19 +548,18 @@ TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
 
   // Hard guarantee: every future resolves, and every cancelled request is
   // answered with the retryable UNAVAILABLE, never a silent drop.
-  for (std::future<Result<WorkflowEstimate>>& future : futures) {
+  for (std::future<Result<EstimateResponse>>& future : futures) {
     ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready);
-    Result<WorkflowEstimate> result = future.get();
+    Result<EstimateResponse> result = future.get();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
     EXPECT_TRUE(IsRetryable(result.status().code()));
   }
 
   // Admission is closed for good after shutdown.
-  ServiceRequest late;
-  late.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(late)).get();
+  Result<EstimateResponse> rejected =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kFailedPrecondition);
 }
@@ -599,18 +588,16 @@ TEST(ServiceResilience, BreakerOpensOnInjectedFailuresAndFastFails) {
                   .ok());
   injector.Arm(11);
   for (int i = 0; i < 2; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<EstimateResponse> result =
+        service.Submit(EstimateRequest::For("q6")).get();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kInternal);
   }
   injector.Disarm();
 
   // The breaker is open: the healthy path is not even tried.
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> rejected =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
   EXPECT_TRUE(IsRetryable(rejected.status().code()));
@@ -625,16 +612,13 @@ TEST(ServiceResilience, ClientErrorsNeverOpenTheBreaker) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
   for (int i = 0; i < 10; ++i) {
-    ServiceRequest request;
-    request.workflow = "missing";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<EstimateResponse> result =
+        service.Submit(EstimateRequest::For("missing")).get();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kNotFound);
   }
   // A good request still flows: NOT_FOUND never tripped the breaker.
-  ServiceRequest good;
-  good.workflow = "q6";
-  EXPECT_TRUE(service.Submit(std::move(good)).get().ok());
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 }
 
 TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
@@ -654,9 +638,8 @@ TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
   injector.Arm(3);
   int rejected = 0;
   for (int i = 0; i < 3; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<EstimateResponse> result =
+        service.Submit(EstimateRequest::For("q6")).get();
     if (!result.ok() &&
         result.status().code() == ErrorCode::kResourceExhausted) {
       ++rejected;
@@ -666,9 +649,7 @@ TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
   EXPECT_EQ(rejected, 3);
   // Slots were backed out: the queue is empty and a real request succeeds.
   EXPECT_EQ(service.Stats().queue_depth, 0);
-  ServiceRequest good;
-  good.workflow = "q6";
-  EXPECT_TRUE(service.Submit(std::move(good)).get().ok());
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 }
 
 }  // namespace

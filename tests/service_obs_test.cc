@@ -27,11 +27,6 @@
 #include "service/service.h"
 #include "workloads/suite.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -167,9 +162,8 @@ TEST(ServiceObsTest, RequestRecordCapturedEndToEnd) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   const obs::FlightRecorder::Dump dump = service.flight_recorder().Snapshot();
@@ -198,9 +192,8 @@ TEST(ServiceObsTest, RepeatRequestClassifiedMemoWarm) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
   for (int i = 0; i < 2; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+    Result<EstimateResponse> served =
+        service.Submit(EstimateRequest::For("q6")).get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
   }
 
@@ -224,9 +217,8 @@ TEST(ServiceObsTest, FailedRequestPinnedAsErrorExemplar) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest request;
-  request.workflow = "no-such-flow";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("no-such-flow")).get();
   EXPECT_FALSE(served.ok());
 
   const obs::FlightRecorder::Dump dump = service.flight_recorder().Snapshot();
@@ -377,9 +369,7 @@ TEST(ServiceObsTest, DrainBumpsStatsEpochAndResetsWarmState) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
   for (int i = 0; i < 2; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    ASSERT_TRUE(service.Submit(std::move(request)).get().ok());
+    ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
   }
   const ServiceStats before = service.Stats();
   EXPECT_EQ(before.stats_epoch, 0u);
@@ -410,9 +400,7 @@ TEST(ServiceObsTest, LiveResetWarmStateIsSafeAndCountsEpochs) {
   service.ResetWarmState();
   EXPECT_EQ(service.Stats().stats_epoch, 2u);
   // Still serves after manual resets; drain adds exactly one more epoch.
-  ServiceRequest request;
-  request.workflow = "q6";
-  EXPECT_TRUE(service.Submit(std::move(request)).get().ok());
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
   ASSERT_TRUE(service.Drain().ok());
   EXPECT_EQ(service.Stats().stats_epoch, 3u);
 }

@@ -20,11 +20,6 @@
 #include "workloads/suite.h"
 #include "workloads/web_analytics.h"
 
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace dagperf {
 namespace {
 
@@ -72,14 +67,13 @@ TEST(ServiceTest, EstimatesRegisteredWorkflow) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_GT(served.value().estimate.makespan.seconds(), 0.0);
-  EXPECT_EQ(served.value().workflow, "q6");
-  EXPECT_EQ(served.value().cluster, "default");
-  EXPECT_TRUE(served.value().critical_path.empty());
+  EXPECT_GT(served.value().estimate->estimate.makespan.seconds(), 0.0);
+  EXPECT_EQ(served.value().estimate->workflow, "q6");
+  EXPECT_EQ(served.value().estimate->cluster, "default");
+  EXPECT_TRUE(served.value().estimate->critical_path.empty());
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.submitted, 1u);
@@ -90,39 +84,36 @@ TEST(ServiceTest, EstimatesRegisteredWorkflow) {
 TEST(ServiceTest, ExplainFillsCriticalPath) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  ServiceRequest request;
-  request.workflow = "q6";
-  request.explain = true;
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("q6").WithExplain()).get();
   ASSERT_TRUE(served.ok());
-  ASSERT_FALSE(served.value().critical_path.empty());
+  ASSERT_FALSE(served.value().estimate->critical_path.empty());
   // Critical-path segments partition the timeline: durations sum to the
   // makespan.
   double total = 0.0;
-  for (const CriticalSegment& s : served.value().critical_path) {
+  for (const CriticalSegment& s : served.value().estimate->critical_path) {
     total += s.duration;
   }
-  EXPECT_NEAR(total, served.value().estimate.makespan.seconds(), 1e-9);
+  EXPECT_NEAR(total, served.value().estimate->estimate.makespan.seconds(),
+              1e-9);
 }
 
 TEST(ServiceTest, UnknownNamesFailFast) {
   EstimationService service;
-  ServiceRequest request;
-  request.workflow = "no-such-flow";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("no-such-flow")).get();
   ASSERT_FALSE(served.ok());
   EXPECT_EQ(served.status().code(), ErrorCode::kNotFound);
 
-  ServiceRequest no_flow;
-  Result<WorkflowEstimate> empty = service.Submit(std::move(no_flow)).get();
+  Result<EstimateResponse> empty = service.Submit(EstimateRequest()).get();
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), ErrorCode::kInvalidArgument);
 
-  ServiceRequest bad_cluster;
-  bad_cluster.workflow = "no-such-flow";
-  bad_cluster.cluster = "no-such-cluster";
-  Result<WorkflowEstimate> cluster =
-      service.Submit(std::move(bad_cluster)).get();
+  Result<EstimateResponse> cluster =
+      service
+          .Submit(EstimateRequest::For("no-such-flow").OnCluster(
+              "no-such-cluster"))
+          .get();
   EXPECT_FALSE(cluster.ok());
 }
 
@@ -145,19 +136,16 @@ TEST(ServiceTest, QueueFullShedsWithResourceExhausted) {
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
   // First request occupies the only worker, blocked inside the source.
-  ServiceRequest first;
-  first.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(first));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   // The queue (depth 1) is now full: the next submit must be shed, not
   // queued — its future is ready immediately.
-  ServiceRequest second;
-  second.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> shed = service.Submit(std::move(second));
+  std::future<Result<EstimateResponse>> shed =
+      service.Submit(EstimateRequest::For("q6"));
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  Result<WorkflowEstimate> shed_result = shed.get();
+  Result<EstimateResponse> shed_result = shed.get();
   ASSERT_FALSE(shed_result.ok());
   EXPECT_EQ(shed_result.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_TRUE(IsRetryable(shed_result.status().code()));
@@ -178,26 +166,20 @@ TEST(ServiceTest, DeadlineExpiresInQueue) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest first;
-  first.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(first));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   // Queued behind the blocked worker with a deadline that expires while it
   // waits: the worker must reject it at dequeue without estimating. Opted
   // out of coalescing — attaching to the in-flight computation would serve
   // it from the leader instead of letting it expire in the queue.
-  ServiceRequest doomed;
-  doomed.workflow = "q6";
-  doomed.coalesce = false;
-  doomed.budget.deadline = Deadline::AfterSeconds(0.01);
-  std::future<Result<WorkflowEstimate>> expired =
-      service.Submit(std::move(doomed));
+  std::future<Result<EstimateResponse>> expired = service.Submit(
+      EstimateRequest::For("q6").WithoutCoalescing().WithDeadline(0.01));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   gate.Open();
 
-  Result<WorkflowEstimate> result = expired.get();
+  Result<EstimateResponse> result = expired.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
   ASSERT_TRUE(inflight.get().ok());
@@ -212,10 +194,8 @@ TEST(ServiceTest, DrainWaitsForInflightAndRejectsNewWork) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(request));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   std::promise<Result<int>> drained_promise;
@@ -228,9 +208,8 @@ TEST(ServiceTest, DrainWaitsForInflightAndRejectsNewWork) {
   EXPECT_TRUE(service.draining());
 
   // New work is rejected while draining, with a non-retryable code.
-  ServiceRequest late;
-  late.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(late)).get();
+  Result<EstimateResponse> rejected =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kFailedPrecondition);
 
@@ -250,9 +229,8 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest first;
-  first.workflow = "q6";
-  Result<WorkflowEstimate> cold = service.Submit(std::move(first)).get();
+  Result<EstimateResponse> cold =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(cold.ok());
   const TaskTimeMemo::Stats after_cold = service.Stats().cache;
   EXPECT_EQ(after_cold.hits, 0u);
@@ -261,12 +239,11 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   // The identical request again resumes from the cross-request checkpoint
   // store — the whole replay is skipped, so the memo is never even queried —
   // and the answer must be bit-identical.
-  ServiceRequest second;
-  second.workflow = "q6";
-  Result<WorkflowEstimate> warm = service.Submit(std::move(second)).get();
+  Result<EstimateResponse> warm =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.value().estimate.makespan.seconds(),
-            cold.value().estimate.makespan.seconds());
+  EXPECT_EQ(warm.value().estimate->estimate.makespan.seconds(),
+            cold.value().estimate->estimate.makespan.seconds());
   const PrefixCheckpointStore::Stats incremental = service.Stats().incremental;
   EXPECT_GT(incremental.hits, 0u);
   EXPECT_GT(incremental.resumed_states, 0u);
@@ -274,12 +251,11 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   // With the checkpoints gone the request replays in full, and every
   // task-time query must hit the cross-request memo.
   service.checkpoints().Clear();
-  ServiceRequest third;
-  third.workflow = "q6";
-  Result<WorkflowEstimate> replay = service.Submit(std::move(third)).get();
+  Result<EstimateResponse> replay =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay.value().estimate.makespan.seconds(),
-            cold.value().estimate.makespan.seconds());
+  EXPECT_EQ(replay.value().estimate->estimate.makespan.seconds(),
+            cold.value().estimate->estimate.makespan.seconds());
 
   const TaskTimeMemo::Stats after_warm = service.Stats().cache;
   EXPECT_GT(after_warm.hits, 0u);
@@ -303,42 +279,33 @@ TEST(ServiceTest, PerClusterCacheScopesNeverAlias) {
   other.node.network_bw = Rate::MBps(60);
   ASSERT_TRUE(service.RegisterCluster("big-nodes", other).ok());
 
-  ServiceRequest on_default;
-  on_default.workflow = "q6";
-  Result<WorkflowEstimate> base = service.Submit(std::move(on_default)).get();
+  Result<EstimateResponse> base =
+      service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(base.ok());
 
   // Same workflow on different hardware: the scoped memo must not serve the
   // default cluster's entries, so the answers differ.
-  ServiceRequest on_big;
-  on_big.workflow = "q6";
-  on_big.cluster = "big-nodes";
-  Result<WorkflowEstimate> big = service.Submit(std::move(on_big)).get();
+  Result<EstimateResponse> big =
+      service.Submit(EstimateRequest::For("q6").OnCluster("big-nodes")).get();
   ASSERT_TRUE(big.ok());
-  EXPECT_NE(base.value().estimate.makespan.seconds(),
-            big.value().estimate.makespan.seconds());
+  EXPECT_NE(base.value().estimate->estimate.makespan.seconds(),
+            big.value().estimate->estimate.makespan.seconds());
 }
 
 TEST(ServiceTest, SweepSharesMemoAndFindsBest) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  ServiceSweepRequest sweep;
-  sweep.workflow = "q6";
-  sweep.nodes_list = {2, 4, 8};
-  Result<ServiceSweepResult> served = service.SubmitSweep(std::move(sweep)).get();
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("q6").SweepNodes({2, 4, 8})).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  const SweepResult& result = served.value().sweep;
+  const SweepResult& result = served.value().sweep->sweep;
   ASSERT_EQ(result.estimates.size(), 3u);
   EXPECT_EQ(result.stats.completed, 3);
   ASSERT_GE(result.stats.best_index, 0);
   // More nodes, faster: best candidate is the largest cluster.
-  EXPECT_EQ(served.value().nodes_list[result.stats.best_index], 8);
-
-  ServiceSweepRequest empty;
-  empty.workflow = "q6";
-  Result<ServiceSweepResult> bad = service.SubmitSweep(std::move(empty)).get();
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(served.value().sweep->nodes_list[result.stats.best_index], 8);
+  // An empty nodes_list is rejected by the protocol before submission
+  // (ProtocolGoldenTest's sweep_empty_nodes_list line).
 }
 
 TEST(ServiceTest, BatchAdmitsIndependently) {
@@ -350,9 +317,10 @@ TEST(ServiceTest, BatchAdmitsIndependently) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  std::vector<ServiceRequest> requests(3);
-  for (ServiceRequest& r : requests) r.workflow = "q6";
-  auto futures = service.SubmitBatch(std::move(requests));
+  std::vector<std::future<Result<EstimateResponse>>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(service.Submit(EstimateRequest::For("q6")));
+  }
   ASSERT_EQ(futures.size(), 3u);
   // Queue depth 2: the batch's tail is shed, the head is queued.
   ASSERT_EQ(futures[2].wait_for(std::chrono::seconds(0)),
@@ -512,6 +480,7 @@ TEST(ProtocolGoldenTest, AnswersAndErrorShapesMatchGoldenBytes) {
           {R"({"op":"estimate","id":"a\"b\\c\u0001\n"})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"request must carry \"workflow\" (a registered name) or an inline \"flow\" document","retryable":false},"id":"a\"b\\c\u0001\n","ok":false})json"},
           {R"({"op":"sweep","workflow":"q6","id":{"b":1,"a":[true,false,null,-0,1e300]}})",
            R"json({"error":{"code":"INVALID_ARGUMENT","message":"sweep requires a \"nodes_list\" array","retryable":false},"id":{"a":[true,false,null,-0,1.0000000000000001e+300],"b":1},"ok":false})json"},
+          {R"({"op":"sweep","workflow":"q6","nodes_list":[],"id":9})", R"json({"error":{"code":"INVALID_ARGUMENT","message":"\"nodes_list\" must not be empty","retryable":false},"id":9,"ok":false})json"},
       });
 }
 
