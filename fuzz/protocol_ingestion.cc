@@ -2,10 +2,13 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/json.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "service/transport.h"
 #include "workloads/suite.h"
 
 namespace dagperf {
@@ -22,6 +25,28 @@ Result<DagWorkflow> FuzzFlow() {
   return std::move(named).value().flow;
 }
 
+/// The framer's events for `bytes` fed whole, or in chunks whose sizes the
+/// bytes themselves pick: an ASCII byte cuts 1–8 bytes (frames torn
+/// everywhere), any other byte up to ~1 KiB (chunks larger than the cap).
+/// Traps if the framer ever holds more than the cap plus one chunk.
+std::vector<LineFramer::Frame> FrameEvents(std::string_view bytes,
+                                           bool chunked) {
+  LineFramer framer(kFuzzMaxLineBytes);
+  std::vector<LineFramer::Frame> events;
+  LineFramer::Frame frame;
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    const unsigned char b = static_cast<unsigned char>(bytes[pos]);
+    const std::size_t chunk =
+        !chunked ? bytes.size() : 1 + (b < 0x80 ? b % 8 : (b - 0x80) * 8);
+    framer.Feed(bytes.substr(pos, chunk));
+    pos += chunk;
+    while (framer.Next(&frame)) events.push_back(frame);
+    if (framer.buffered() > kFuzzMaxLineBytes + chunk) __builtin_trap();
+  }
+  return events;
+}
+
 }  // namespace
 
 int RunProtocolIngestion(const uint8_t* data, size_t size) {
@@ -36,8 +61,14 @@ int RunProtocolIngestion(const uint8_t* data, size_t size) {
     (void)service.RegisterWorkflow("q6", *flow);
   }
 
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(data), size));
+  const std::string bytes(reinterpret_cast<const char*>(data), size);
+  // The TCP framer must not care where the network cut the stream.
+  if (FrameEvents(bytes, /*chunked=*/true) !=
+      FrameEvents(bytes, /*chunked=*/false)) {
+    __builtin_trap();
+  }
+
+  std::istringstream in(bytes);
   std::ostringstream out;
   const ServeSummary summary =
       ServeLines(service, in, out, kFuzzMaxLineBytes);

@@ -13,7 +13,10 @@ namespace dagperf {
 /// the framing limits are actually reachable. Any input must produce one
 /// response line per request line, each a valid JSON document that is a
 /// fixpoint of Json::Parse(line)->DumpCompact(), and a clean return — never
-/// an abort, an uncaught exception, or UB.
+/// an abort, an uncaught exception, or UB. The same bytes also go through
+/// the TCP transport's LineFramer, torn into input-chosen chunks: the events
+/// must equal those of one whole-buffer feed, and the framer must never hold
+/// more than the line cap plus one chunk.
 ///
 /// Used by both the libFuzzer harness (protocol_fuzzer.cc) and the
 /// checked-in corpus replay test (corpus_replay for corpus_protocol/), so

@@ -1,31 +1,21 @@
 #include "router/router.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "common/json.h"
-#include "dagperf/error_codes.h"
 #include "obs/metrics.h"
 #include "resilience/retry.h"
 #include "service/line_client.h"
+#include "service/protocol.h"
+#include "service/transport.h"
 
 namespace dagperf {
 namespace router {
 
 namespace {
 
-constexpr int kPollIntervalMs = 20;
-constexpr int kMaxWriteStalls = 64;
 /// Pooled idle connections kept per shard; beyond this, finished
 /// connections are simply closed.
 constexpr int kMaxIdlePerShard = 8;
@@ -52,52 +42,11 @@ RouterMetrics& Metrics() {
   return metrics;
 }
 
-/// Same MSG_NOSIGNAL bounded-retry send as the serve transport.
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  int stalls = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR && ++stalls < kMaxWriteStalls) continue;
-      return false;
-    }
-    if (n == 0) {
-      if (++stalls >= kMaxWriteStalls) return false;
-      continue;
-    }
-    stalls = 0;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Error line in the wire-protocol shape (protocol.h): code/retryable/
-/// message, retry_after_ms only when the server has a real hint. `id_json`
-/// is the request's id token re-serialised verbatim ("null" when absent).
-std::string ErrorLine(const std::string& id_json, const std::string& code,
-                      bool retryable, const std::string& message,
-                      double retry_after_ms) {
-  Json error = Json::MakeObject();
-  error.Set("code", Json::MakeString(code));
-  error.Set("retryable", Json::MakeBool(retryable));
-  error.Set("message", Json::MakeString(message));
-  if (retry_after_ms > 0) {
-    error.Set("retry_after_ms", Json::MakeNumber(retry_after_ms));
-  }
-  return "{\"id\":" + id_json + ",\"ok\":false,\"error\":" +
-         error.DumpCompact() + "}";
-}
-
-std::string ErrorLine(const std::string& id_json, const Status& status) {
-  return ErrorLine(id_json, ErrorCodeName(status.code()),
-                   IsRetryable(status.code()), status.message(),
-                   status.retry_after_ms());
-}
-
-std::string OkLine(const std::string& id_json, const std::string& result_json) {
-  return "{\"id\":" + id_json + ",\"ok\":true,\"result\":" + result_json + "}";
+/// The success line {"id":..,"ok":true,"result":..}; the id as
+/// Protocol::TransportErrorLine writes it (null when absent).
+std::string OkLine(const Json* id, const std::string& result_json) {
+  return "{\"id\":" + (id == nullptr ? std::string("null") : id->DumpCompact()) +
+         ",\"ok\":true,\"result\":" + result_json + "}";
 }
 
 ShardProcessOptions ProcessOptionsFrom(const ShardSpec& spec) {
@@ -339,8 +288,7 @@ void Router::MonitorLoop() {
 }
 
 std::string Router::RouteAndForward(const std::string& line,
-                                    const std::string& key,
-                                    const std::string& id_json) {
+                                    const std::string& key, const Json* id) {
   std::vector<std::string> failed;
   bool rerouted = false;
 
@@ -452,12 +400,12 @@ std::string Router::RouteAndForward(const std::string& line,
     final_status.set_retry_after_ms(result.status().retry_after_ms() > 0
                                         ? result.status().retry_after_ms()
                                         : options_.retry_after_ms);
-    return ErrorLine(id_json, final_status);
+    return Protocol::TransportErrorLine(final_status, id);
   }
   return result.value();
 }
 
-std::string Router::StatsFanout(const std::string& id_json) {
+std::string Router::StatsFanout(const Json* id) {
   struct Row {
     std::string shard_id;
     ShardState state = ShardState::kDown;
@@ -540,7 +488,7 @@ std::string Router::StatsFanout(const std::string& id_json) {
   result.Set("fleet", std::move(fleet));
   result.Set("shards", std::move(shards));
   result.Set("router", std::move(router_stats));
-  return OkLine(id_json, result.DumpCompact());
+  return OkLine(id, result.DumpCompact());
 }
 
 std::string Router::HandleRequest(const std::string& line,
@@ -550,120 +498,59 @@ std::string Router::HandleRequest(const std::string& line,
     std::lock_guard<std::mutex> lock(summary_mutex_);
     ++summary_.requests;
   }
-  Result<Json> parsed = Json::Parse(line);
-  if (!parsed.ok()) {
-    return ErrorLine("null", "PARSE_ERROR", false,
-                     "request is not valid JSON: " + parsed.status().message(),
-                     0);
+  Json request;
+  std::string error_line;
+  if (!Protocol::ParseRequestLine(line, &request, &error_line)) {
+    return error_line;
   }
-  const Json& request = parsed.value();
   const Json* id = request.Get("id");
-  const std::string id_json = id == nullptr ? "null" : id->DumpCompact();
   const std::string op = request.GetString("op", "");
 
   if (op == "estimate" || op == "explain" || op == "sweep") {
     const std::string key = RouteKey(request.GetString("cluster", "default"),
                                      request.GetString("workflow", ""));
-    return RouteAndForward(line, key, id_json);
+    return RouteAndForward(line, key, id);
   }
-  if (op == "stats") return StatsFanout(id_json);
+  if (op == "stats") return StatsFanout(id);
   if (op == "metrics") {
-    return OkLine(id_json, obs::MetricsRegistry::Default().ToJson());
+    return OkLine(id, obs::MetricsRegistry::Default().ToJson());
   }
-  if (op == "flightrecorder") return OkLine(id_json, flight_.ToJson());
+  if (op == "flightrecorder") return OkLine(id, flight_.ToJson());
   if (op == "drain") {
     *drain_requested = true;
     Json result = Json::MakeObject();
     result.Set("draining", Json::MakeBool(true));
     result.Set("shards", Json::MakeNumber(static_cast<double>(shards_.size())));
-    return OkLine(id_json, result.DumpCompact());
+    return OkLine(id, result.DumpCompact());
   }
-  return ErrorLine(
-      id_json, "INVALID_ARGUMENT", false,
-      "unknown router op '" + op +
+  return Protocol::TransportErrorLine(
+      Status::InvalidArgument(
+          "unknown router op '" + op +
           "' (router ops: estimate, explain, sweep, stats, metrics, "
-          "flightrecorder, drain)",
-      0);
+          "flightrecorder, drain)"),
+      id);
 }
 
 void Router::ServeConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool discarding = false;
-  while (!halt_.cancelled()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t newline;
-    bool closing = false;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (discarding) {
-        discarding = false;
-        continue;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      if (line.size() > options_.max_line_bytes) {
-        if (!SendAll(fd, ErrorLine("null", "INVALID_ARGUMENT", false,
-                                   "request line exceeds " +
-                                       std::to_string(options_.max_line_bytes) +
-                                       " bytes",
-                                   0) +
-                             "\n")) {
-          closing = true;
-          break;
-        }
-        continue;
-      }
-      bool drain_requested = false;
-      const std::string response = HandleRequest(line, &drain_requested);
-      if (!SendAll(fd, response + "\n")) {
-        closing = true;
-        break;
-      }
-      if (drain_requested) {
+  const LineLimits limits{options_.max_line_bytes, kDefaultReadIdleSeconds};
+  ServeLineConnection(
+      fd, limits, halt_, [this](const std::string& line, const LineSink& send) {
+        bool drain_requested = false;
+        send(HandleRequest(line, &drain_requested));
+        if (!drain_requested) return true;
         {
           std::lock_guard<std::mutex> lock(summary_mutex_);
           summary_.drained = true;
         }
         halt_.Cancel();
-        closing = true;
-        break;
-      }
-    }
-    if (closing) break;
-    if (buffer.size() > options_.max_line_bytes) {
-      if (!discarding &&
-          !SendAll(fd, ErrorLine("null", "INVALID_ARGUMENT", false,
-                                 "request line exceeds " +
-                                     std::to_string(options_.max_line_bytes) +
-                                     " bytes",
-                                 0) +
-                           "\n")) {
-        break;
-      }
-      buffer.clear();
-      discarding = true;
-    }
-  }
-  ::close(fd);
+        return false;
+      });
 }
 
 void Router::DrainFleet() {
+  // The monitor stops first: it must not resurrect shards being drained.
+  halt_.Cancel();
+  if (monitor_.joinable()) monitor_.join();
   for (auto& rt : shards_) {
     int port;
     {
@@ -726,8 +613,6 @@ Result<RouterSummary> Router::Serve() {
     if (ready == static_cast<int>(shards_.size()) || halt_.cancelled()) break;
     if (std::chrono::steady_clock::now() >= startup_deadline) {
       if (ready == 0) {
-        halt_.Cancel();
-        if (monitor_.joinable()) monitor_.join();
         DrainFleet();
         return Status::Unavailable("no shard became healthy within " +
                                    std::to_string(options_.startup_wait_seconds) +
@@ -738,74 +623,29 @@ Result<RouterSummary> Router::Serve() {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    halt_.Cancel();
-    if (monitor_.joinable()) monitor_.join();
+  // Listener first, then the fleet (monitor, drain verbs, SIGTERM), then
+  // client connections.
+  bool stopped = false;
+  LoopbackOptions listen;
+  listen.port = options_.port;
+  listen.on_listen = [this](int port) {
+    if (options_.on_listen) options_.on_listen(port);
+    flight_.AddEvent("router", "listening; fleet of " +
+                                   std::to_string(shards_.size()) + " shards");
+  };
+  Result<std::uint64_t> accepted = ServeLoopback(
+      listen, halt_, [this](int fd) { ServeConnection(fd); },
+      [this, &stopped] {
+        stopped = options_.stop.cancelled();
+        DrainFleet();
+      });
+  if (!accepted.ok()) {
     DrainFleet();
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
+    return accepted.status();
   }
-  const int reuse = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd, 64) < 0) {
-    const Status status =
-        Status::Internal(std::string("bind/listen: ") + std::strerror(errno));
-    ::close(listen_fd);
-    halt_.Cancel();
-    if (monitor_.joinable()) monitor_.join();
-    DrainFleet();
-    return status;
-  }
-  if (options_.on_listen) {
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-        0) {
-      options_.on_listen(ntohs(bound.sin_port));
-    }
-  }
-  flight_.AddEvent("router", "listening; fleet of " +
-                                 std::to_string(shards_.size()) + " shards");
-
-  std::vector<std::thread> connections;
-  std::uint64_t accepted = 0;
-  while (!halt_.cancelled()) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    // Relayed responses are one small write; Nagle would add a hop's worth
-    // of batching delay on top of the shard round trip.
-    const int nodelay = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    ++accepted;
-    connections.emplace_back([this, fd] { ServeConnection(fd); });
-  }
-
-  // Listener first, then monitor (it must not resurrect shards we are about
-  // to drain), then the fleet, then client connections.
-  ::close(listen_fd);
-  const bool stopped = options_.stop.cancelled();
-  halt_.Cancel();
-  if (monitor_.joinable()) monitor_.join();
-  DrainFleet();
-  for (std::thread& connection : connections) connection.join();
 
   std::lock_guard<std::mutex> lock(summary_mutex_);
-  summary_.connections = accepted;
+  summary_.connections = accepted.value();
   summary_.stopped = stopped;
   return summary_;
 }

@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "obs/request_record.h"
 #include "router/health.h"
 #include "router/ring.h"
 #include "router/supervisor.h"
+#include "service/transport.h"
 
 namespace dagperf {
 namespace router {
@@ -80,7 +82,9 @@ struct RouterOptions {
   /// late through the normal readmission path).
   double startup_wait_seconds = 30.0;
 
-  std::size_t max_line_bytes = 1 << 20;
+  /// Request line cap; a line stalled mid-frame for kDefaultReadIdleSeconds
+  /// is closed (service/transport.h).
+  std::size_t max_line_bytes = kDefaultMaxLineBytes;
 };
 
 struct RouterSummary {
@@ -117,7 +121,9 @@ struct ShardInfo {
 /// Router-handled verbs: estimate / explain / sweep (routed), stats
 /// (fan-out + fleet aggregate + per-shard health), flightrecorder (the
 /// router's own event ring), drain (fleet-wide graceful drain). Everything
-/// else is INVALID_ARGUMENT naming the supported set.
+/// else is INVALID_ARGUMENT naming the supported set. Lines that are not a
+/// request object get the shard's own answers (Protocol::ParseRequestLine),
+/// byte for byte.
 class Router {
  public:
   Router(std::vector<ShardSpec> shards, RouterOptions options);
@@ -156,11 +162,14 @@ class Router {
   void MonitorLoop();
   void ProbeShard(ShardRuntime& shard, double now_us);
   void RestartShard(ShardRuntime& shard, double now_us);
+  /// One client connection on the shared line transport, with the
+  /// router's request front end as its handler.
   void ServeConnection(int fd);
   std::string HandleRequest(const std::string& line, bool* drain_requested);
   std::string RouteAndForward(const std::string& line, const std::string& key,
-                              const std::string& id_json);
-  std::string StatsFanout(const std::string& id_json);
+                              const Json* id);
+  std::string StatsFanout(const Json* id);
+  /// Stops the monitor, then drains every shard (drain verb, SIGTERM).
   void DrainFleet();
 
   std::vector<std::unique_ptr<ShardRuntime>> shards_;

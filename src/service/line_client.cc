@@ -12,22 +12,24 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "service/transport.h"
+
 namespace dagperf {
 namespace protocol {
 
 LineClient::LineClient(LineClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_), framer_(std::move(other.framer_)) {
   other.fd_ = -1;
-  other.buffer_.clear();
+  other.framer_ = LineFramer(kNoLineCap);
 }
 
 LineClient& LineClient::operator=(LineClient&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
+    framer_ = std::move(other.framer_);
     other.fd_ = -1;
-    other.buffer_.clear();
+    other.framer_ = LineFramer(kNoLineCap);
   }
   return *this;
 }
@@ -55,7 +57,7 @@ Status LineClient::Connect(int port) {
   const int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   fd_ = fd;
-  buffer_.clear();
+  framer_ = LineFramer(kNoLineCap);
   return Status::Ok();
 }
 
@@ -64,7 +66,7 @@ void LineClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
+  framer_ = LineFramer(kNoLineCap);
 }
 
 Status LineClient::SendLine(const std::string& line) {
@@ -75,32 +77,18 @@ Status LineClient::SendLine(const std::string& line) {
 
 Status LineClient::SendRaw(const std::string& bytes) {
   if (fd_ < 0) return Status::Unavailable("not connected");
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      return Status::Unavailable(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!SendAll(fd_, bytes)) {
+    return Status::Unavailable(std::string("send: ") + std::strerror(errno));
   }
   return Status::Ok();
 }
 
 Result<LineClient::LineOrClose> LineClient::RecvLine(double timeout_seconds) {
-  if (fd_ < 0 && buffer_.find('\n') == std::string::npos) {
-    return LineOrClose{.closed = true, .line = ""};
-  }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
+  LineFramer::Frame frame;
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      LineOrClose out;
-      out.line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return out;
-    }
+    if (framer_.Next(&frame)) return LineOrClose{.line = std::move(frame.line)};
     if (fd_ < 0) return LineOrClose{.closed = true, .line = ""};
     const auto remaining = deadline - std::chrono::steady_clock::now();
     const int wait_ms = static_cast<int>(
@@ -114,7 +102,7 @@ Result<LineClient::LineOrClose> LineClient::RecvLine(double timeout_seconds) {
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) return LineOrClose{.closed = true, .line = ""};
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    framer_.Feed(std::string_view(chunk, static_cast<std::size_t>(n)));
   }
 }
 

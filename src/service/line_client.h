@@ -1,9 +1,12 @@
 #ifndef DAGPERF_SERVICE_LINE_CLIENT_H_
 #define DAGPERF_SERVICE_LINE_CLIENT_H_
 
+#include <cstddef>
+#include <limits>
 #include <string>
 
 #include "common/status.h"
+#include "service/transport.h"
 
 namespace dagperf {
 namespace protocol {
@@ -17,7 +20,10 @@ namespace protocol {
 ///
 /// Not thread-safe: one LineClient per connection per thread (or guard
 /// externally). Reads are buffered, so interleaving RecvLine calls from two
-/// threads would tear lines apart.
+/// threads would tear lines apart. Sends go through the transport's
+/// SendAll, and responses are split by its LineFramer (uncapped: the peer
+/// is a server of this protocol, and a response line is as long as its
+/// answer needs).
 class LineClient {
  public:
   LineClient() = default;
@@ -65,8 +71,11 @@ class LineClient {
                            double timeout_seconds = 20.0);
 
  private:
+  static constexpr std::size_t kNoLineCap =
+      std::numeric_limits<std::size_t>::max();
+
   int fd_ = -1;
-  std::string buffer_;
+  LineFramer framer_{kNoLineCap};
 };
 
 }  // namespace protocol

@@ -1,46 +1,23 @@
 #include "service/metrics_http.h"
 
 #include <cerrno>
-#include <cstring>
 #include <string>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "obs/prom.h"
+#include "service/transport.h"
 
 namespace dagperf {
 
 namespace {
 
-constexpr int kPollIntervalMs = 50;
 /// Headers past this size are dropped — a scraper sends a one-line GET.
 constexpr std::size_t kMaxHeaderBytes = 8192;
 /// A peer that cannot finish its one-line request in this long is cut loose.
 constexpr double kHeaderTimeoutSeconds = 5.0;
-
-Status SocketError(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 std::string HttpResponse(int code, const std::string& reason,
                          const std::string& content_type,
@@ -134,59 +111,13 @@ void AnswerScrape(int fd, const MetricsHttpOptions& options) {
 }  // namespace
 
 Result<MetricsHttpSummary> ServeMetricsHttp(const MetricsHttpOptions& options) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) return SocketError("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options.port));
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    const Status status = SocketError("bind");
-    ::close(listen_fd);
-    return status;
-  }
-  if (::listen(listen_fd, 16) < 0) {
-    const Status status = SocketError("listen");
-    ::close(listen_fd);
-    return status;
-  }
-  if (options.on_listen) {
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                      &bound_len) == 0) {
-      options.on_listen(static_cast<int>(ntohs(bound.sin_port)));
-    }
-  }
-
+  Result<std::uint64_t> accepted = ServeLoopback(
+      {options.port, options.on_listen, options.max_requests}, options.stop,
+      [&options](int fd) { AnswerScrape(fd, options); }, nullptr);
+  if (!accepted.ok()) return accepted.status();
   MetricsHttpSummary summary;
-  while (!options.stop.cancelled()) {
-    if (options.max_requests > 0 &&
-        summary.requests >= static_cast<std::uint64_t>(options.max_requests)) {
-      break;
-    }
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    AnswerScrape(fd, options);
-    ::close(fd);
-    ++summary.requests;
-  }
+  summary.requests = accepted.value();
   summary.stopped = options.stop.cancelled();
-  ::close(listen_fd);
   return summary;
 }
 

@@ -12,9 +12,8 @@ namespace dagperf {
 /// A deliberately tiny HTTP/1.0 scrape endpoint for Prometheus: GET /metrics
 /// answers the text exposition of MetricsRegistry::Default()
 /// (obs/prom.h), everything else answers 404/405. One request per
-/// connection, connections served serially on the caller's thread — a scrape
-/// is one registry snapshot plus one write, and Prometheus polls at
-/// multi-second intervals, so there is nothing to parallelise.
+/// connection. Listener, accept loop and sends are the NDJSON transport's
+/// (service/transport.h); only the HTTP head reader is this file's own.
 ///
 /// This is NOT a general HTTP server: no keep-alive, no TLS, no auth, bound
 /// to 127.0.0.1 only. `dagperf serve --metrics-port` runs it on a side

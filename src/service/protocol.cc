@@ -321,11 +321,10 @@ bool AllFinite(const Json& value) {
   }
 }
 
-/// Parses one wire line into a request object. Returns false (and fills
-/// *error_line with the protocol-shaped error response) when the line is
-/// not valid JSON or not an object.
-bool ParseRequestLine(const std::string& line, Json* request,
-                      std::string* error_line) {
+}  // namespace
+
+bool Protocol::ParseRequestLine(const std::string& line, Json* request,
+                                std::string* error_line) {
   Result<Json> parsed = Json::Parse(line);
   if (!parsed.ok()) {
     // Malformed JSON is a protocol-level failure, not a service error: the
@@ -354,6 +353,8 @@ bool ParseRequestLine(const std::string& line, Json* request,
   *request = std::move(parsed).value();
   return true;
 }
+
+namespace {
 
 /// Reads the fields every estimate/explain/sweep line shares (workflow /
 /// inline flow / cluster / tenant / budget) into `*out`. Returns non-Ok on
@@ -606,8 +607,9 @@ void Protocol::RunWatch(const Json& request, const Json* id,
   }
 }
 
-std::string Protocol::TransportErrorLine(const Status& status) {
-  return ErrorResponse(&NullId(), status);
+std::string Protocol::TransportErrorLine(const Status& status,
+                                         const Json* id) {
+  return ErrorResponse(id == nullptr ? &NullId() : id, status);
 }
 
 }  // namespace dagperf

@@ -7,6 +7,7 @@
 
 #include "common/json.h"
 #include "service/service.h"
+#include "service/transport.h"
 
 namespace dagperf {
 
@@ -41,7 +42,9 @@ namespace dagperf {
 /// protocol-level failures answer with an explicit `"id": null` (the line
 /// never yielded a request object to echo an id from): malformed JSON comes
 /// back as `PARSE_ERROR{retryable: false}`, and transports answer oversized
-/// frames with INVALID_ARGUMENT via TransportErrorLine.
+/// frames with INVALID_ARGUMENT via TransportErrorLine. The router's front
+/// end answers through the same ParseRequestLine and TransportErrorLine, so
+/// these lines are byte-identical on every serving path.
 class Protocol {
  public:
   explicit Protocol(EstimationService* service);
@@ -57,7 +60,7 @@ class Protocol {
 
   /// Receives one complete response line (no trailing newline); returns
   /// false to stop the op early (client disconnected, transport closing).
-  using LineSink = std::function<bool(const std::string&)>;
+  using LineSink = dagperf::LineSink;
 
   /// Streaming entry point used by the transports: non-streaming ops emit
   /// exactly the HandleLine response through `sink`; `watch` pushes one
@@ -70,11 +73,19 @@ class Protocol {
   /// Whether a drain request was handled — transports stop reading then.
   bool drain_requested() const { return drain_requested_; }
 
-  /// A protocol-shaped error line (`{"id":null,"ok":false,"error":{...}}`,
-  /// no trailing newline) for failures detected by the transport itself —
-  /// oversized frames, framing violations — so every answered line on the
-  /// wire has the one response shape.
-  static std::string TransportErrorLine(const Status& status);
+  /// Parses one wire line into a request object. Returns false, with the
+  /// answer (`"id": null`) in *error_line, when the line is not valid JSON,
+  /// not an object, or carries an id no JSON can spell (1e400).
+  static bool ParseRequestLine(const std::string& line, Json* request,
+                               std::string* error_line);
+
+  /// A protocol-shaped error line (`{"error":{...},"id":..,"ok":false}`, no
+  /// trailing newline) for failures found outside the service: by a
+  /// transport (oversized frames) or by a front end that answers a parsed
+  /// request itself (the router). `id` is the request's id; nullptr (no
+  /// request, or no id in it) writes an explicit `"id": null`.
+  static std::string TransportErrorLine(const Status& status,
+                                        const Json* id = nullptr);
 
   std::uint64_t requests_handled() const { return requests_handled_; }
 

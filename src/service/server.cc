@@ -1,22 +1,8 @@
 #include "service/server.h"
 
-#include <cerrno>
-#include <cstring>
-#include <mutex>
+#include <atomic>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include "obs/metrics.h"
-#include "resilience/fault.h"
 #include "service/protocol.h"
 
 namespace dagperf {
@@ -25,309 +11,61 @@ ServeSummary ServeLines(EstimationService& service, std::istream& in,
                         std::ostream& out, std::size_t max_line_bytes) {
   Protocol protocol(&service);
   ServeSummary summary;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.size() > max_line_bytes) {
-      out << Protocol::TransportErrorLine(Status::InvalidArgument(
-                 "request line exceeds " + std::to_string(max_line_bytes) +
-                 " bytes"))
-          << '\n';
-      out.flush();
-      continue;
-    }
-    // Streaming entry point: plain ops emit one line, `watch` pushes a
-    // frame per tick until the stream dies or the service drains.
-    protocol.HandleLineStreaming(line, [&out](const std::string& response) {
-      out << response << '\n';
-      out.flush();
-      return static_cast<bool>(out);
-    });
-    ++summary.requests;
-    if (protocol.drain_requested()) {
-      summary.drained = true;
-      break;
-    }
-  }
+  // Streaming entry point: plain ops emit one line, `watch` pushes a frame
+  // per tick until the stream dies or the service drains.
+  ServeLineStream(in, out, max_line_bytes,
+                  [&](const std::string& line, const LineSink& send) {
+                    ++summary.requests;
+                    protocol.HandleLineStreaming(line, send);
+                    summary.drained = protocol.drain_requested();
+                    return !summary.drained;
+                  });
   return summary;
 }
 
-namespace {
-
-/// How often blocked poll loops wake to check stop/drain signals. Bounds
-/// shutdown latency (a connection notices `halt` within one interval) without
-/// busy-waiting.
-constexpr int kPollIntervalMs = 50;
-
-/// Bound on consecutive zero-progress write attempts (EINTR storms, a peer
-/// that stopped reading) before the connection is dropped — a stalled client
-/// must not pin a server thread in an unbounded retry loop.
-constexpr int kMaxWriteStalls = 64;
-
-/// Chaos seams (resilience/fault.h): server.accept drops a just-accepted
-/// connection (client sees EOF), server.read fails a receive (connection
-/// closes mid-request), server.write fails a response send (client sees a
-/// torn response). Latency-only plans delay the operation instead.
-resilience::FaultPoint& AcceptFault() {
-  static resilience::FaultPoint& point =
-      resilience::FaultInjector::Default().GetPoint("server.accept");
-  return point;
-}
-
-resilience::FaultPoint& ReadFault() {
-  static resilience::FaultPoint& point =
-      resilience::FaultInjector::Default().GetPoint("server.read");
-  return point;
-}
-
-resilience::FaultPoint& WriteFault() {
-  static resilience::FaultPoint& point =
-      resilience::FaultInjector::Default().GetPoint("server.write");
-  return point;
-}
-
-Status SocketError(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-/// State shared by the accept loop and every connection thread.
-struct Hub {
-  std::mutex mutex;
-  bool drained = false;
-  std::uint64_t requests = 0;
-};
-
-/// Sends the whole buffer with bounded retries. MSG_NOSIGNAL: a peer that
-/// disconnected mid-response must surface as EPIPE here, not SIGPIPE.
-bool SendAll(int fd, const std::string& data) {
-  if (Status injected = resilience::InjectAt(WriteFault()); !injected.ok()) {
-    return false;
-  }
-  std::size_t sent = 0;
-  int stalls = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR && ++stalls < kMaxWriteStalls) continue;
-      return false;
-    }
-    if (n == 0) {
-      if (++stalls >= kMaxWriteStalls) return false;
-      continue;
-    }
-    stalls = 0;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Serves one connection until EOF, a transport error, an oversized-frame
-/// stall, a drain verb, or `halt`. Splits the byte stream on '\n', one
-/// protocol round-trip per line; frames above `max_line_bytes` are answered
-/// with INVALID_ARGUMENT and discarded up to the next newline.
-void ServeConnection(int fd, EstimationService& service,
-                     const TcpServerOptions& options, const CancelToken& halt,
-                     Hub& hub) {
-  Protocol protocol(&service);
-  std::string buffer;
-  char chunk[4096];
-  bool discarding = false;  // Inside an oversized frame, skipping to '\n'.
-  double last_byte_us = 0.0;
-  std::uint64_t requests = 0;
-  bool drained = false;
-
-  while (!halt.cancelled()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) {
-      // Idle between requests is fine; a peer that sent part of a line and
-      // went quiet is holding a buffer and a thread hostage — cut it loose.
-      if (!buffer.empty() && options.read_idle_timeout_seconds > 0 &&
-          (obs::MonotonicUs() - last_byte_us) * 1e-6 >
-              options.read_idle_timeout_seconds) {
-        break;
-      }
-      continue;
-    }
-    if (Status injected = resilience::InjectAt(ReadFault()); !injected.ok()) {
-      break;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // Client closed.
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    last_byte_us = obs::MonotonicUs();
-
-    std::size_t newline;
-    bool closing = false;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (discarding) {
-        // The tail of an already-answered oversized frame.
-        discarding = false;
-        continue;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      if (line.size() > options.max_line_bytes) {
-        if (!SendAll(fd, Protocol::TransportErrorLine(Status::InvalidArgument(
-                             "request line exceeds " +
-                             std::to_string(options.max_line_bytes) +
-                             " bytes")) +
-                             "\n")) {
-          closing = true;
-          break;
-        }
-        continue;
-      }
-      ++requests;
-      // SendAll failure (peer gone, write stalled out) flips the sink to
-      // false, which stops a mid-stream `watch` subscription cleanly.
-      bool sink_ok = true;
-      protocol.HandleLineStreaming(
-          line, [fd, &sink_ok](const std::string& response) {
-            sink_ok = SendAll(fd, response + "\n");
-            return sink_ok;
-          });
-      if (!sink_ok) {
-        closing = true;
-        break;
-      }
-      if (protocol.drain_requested()) {
-        drained = true;
-        closing = true;
-        break;
-      }
-    }
-    if (closing) break;
-    if (buffer.size() > options.max_line_bytes) {
-      // A partial line already over the cap: answer now and drop the bytes
-      // instead of buffering until the peer deigns to send '\n'.
-      if (!discarding &&
-          !SendAll(fd, Protocol::TransportErrorLine(Status::InvalidArgument(
-                           "request line exceeds " +
-                           std::to_string(options.max_line_bytes) + " bytes")) +
-                           "\n")) {
-        break;
-      }
-      buffer.clear();
-      discarding = true;
-    }
-  }
-  ::close(fd);
-
-  std::lock_guard<std::mutex> lock(hub.mutex);
-  hub.requests += requests;
-  if (drained) {
-    hub.drained = true;
-    // Wake the accept loop and every sibling connection.
-    halt.Cancel();
-  }
-}
-
-}  // namespace
-
 Result<TcpServeSummary> ServeTcp(EstimationService& service,
                                  const TcpServerOptions& options) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) return SocketError("socket");
-
-  const int reuse = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options.port));
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status status = SocketError("bind");
-    ::close(listen_fd);
-    return status;
-  }
-  if (::listen(listen_fd, 64) < 0) {
-    const Status status = SocketError("listen");
-    ::close(listen_fd);
-    return status;
-  }
-  if (options.on_listen) {
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      options.on_listen(ntohs(bound.sin_port));
-    }
-  }
-
   // `halt` observes the caller's stop token and is additionally fired by the
   // connection that serves a drain verb; firing it never touches the
   // caller's token, so `stopped` below still distinguishes the two causes.
   const CancelToken halt = CancelToken::LinkedTo({options.stop});
-
+  const LineLimits limits{options.max_line_bytes,
+                          options.read_idle_timeout_seconds};
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<bool> drained{false};
   TcpServeSummary summary;
-  Hub hub;
-  std::vector<std::thread> connections;
 
-  while (!halt.cancelled()) {
-    {
-      std::lock_guard<std::mutex> lock(hub.mutex);
-      if (hub.drained) break;
+  const auto serve_connection = [&](int fd) {
+    Protocol protocol(&service);
+    ServeLineConnection(
+        fd, limits, halt, [&](const std::string& line, const LineSink& send) {
+          requests.fetch_add(1, std::memory_order_relaxed);
+          protocol.HandleLineStreaming(line, send);
+          if (!protocol.drain_requested()) return true;
+          drained.store(true);
+          // Wake the accept loop and every sibling connection.
+          halt.Cancel();
+          return false;
+        });
+  };
+  const auto drain_on_stop = [&] {
+    summary.stopped = options.stop.cancelled();
+    if (summary.stopped) {
+      // Bounded drain: in-flight requests get drain_grace_seconds to finish,
+      // then their tokens fire and their futures resolve to
+      // UNAVAILABLE{retryable}. Connections blocked in HandleLine therefore
+      // unblock, send that response, then notice `halt` and unwind — the
+      // joins that follow always terminate.
+      summary.shutdown = service.Shutdown(options.drain_grace_seconds);
     }
-    if (options.max_connections > 0 &&
-        summary.connections >=
-            static_cast<std::uint64_t>(options.max_connections)) {
-      break;
-    }
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (Status injected = resilience::InjectAt(AcceptFault()); !injected.ok()) {
-      // Injected accept failure: the client sees its connection drop.
-      ::close(fd);
-      continue;
-    }
-    // Responses are one small write each; Nagle would sit on them.
-    const int nodelay = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    ++summary.connections;
-    connections.emplace_back([fd, &service, &options, &halt, &hub] {
-      ServeConnection(fd, service, options, halt, hub);
-    });
-  }
-
-  // Shutdown sequence (docs/robustness.md): the listener closes FIRST so
-  // no new work arrives while existing work is being resolved.
-  ::close(listen_fd);
-  summary.stopped = options.stop.cancelled();
-  if (summary.stopped) {
-    // Bounded drain: in-flight requests get drain_grace_seconds to finish,
-    // then their tokens fire and their futures resolve to
-    // UNAVAILABLE{retryable}. Connections blocked in HandleLine therefore
-    // unblock, send that response, then notice `halt` and unwind — the
-    // joins below always terminate.
-    summary.shutdown = service.Shutdown(options.drain_grace_seconds);
-  }
-  for (std::thread& connection : connections) connection.join();
-
-  std::lock_guard<std::mutex> lock(hub.mutex);
-  summary.requests = hub.requests;
-  summary.drained = hub.drained;
+  };
+  Result<std::uint64_t> connections = ServeLoopback(
+      {options.port, options.on_listen, options.max_connections}, halt,
+      serve_connection, drain_on_stop);
+  if (!connections.ok()) return connections.status();
+  summary.connections = connections.value();
+  summary.requests = requests.load();
+  summary.drained = drained.load();
   return summary;
 }
 

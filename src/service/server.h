@@ -9,20 +9,17 @@
 
 #include "common/cancel.h"
 #include "service/service.h"
+#include "service/transport.h"
 
 namespace dagperf {
 
 /// Transports for the NDJSON protocol (service/protocol.h): a stream pump
-/// for stdio / pipes / tests, and a localhost TCP server. Both stop on
-/// client EOF, after handling a `drain` request, or — the TCP server — when
-/// an external stop token fires (the `dagperf serve` SIGTERM path), in which
+/// for stdio / pipes / tests, and a localhost TCP server, both on the shared
+/// framing and connection code of service/transport.h. Both stop on client
+/// EOF, after handling a `drain` request, or — the TCP server — when an
+/// external stop token fires (the `dagperf serve` SIGTERM path), in which
 /// case the listener closes first and in-flight requests get a bounded grace
 /// period to finish before being cancelled with UNAVAILABLE{retryable}.
-
-/// Longest request line either transport buffers before answering
-/// INVALID_ARGUMENT and discarding to the next newline — an unauthenticated
-/// peer must not be able to grow a buffer without bound.
-inline constexpr std::size_t kDefaultMaxLineBytes = 1 << 20;  // 1 MiB
 
 struct ServeSummary {
   std::uint64_t requests = 0;
@@ -33,8 +30,9 @@ struct ServeSummary {
 
 /// Pumps request lines from `in` to response lines on `out` until EOF or
 /// drain. Responses are flushed per line so a pipe peer can pipeline without
-/// deadlocking on buffering. Blank lines are ignored; lines longer than
-/// `max_line_bytes` are answered with INVALID_ARGUMENT and skipped.
+/// deadlocking on buffering. Framing is LineFramer's: a trailing CR is
+/// stripped, blank lines are ignored, and lines longer than `max_line_bytes`
+/// are answered with INVALID_ARGUMENT and skipped.
 ServeSummary ServeLines(EstimationService& service, std::istream& in,
                         std::ostream& out,
                         std::size_t max_line_bytes = kDefaultMaxLineBytes);
@@ -85,7 +83,8 @@ struct TcpServeSummary {
 
 /// Runs the protocol over TCP on localhost until a drain verb, the
 /// connection limit, or the stop token. Every accepted connection is served
-/// on its own thread; all are joined (cleanly unwound) before this returns.
+/// on its own thread, joined as soon as it finishes; the rest are joined
+/// (cleanly unwound) before this returns.
 /// An error Status means the listening socket could not be set up.
 Result<TcpServeSummary> ServeTcp(EstimationService& service,
                                  const TcpServerOptions& options);

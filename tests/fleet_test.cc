@@ -324,6 +324,45 @@ TEST(FleetTest, RoutesStickilyAndAggregatesStats) {
   EXPECT_GE(summary->requests, 8u);
 }
 
+TEST(FleetTest, RouterFrontEndAnswersBadLinesLikeAShard) {
+  ASSERT_FALSE(DagperfBin().empty());
+  RouterOptions options;
+  options.probe_interval_seconds = 0.02;
+  FleetHarness fleet("parity", 1, options);
+  ASSERT_GT(fleet.port(), 0);
+  const std::vector<ShardInfo> shards = fleet.router().Shards();
+  ASSERT_EQ(shards.size(), 1u);
+
+  protocol::LineClient to_router;
+  protocol::LineClient to_shard;
+  ASSERT_TRUE(to_router.Connect(fleet.port()).ok());
+  ASSERT_TRUE(to_shard.Connect(shards[0].port).ok());
+  // Lines that never become a request the router can act on: the answer is
+  // the shard's own, byte for byte, and an id JSON cannot spell (1e400) is
+  // never echoed.
+  const std::vector<std::string> lines = {
+      R"({"op":"stats","id":1e400})",
+      R"({"op":"bogus","id":1e400})",
+      "not json",
+      "[1,2,3]",
+      std::string(kDefaultMaxLineBytes + 16, 'x'),
+  };
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line.substr(0, 32));
+    Result<std::string> routed = to_router.Call(line, 30.0);
+    Result<std::string> direct = to_shard.Call(line, 30.0);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    Result<Json> parsed = Json::Parse(routed.value());
+    ASSERT_TRUE(parsed.ok()) << routed.value();
+    EXPECT_FALSE(parsed.value().GetBool("ok", true));
+    const Json* id = parsed.value().Get("id");
+    ASSERT_NE(id, nullptr) << routed.value();
+    EXPECT_TRUE(id->is_null()) << routed.value();
+    EXPECT_EQ(routed.value(), direct.value());
+  }
+}
+
 TEST(FleetTest, SaturatedShardShedsRetryablyAndRecovers) {
   ASSERT_FALSE(DagperfBin().empty());
   RouterOptions options;

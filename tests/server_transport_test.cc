@@ -2,8 +2,9 @@
 // Covers the corners a stream pump never sees — connections that close
 // without sending a byte, requests torn across 1-byte segments, two requests
 // arriving in one packet, per-connection response ordering under concurrent
-// connections, the line-length cap, PARSE_ERROR framing, and the mid-line
-// idle timeout.
+// connections, the line-length cap, PARSE_ERROR framing, the mid-line
+// idle timeout, and the reaping of finished connection threads. The pure
+// LineFramer under every transport is pinned byte by byte at the end.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -11,7 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "common/json.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "service/transport.h"
 #include "workloads/suite.h"
 
 namespace dagperf {
@@ -341,6 +345,89 @@ TEST(ServerTransport, DrainVerbStopsTheServer) {
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary->drained);
   EXPECT_FALSE(summary->stopped);
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(4096, '\n');
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+TEST(ServerTransport, FinishedConnectionThreadsAreReaped) {
+  EstimationService service;
+  TestTcpServer server(service);
+  const auto one_request = [&server](int id) {
+    TestClient client(server.port());
+    client.Send(R"({"op":"stats","id":)" + std::to_string(id) + "}\n");
+    EXPECT_EQ(MustParse(client.ReadLine()).GetNumber("id", -1), id);
+  };
+  one_request(0);  // Let one-off allocations (arenas, caches) settle first.
+  const std::uint64_t before_kib = VmSizeKiB();
+  constexpr int kConnections = 240;
+  for (int i = 1; i <= kConnections; ++i) one_request(i);
+  const std::uint64_t after_kib = VmSizeKiB();
+  // An unjoined thread keeps its whole stack mapped (8 MiB by default), so
+  // 240 leaked threads would add ~2 GiB; reaped ones add nothing lasting.
+  EXPECT_LT(after_kib - std::min(after_kib, before_kib), 256u * 1024u)
+      << "VmSize " << before_kib << " -> " << after_kib << " KiB";
+
+  const Result<TcpServeSummary>& summary = server.Stop();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->connections, kConnections + 1u);
+}
+
+std::vector<LineFramer::Frame> FrameBytes(const std::string& bytes,
+                                          std::size_t max_line_bytes,
+                                          std::size_t chunk) {
+  LineFramer framer(max_line_bytes);
+  std::vector<LineFramer::Frame> frames;
+  LineFramer::Frame frame;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += chunk) {
+    framer.Feed(std::string_view(bytes).substr(pos, chunk));
+    while (framer.Next(&frame)) frames.push_back(frame);
+    EXPECT_LE(framer.buffered(), max_line_bytes + 1);
+  }
+  return frames;
+}
+
+TEST(LineFramer, StripsCrSkipsBlanksAndAnswersOversizedOnce) {
+  const std::string bytes = "a\r\n\r\n\nbcd\n" + std::string(9, 'x') +
+                            "\r\nabcd\r\nabcde\n" + "tail";
+  const std::vector<LineFramer::Frame> expected = {
+      {false, "a"}, {false, "bcd"}, {true, ""}, {false, "abcd"}, {true, ""}};
+  for (std::size_t chunk : {1, 2, 3, 5, 64}) {
+    EXPECT_EQ(FrameBytes(bytes, 4, chunk), expected) << "chunk " << chunk;
+  }
+}
+
+TEST(LineFramer, PartialLineIsCutOnceItMustBeTooLong) {
+  LineFramer framer(4);
+  LineFramer::Frame frame;
+  // Four bytes and a CR may still be a 4-byte line ending in CRLF.
+  framer.Feed("abcd\r");
+  EXPECT_FALSE(framer.Next(&frame));
+  EXPECT_TRUE(framer.mid_line());
+  // A fifth payload byte settles it: answered now, not at the newline.
+  framer.Feed("e");
+  ASSERT_TRUE(framer.Next(&frame));
+  EXPECT_TRUE(frame.oversized);
+  EXPECT_EQ(framer.buffered(), 0u);
+  EXPECT_TRUE(framer.mid_line());  // Still discarding up to the newline.
+  framer.Feed("more bytes of the same frame\nok\n");
+  ASSERT_TRUE(framer.Next(&frame));
+  EXPECT_EQ(frame, (LineFramer::Frame{false, "ok"}));
+  EXPECT_FALSE(framer.Next(&frame));
+  EXPECT_FALSE(framer.mid_line());
 }
 
 }  // namespace

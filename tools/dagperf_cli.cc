@@ -724,6 +724,23 @@ CancelToken& ServeStopToken() {
 
 void HandleServeSignal(int) { ServeStopToken().Cancel(); }
 
+/// --port-file for `serve` and `route`: publishes the bound port through a
+/// temp file and a rename, so a reader (the router's supervisor, a script)
+/// never sees a torn value. Failures are reported on stderr.
+void PublishPortFile(const std::string& path, int port) {
+  if (path.empty()) return;
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp);
+  out << port << "\n";
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", tmp.c_str());
+  } else if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "cannot publish %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+  }
+}
+
 /// Long-lived estimation service over the NDJSON protocol. Diagnostics (what
 /// was registered, where the server listens) go to stderr; stdout carries
 /// only protocol responses so a pipe peer parses every line.
@@ -867,24 +884,12 @@ int CmdServe(const Args& args) {
       tcp.port = args.GetInt("port", 0);
       tcp.max_connections = args.GetInt("max-connections", 0);
       tcp.drain_grace_seconds = args.GetDouble("grace-seconds", 5.0);
-      tcp.read_idle_timeout_seconds = args.GetDouble("read-idle-seconds", 30.0);
+      tcp.read_idle_timeout_seconds =
+          args.GetDouble("read-idle-seconds", kDefaultReadIdleSeconds);
       tcp.stop = ServeStopToken();
       tcp.on_listen = [&port_file](int port) {
         std::fprintf(stderr, "listening on 127.0.0.1:%d\n", port);
-        if (!port_file.empty()) {
-          const std::string tmp = port_file + ".tmp";
-          std::ofstream out(tmp);
-          if (out) {
-            out << port << "\n";
-            out.close();
-            if (::rename(tmp.c_str(), port_file.c_str()) != 0) {
-              std::fprintf(stderr, "cannot publish %s: %s\n",
-                           port_file.c_str(), std::strerror(errno));
-            }
-          } else {
-            std::fprintf(stderr, "cannot open %s\n", tmp.c_str());
-          }
-        }
+        PublishPortFile(port_file, port);
       };
       std::signal(SIGTERM, HandleServeSignal);
       std::signal(SIGINT, HandleServeSignal);
@@ -1027,15 +1032,7 @@ int CmdRoute(const Args& args) {
   const std::string port_file = args.Get("port-file", "");
   options.on_listen = [&port_file](int port) {
     std::fprintf(stderr, "router listening on 127.0.0.1:%d\n", port);
-    if (!port_file.empty()) {
-      const std::string tmp = port_file + ".tmp";
-      std::ofstream out(tmp);
-      if (out) {
-        out << port << "\n";
-        out.close();
-        (void)::rename(tmp.c_str(), port_file.c_str());
-      }
-    }
+    PublishPortFile(port_file, port);
   };
 
   obs::SetMetricsEnabled(true);
