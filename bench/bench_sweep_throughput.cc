@@ -12,6 +12,10 @@
 //    replaying the shared prefix. This is where incremental re-estimation
 //    pays off hardest.
 //
+// It also times one DrfAllocator::Allocate call (2 and 4 stages with
+// 10^6-task backlogs on 10, 1 000 and 10 000 nodes): the cost must not
+// scale with the number of containers granted.
+//
 // Every configuration is checked bit-identical against the serial uncached
 // loop; results go to stdout and BENCH_sweep.json (gated in CI against the
 // committed copy).
@@ -27,6 +31,7 @@
 
 #include "common/json.h"
 #include "model/sweep.h"
+#include "scheduler/drf.h"
 #include "workloads/micro.h"
 #include "workloads/tpch.h"
 
@@ -113,6 +118,38 @@ std::vector<SweepCandidate> RequestsFor(const std::vector<DagWorkflow>& flows,
     requests.push_back({&flow, cluster, flow.name()});
   }
   return requests;
+}
+
+/// Nanoseconds per DrfAllocator::Allocate call for `stages` stages with
+/// 10^6-task backlogs on `nodes` paper nodes: the call count doubles until
+/// one timed batch lasts 10 ms; best of three batches.
+double AllocateNs(int stages, int nodes) {
+  ClusterSpec cluster = ClusterSpec::PaperCluster();
+  cluster.num_nodes = nodes;
+  const DrfAllocator allocator(cluster, SchedulerConfig{});
+  std::vector<StageDemand> demands(static_cast<size_t>(stages));
+  for (StageDemand& demand : demands) demand.remaining_tasks = 1000000;
+  std::vector<int> granted;
+  long long sink = 0;
+  double best = 1e300;
+  for (int batch = 0; batch < 3; ++batch) {
+    for (long long calls = 1;; calls *= 2) {
+      const auto start = std::chrono::steady_clock::now();
+      for (long long c = 0; c < calls; ++c) {
+        allocator.Allocate(demands, &granted);
+        sink += granted.front();
+      }
+      const double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+              .count();
+      if (elapsed >= 0.01) {
+        best = std::min(best, elapsed / static_cast<double>(calls) * 1e9);
+        break;
+      }
+    }
+  }
+  if (sink < 0) std::printf("unreachable\n");
+  return best;
 }
 
 }  // namespace
@@ -317,6 +354,28 @@ int main(int argc, char** argv) {
                 static_cast<double>(dense_incr.result.stats.resumed_states)));
   dense.Set("bit_identical", Json::MakeBool(dense_identical));
   doc.Set("dense", std::move(dense));
+
+  // --- Section C: the cost of one DRF allocation. ---
+  std::printf("\nDrfAllocator::Allocate, 10^6-task backlogs\n");
+  Json drf = Json::MakeObject();
+  Json drf_ns = Json::MakeObject();
+  Json drf_ratio = Json::MakeObject();
+  for (const int stages : {2, 4}) {
+    double ns_at_10 = 0.0;
+    for (const int nodes : {10, 1000, 10000}) {
+      const double ns = AllocateNs(stages, nodes);
+      if (nodes == 10) ns_at_10 = ns;
+      std::printf("  %d stages, %5d nodes : %10.1f ns/call\n", stages, nodes, ns);
+      drf_ns.Set(std::to_string(stages) + "x" + std::to_string(nodes),
+                 Json::MakeNumber(ns));
+      if (nodes == 10000) {
+        drf_ratio.Set(std::to_string(stages), Json::MakeNumber(ns / ns_at_10));
+      }
+    }
+  }
+  drf.Set("ns_per_call", std::move(drf_ns));
+  drf.Set("ratio_10000_vs_10_nodes", std::move(drf_ratio));
+  doc.Set("drf_allocate", std::move(drf));
 
   std::ofstream out("BENCH_sweep.json");
   out << doc.Dump() << "\n";

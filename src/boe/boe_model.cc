@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "cluster/rate_solver.h"
@@ -58,11 +59,11 @@ SubStageEstimate EstimateSubStage(const SubStageProfile& substage,
 /// demand <= 0 is unpriced, a NaN demand or non-positive throughput prices
 /// at infinity — but as a select-and-max over the fixed resource axes with
 /// no per-operation state, so the compiler can unroll and vectorize it.
-inline double SubStageDuration(const SubStageProfile& substage,
+inline double SubStageDuration(const ResourceVector& demand,
                                const ResourceVector& alloc) {
   double worst = 0.0;
   for (int r = 0; r < kNumResources; ++r) {
-    const double d = substage.demand.values[r];
+    const double d = demand.values[r];
     const double a = alloc.values[r];
     const bool priced = !(d <= 0.0);  // NaN demand is priced (at infinity).
     const double t = priced ? (std::isfinite(d) && a > 0 ? d / a : kInf) : 0.0;
@@ -72,7 +73,7 @@ inline double SubStageDuration(const SubStageProfile& substage,
 }
 
 /// Per-task paper-rule allocation (Eq. 5 equal split, clipped by the
-/// per-task caps) — shared by EstimatePaper and the duration-only path.
+/// per-task caps): the paper-mode price, and the seed of the refined modes.
 ResourceVector PaperAllocation(const ResourceVector& capacities,
                                const std::vector<ParallelStage>& stages) {
   ResourceVector contenders;
@@ -94,42 +95,163 @@ ResourceVector PaperAllocation(const ResourceVector& capacities,
   return alloc;
 }
 
-/// Flat scratch for the duration-only iterative modes: sub-stage and task
-/// durations live in index-addressed arrays reused across calls.
-struct DurationScratch {
-  std::vector<size_t> offset;  // substage array offset per stage
-  std::vector<double> sub;     // current sub-stage durations (flat)
+/// Per-thread working set of the BOE kernel, reused across calls so a warm
+/// estimate does not allocate. Per-sub-stage arrays are flat: stage i's
+/// sub-stages live at [offset[i], offset[i + 1]).
+struct KernelScratch {
+  std::vector<size_t> offset;
+  /// The state's flow table: one shape per sub-stage. Demand, per-task cap
+  /// and cap rate are fixed for the state; only populations change per pass.
+  std::vector<FlowShape> shape;
+  std::vector<double> sub;  // current sub-stage durations
   std::vector<double> next_sub;
   std::vector<double> task;  // current task durations
   std::vector<double> next_task;
-  std::vector<Flow> flows;
-  std::vector<std::pair<size_t, size_t>> flow_key;  // (stage, substage)
-  std::vector<FlowRate> rates;
+  /// The per-task allocation that priced each entry of `sub`.
+  std::vector<ResourceVector> alloc;
+  /// Whether a stage's sub-stage durations changed in the last pass.
+  std::vector<unsigned char> changed;
+  // One solve's flows and, in steady state, the sub-stage of each.
+  std::vector<const FlowShape*> solve_shape;
+  std::vector<double> solve_population;
+  std::vector<size_t> solve_sub;
+  RateEquilibrium equilibrium;
 };
 
-DurationScratch& LocalDurationScratch() {
-  static thread_local DurationScratch scratch;
+KernelScratch& LocalKernelScratch() {
+  static thread_local KernelScratch scratch;
   return scratch;
 }
 
-/// Seeds `s.offset`, `s.sub`, and `s.task` with the paper-mode estimate —
-/// the common starting point of both iterative modes.
-void SeedPaperDurations(const ResourceVector& capacities,
-                        const std::vector<ParallelStage>& stages,
-                        DurationScratch& s) {
+/// Seeds every sub-stage with the paper-mode estimate (the whole answer in
+/// paper mode, the starting point of the iterative modes).
+void SeedPaper(const ResourceVector& capacities, const std::vector<ParallelStage>& stages,
+               KernelScratch& s) {
   const ResourceVector alloc = PaperAllocation(capacities, stages);
   s.offset.clear();
   s.sub.clear();
   s.task.clear();
+  s.alloc.clear();
   for (const auto& ps : stages) {
     s.offset.push_back(s.sub.size());
     double total = 0.0;
     for (const auto& ss : ps.stage->substages) {
-      const double t = SubStageDuration(ss, alloc);
+      const double t = SubStageDuration(ss.demand, alloc);
       s.sub.push_back(t);
+      s.alloc.push_back(alloc);
       total += t;
     }
     s.task.push_back(total);
+  }
+  s.offset.push_back(s.sub.size());
+}
+
+/// Appends the flows stage j contributes to a solve: each sub-stage holding
+/// a share of the stage's time, populated in proportion to that share.
+void AppendSpreadFlows(const std::vector<ParallelStage>& stages, size_t j,
+                       KernelScratch& s) {
+  const double total_time = std::max(s.task[j], 1e-12);
+  for (size_t k = s.offset[j]; k < s.offset[j + 1]; ++k) {
+    const double frac = std::max(s.sub[k], 0.0) / total_time;
+    if (frac <= 1e-12) continue;
+    s.solve_shape.push_back(&s.shape[k]);
+    s.solve_population.push_back(stages[j].tasks_per_node * frac);
+    s.solve_sub.push_back(k);
+  }
+}
+
+/// Ends one pass: totals the new sub-stage durations, marks the stages
+/// whose durations changed bitwise, and adopts the new durations. Returns
+/// true when the iteration is done: the durations moved by less than the
+/// tolerance, or not at all (every later pass would repeat this one).
+bool FinishPass(const BoeOptions& options, size_t num_stages, KernelScratch& s) {
+  s.next_task.resize(num_stages);
+  bool any_changed = false;
+  double delta = 0.0;
+  for (size_t i = 0; i < num_stages; ++i) {
+    const size_t begin = s.offset[i];
+    const size_t count = s.offset[i + 1] - begin;
+    double total = 0.0;
+    for (size_t k = begin; k < begin + count; ++k) total += s.next_sub[k];
+    s.next_task[i] = total;
+    s.changed[i] = count > 0 && std::memcmp(s.next_sub.data() + begin,
+                                            s.sub.data() + begin,
+                                            count * sizeof(double)) != 0;
+    any_changed = any_changed || s.changed[i];
+    const double old_t = s.task[i];
+    const double new_t = total;
+    if (old_t != kInf && new_t != kInf) {
+      delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
+    }
+  }
+  s.sub.swap(s.next_sub);
+  s.task.swap(s.next_task);
+  return delta < options.tolerance || !any_changed;
+}
+
+/// The one implementation of every contention mode: prices each sub-stage
+/// of one workflow state and leaves in `s` the sub-stage and task durations
+/// and the allocation behind each sub-stage duration.
+void RunKernel(const ResourceVector& capacities, BoeOptions::ContentionMode mode,
+               const BoeOptions& options, const std::vector<ParallelStage>& stages,
+               KernelScratch& s) {
+  SeedPaper(capacities, stages, s);
+  if (mode == BoeOptions::ContentionMode::kPaper) return;
+
+  const ResourceVector task_caps = PerTaskCaps();
+  s.shape.clear();
+  for (const auto& ps : stages) {
+    for (const auto& ss : ps.stage->substages) {
+      s.shape.push_back(MakeFlowShape(capacities, ss.demand, task_caps));
+    }
+  }
+  const size_t n = stages.size();
+  s.changed.assign(n, 1);
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    s.next_sub = s.sub;
+    if (mode == BoeOptions::ContentionMode::kSteadyState) {
+      // Every stage's tasks spread across its sub-stages; one solve prices
+      // all of them.
+      s.solve_shape.clear();
+      s.solve_population.clear();
+      s.solve_sub.clear();
+      for (size_t i = 0; i < n; ++i) AppendSpreadFlows(stages, i, s);
+      s.equilibrium.Solve(capacities, s.solve_shape.data(),
+                          s.solve_population.data(), s.solve_shape.size());
+      for (size_t f = 0; f < s.solve_sub.size(); ++f) {
+        const size_t k = s.solve_sub[f];
+        s.alloc[k] = s.equilibrium.Offered(f);
+        s.next_sub[k] = SubStageDuration(s.shape[k].demand, s.alloc[k]);
+      }
+    } else {
+      // Aligned self: all of stage i's tasks contend in the sub-stage being
+      // priced (flow 0), the other stages spread across theirs. A stage's
+      // solves depend only on the other stages' durations, so when none of
+      // those changed in the last pass they would repeat it: skip them.
+      for (size_t i = 0; i < n; ++i) {
+        bool inputs_moved = iter == 0;
+        for (size_t j = 0; j < n && !inputs_moved; ++j) {
+          inputs_moved = j != i && s.changed[j];
+        }
+        if (!inputs_moved) continue;
+        s.solve_shape.resize(1);
+        s.solve_population.resize(1);
+        s.solve_sub.clear();
+        for (size_t j = 0; j < n; ++j) {
+          if (j != i) AppendSpreadFlows(stages, j, s);
+        }
+        s.solve_population[0] = stages[i].tasks_per_node;
+        for (size_t k = s.offset[i]; k < s.offset[i + 1]; ++k) {
+          s.solve_shape[0] = &s.shape[k];
+          s.equilibrium.Solve(capacities, s.solve_shape.data(),
+                              s.solve_population.data(), s.solve_shape.size());
+          s.alloc[k] = s.equilibrium.Offered(0);
+          s.next_sub[k] = SubStageDuration(s.shape[k].demand, s.alloc[k]);
+        }
+      }
+    }
+    if (FinishPass(options, n, s)) break;
   }
 }
 
@@ -156,9 +278,6 @@ TaskEstimate CombineSubStages(const StageProfile& stage,
 BoeModel::BoeModel(const NodeSpec& node, BoeOptions options)
     : node_(node), capacities_(node.Capacities()), options_(options) {
   DAGPERF_CHECK(options_.max_iterations > 0);
-}
-
-Status BoeModel::Validate() const {
   std::string bad;
   for (Resource r : kAllResources) {
     const double capacity = capacities_[r];
@@ -167,14 +286,25 @@ Status BoeModel::Validate() const {
     bad += std::string(ResourceName(r)) + " capacity " +
            std::to_string(capacity);
   }
-  if (bad.empty()) return Status::Ok();
-  return Status::InvalidArgument("node has non-positive or non-finite " + bad);
+  if (!bad.empty()) {
+    validation_ = Status::InvalidArgument("node has non-positive or non-finite " + bad);
+  }
 }
+
+Status BoeModel::Validate() const { return validation_; }
 
 TaskEstimate BoeModel::EstimateTask(const StageProfile& stage,
                                     double tasks_per_node) const {
   ParallelStage ps{&stage, tasks_per_node};
   return EstimateParallel({ps}).front();
+}
+
+BoeOptions::ContentionMode BoeModel::KernelMode() const {
+  // The refinement modes route through the exact rate solver, whose
+  // invariant is positive finite capacity on every demanded resource. On a
+  // bad node (see Validate()) fall back to the paper rule, which prices a
+  // zero/NaN capacity at Duration::Infinite() and keeps Estimate* total.
+  return validation_.ok() ? options_.mode : BoeOptions::ContentionMode::kPaper;
 }
 
 std::vector<TaskEstimate> BoeModel::EstimateParallel(
@@ -184,157 +314,23 @@ std::vector<TaskEstimate> BoeModel::EstimateParallel(
     DAGPERF_CHECK(ps.tasks_per_node > 0);
   }
   if (stages.empty()) return {};
-  // The refinement modes route through the exact rate solver, whose
-  // invariant is positive finite capacity on every demanded resource. On a
-  // bad node (see Validate()) fall back to the paper rule, which prices a
-  // zero/NaN capacity at Duration::Infinite() and keeps Estimate* total.
-  if (!Validate().ok()) return EstimatePaper(stages);
-  switch (options_.mode) {
-    case BoeOptions::ContentionMode::kPaper:
-      return EstimatePaper(stages);
-    case BoeOptions::ContentionMode::kSteadyState:
-      return EstimateSteadyState(stages);
-    case BoeOptions::ContentionMode::kAlignedSelf:
-      return EstimateAlignedSelf(stages);
-  }
-  DAGPERF_CHECK(false);
-  return {};
-}
+  KernelScratch& s = LocalKernelScratch();
+  RunKernel(capacities_, KernelMode(), options_, stages, s);
 
-std::vector<TaskEstimate> BoeModel::EstimatePaper(
-    const std::vector<ParallelStage>& stages) const {
-  // Contenders per resource: every task of every stage that uses the
-  // resource anywhere in its pipeline (the paper's Delta for mu_X(Delta)).
-  const ResourceVector alloc = PaperAllocation(capacities_, stages);
-
+  // The per-operation breakdown of each sub-stage at the allocation that
+  // priced its final duration.
   std::vector<TaskEstimate> out;
   out.reserve(stages.size());
-  for (const auto& ps : stages) {
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const StageProfile& stage = *stages[i].stage;
     std::vector<SubStageEstimate> subs;
-    subs.reserve(ps.stage->substages.size());
-    for (const auto& ss : ps.stage->substages) {
-      subs.push_back(EstimateSubStage(ss, alloc));
+    subs.reserve(stage.substages.size());
+    for (size_t sub = 0; sub < stage.substages.size(); ++sub) {
+      subs.push_back(EstimateSubStage(stage.substages[sub], s.alloc[s.offset[i] + sub]));
     }
-    out.push_back(CombineSubStages(*ps.stage, std::move(subs)));
+    out.push_back(CombineSubStages(stage, std::move(subs)));
   }
   return out;
-}
-
-std::vector<TaskEstimate> BoeModel::EstimateSteadyState(
-    const std::vector<ParallelStage>& stages) const {
-  // Start from the paper-mode estimate and iterate: spread each stage's task
-  // population over its sub-stages in proportion to the current sub-stage
-  // durations, solve exact max-min fair rates, and recompute durations.
-  std::vector<TaskEstimate> current = EstimatePaper(stages);
-  const ResourceVector task_caps = PerTaskCaps();
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    // Build one flow per (stage, sub-stage).
-    std::vector<Flow> flows;
-    std::vector<std::pair<size_t, size_t>> flow_key;  // (stage idx, substage idx)
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const auto& ps = stages[i];
-      const double total_time = std::max(current[i].duration.seconds(), 1e-12);
-      for (size_t s = 0; s < ps.stage->substages.size(); ++s) {
-        const double frac =
-            std::max(current[i].substages[s].duration.seconds(), 0.0) / total_time;
-        if (frac <= 1e-12) continue;
-        Flow flow;
-        flow.population = ps.tasks_per_node * frac;
-        flow.demand = ps.stage->substages[s].demand;
-        flow.per_task_cap = task_caps;
-        flows.push_back(flow);
-        flow_key.emplace_back(i, s);
-      }
-    }
-    const std::vector<FlowRate> rates = SolveRates(capacities_, flows);
-
-    // Per-flow allocated throughput implies new sub-stage durations.
-    std::vector<TaskEstimate> next = current;
-    for (size_t k = 0; k < flows.size(); ++k) {
-      const auto [i, s] = flow_key[k];
-      ResourceVector alloc = rates[k].offered;
-      for (Resource r : kAllResources) {
-        if (flows[k].demand[r] <= 0) alloc[r] = capacities_[r];
-      }
-      next[i].substages[s] = EstimateSubStage(stages[i].stage->substages[s], alloc);
-    }
-    for (size_t i = 0; i < stages.size(); ++i) {
-      next[i] = CombineSubStages(*stages[i].stage, std::move(next[i].substages));
-    }
-
-    // Damped update; stop when durations are stable.
-    double delta = 0.0;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const double old_t = current[i].duration.seconds();
-      const double new_t = next[i].duration.seconds();
-      if (old_t != kInf && new_t != kInf) {
-        delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
-      }
-    }
-    current = std::move(next);
-    if (delta < options_.tolerance) break;
-  }
-  return current;
-}
-
-std::vector<TaskEstimate> BoeModel::EstimateAlignedSelf(
-    const std::vector<ParallelStage>& stages) const {
-  // Like EstimateSteadyState, but when pricing sub-stage sigma of stage i,
-  // ALL of stage i's tasks contend in sigma (wave alignment), while other
-  // stages contribute sub-stage-spread populations at their effective usage.
-  std::vector<TaskEstimate> current = EstimatePaper(stages);
-  const ResourceVector task_caps = PerTaskCaps();
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    std::vector<TaskEstimate> next = current;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      for (size_t s = 0; s < stages[i].stage->substages.size(); ++s) {
-        std::vector<Flow> flows;
-        Flow self;
-        self.population = stages[i].tasks_per_node;
-        self.demand = stages[i].stage->substages[s].demand;
-        self.per_task_cap = task_caps;
-        flows.push_back(self);
-        for (size_t j = 0; j < stages.size(); ++j) {
-          if (j == i) continue;
-          const double total_time = std::max(current[j].duration.seconds(), 1e-12);
-          for (size_t t = 0; t < stages[j].stage->substages.size(); ++t) {
-            const double frac =
-                std::max(current[j].substages[t].duration.seconds(), 0.0) /
-                total_time;
-            if (frac <= 1e-12) continue;
-            Flow other;
-            other.population = stages[j].tasks_per_node * frac;
-            other.demand = stages[j].stage->substages[t].demand;
-            other.per_task_cap = task_caps;
-            flows.push_back(other);
-          }
-        }
-        const std::vector<FlowRate> rates = SolveRates(capacities_, flows);
-        ResourceVector alloc = rates[0].offered;
-        for (Resource r : kAllResources) {
-          if (flows[0].demand[r] <= 0) alloc[r] = capacities_[r];
-        }
-        next[i].substages[s] = EstimateSubStage(stages[i].stage->substages[s], alloc);
-      }
-    }
-    for (size_t i = 0; i < stages.size(); ++i) {
-      next[i] = CombineSubStages(*stages[i].stage, std::move(next[i].substages));
-    }
-
-    double delta = 0.0;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const double old_t = current[i].duration.seconds();
-      const double new_t = next[i].duration.seconds();
-      if (old_t != kInf && new_t != kInf) {
-        delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
-      }
-    }
-    current = std::move(next);
-    if (delta < options_.tolerance) break;
-  }
-  return current;
 }
 
 void BoeModel::EstimateDurations(const std::vector<ParallelStage>& stages,
@@ -345,149 +341,8 @@ void BoeModel::EstimateDurations(const std::vector<ParallelStage>& stages,
   }
   out->clear();
   if (stages.empty()) return;
-  // Same mode routing as EstimateParallel, including the bad-node fallback
-  // to the paper rule (which stays total by pricing at infinity).
-  if (!Validate().ok()) return DurationsPaper(stages, out);
-  switch (options_.mode) {
-    case BoeOptions::ContentionMode::kPaper:
-      return DurationsPaper(stages, out);
-    case BoeOptions::ContentionMode::kSteadyState:
-      return DurationsSteadyState(stages, out);
-    case BoeOptions::ContentionMode::kAlignedSelf:
-      return DurationsAlignedSelf(stages, out);
-  }
-  DAGPERF_CHECK(false);
-}
-
-void BoeModel::DurationsPaper(const std::vector<ParallelStage>& stages,
-                              std::vector<double>* out) const {
-  const ResourceVector alloc = PaperAllocation(capacities_, stages);
-  out->resize(stages.size());
-  for (size_t i = 0; i < stages.size(); ++i) {
-    double total = 0.0;
-    for (const auto& ss : stages[i].stage->substages) {
-      total += SubStageDuration(ss, alloc);
-    }
-    (*out)[i] = total;
-  }
-}
-
-void BoeModel::DurationsSteadyState(const std::vector<ParallelStage>& stages,
-                                    std::vector<double>* out) const {
-  // The flat mirror of EstimateSteadyState: identical iteration structure
-  // and arithmetic over index-addressed duration arrays.
-  DurationScratch& s = LocalDurationScratch();
-  SeedPaperDurations(capacities_, stages, s);
-  const ResourceVector task_caps = PerTaskCaps();
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    s.flows.clear();
-    s.flow_key.clear();
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const auto& ps = stages[i];
-      const double total_time = std::max(s.task[i], 1e-12);
-      for (size_t sub = 0; sub < ps.stage->substages.size(); ++sub) {
-        const double frac = std::max(s.sub[s.offset[i] + sub], 0.0) / total_time;
-        if (frac <= 1e-12) continue;
-        Flow flow;
-        flow.population = ps.tasks_per_node * frac;
-        flow.demand = ps.stage->substages[sub].demand;
-        flow.per_task_cap = task_caps;
-        s.flows.push_back(flow);
-        s.flow_key.emplace_back(i, sub);
-      }
-    }
-    SolveRates(capacities_, s.flows, &s.rates);
-
-    s.next_sub = s.sub;
-    for (size_t k = 0; k < s.flows.size(); ++k) {
-      const auto [i, sub] = s.flow_key[k];
-      // Resources the sub-stage does not demand are unpriced, so (unlike the
-      // struct-building path) the allocation needs no capacity backfill.
-      s.next_sub[s.offset[i] + sub] =
-          SubStageDuration(stages[i].stage->substages[sub], s.rates[k].offered);
-    }
-    s.next_task.resize(stages.size());
-    for (size_t i = 0; i < stages.size(); ++i) {
-      double total = 0.0;
-      for (size_t sub = 0; sub < stages[i].stage->substages.size(); ++sub) {
-        total += s.next_sub[s.offset[i] + sub];
-      }
-      s.next_task[i] = total;
-    }
-
-    double delta = 0.0;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const double old_t = s.task[i];
-      const double new_t = s.next_task[i];
-      if (old_t != kInf && new_t != kInf) {
-        delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
-      }
-    }
-    s.sub.swap(s.next_sub);
-    s.task.swap(s.next_task);
-    if (delta < options_.tolerance) break;
-  }
-  out->assign(s.task.begin(), s.task.end());
-}
-
-void BoeModel::DurationsAlignedSelf(const std::vector<ParallelStage>& stages,
-                                    std::vector<double>* out) const {
-  // The flat mirror of EstimateAlignedSelf (same iteration structure).
-  DurationScratch& s = LocalDurationScratch();
-  SeedPaperDurations(capacities_, stages, s);
-  const ResourceVector task_caps = PerTaskCaps();
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    s.next_sub = s.sub;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      for (size_t sub = 0; sub < stages[i].stage->substages.size(); ++sub) {
-        s.flows.clear();
-        Flow self;
-        self.population = stages[i].tasks_per_node;
-        self.demand = stages[i].stage->substages[sub].demand;
-        self.per_task_cap = task_caps;
-        s.flows.push_back(self);
-        for (size_t j = 0; j < stages.size(); ++j) {
-          if (j == i) continue;
-          const double total_time = std::max(s.task[j], 1e-12);
-          for (size_t t = 0; t < stages[j].stage->substages.size(); ++t) {
-            const double frac =
-                std::max(s.sub[s.offset[j] + t], 0.0) / total_time;
-            if (frac <= 1e-12) continue;
-            Flow other;
-            other.population = stages[j].tasks_per_node * frac;
-            other.demand = stages[j].stage->substages[t].demand;
-            other.per_task_cap = task_caps;
-            s.flows.push_back(other);
-          }
-        }
-        SolveRates(capacities_, s.flows, &s.rates);
-        s.next_sub[s.offset[i] + sub] =
-            SubStageDuration(stages[i].stage->substages[sub], s.rates[0].offered);
-      }
-    }
-    s.next_task.resize(stages.size());
-    for (size_t i = 0; i < stages.size(); ++i) {
-      double total = 0.0;
-      for (size_t sub = 0; sub < stages[i].stage->substages.size(); ++sub) {
-        total += s.next_sub[s.offset[i] + sub];
-      }
-      s.next_task[i] = total;
-    }
-
-    double delta = 0.0;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      const double old_t = s.task[i];
-      const double new_t = s.next_task[i];
-      if (old_t != kInf && new_t != kInf) {
-        delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
-      }
-    }
-    s.sub.swap(s.next_sub);
-    s.task.swap(s.next_task);
-    if (delta < options_.tolerance) break;
-  }
+  KernelScratch& s = LocalKernelScratch();
+  RunKernel(capacities_, KernelMode(), options_, stages, s);
   out->assign(s.task.begin(), s.task.end());
 }
 

@@ -6,6 +6,7 @@
 
 #include "cluster/cluster_spec.h"
 #include "cluster/resources.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "workload/job_profile.h"
 
@@ -89,7 +90,8 @@ class BoeModel {
   explicit BoeModel(const NodeSpec& node, BoeOptions options = {});
 
   /// Checks the node's effective throughputs: InvalidArgument naming every
-  /// resource axis whose capacity is zero, negative, NaN, or infinite.
+  /// resource axis whose capacity is zero, negative, NaN, or infinite. The
+  /// check runs once, at construction.
   /// Estimate* methods stay total even on a bad node (a zero/NaN capacity
   /// prices affected operations at Duration::Infinite(), never NaN), but
   /// callers feeding user-supplied hardware specs should check this first —
@@ -101,16 +103,16 @@ class BoeModel {
   TaskEstimate EstimateTask(const StageProfile& stage, double tasks_per_node) const;
 
   /// Task times for multiple stages sharing the cluster in one workflow
-  /// state (parallel jobs). Returns one estimate per input stage.
+  /// state (parallel jobs). Returns one estimate per input stage, with each
+  /// sub-stage's operations priced at the allocation that set its duration.
   std::vector<TaskEstimate> EstimateParallel(
       const std::vector<ParallelStage>& stages) const;
 
   /// Duration-only fast path for hot loops: writes one task duration in
   /// seconds per input stage into `*out` (resized, capacity reused).
-  /// Bit-identical to the `.duration` fields of EstimateParallel but skips
-  /// the per-operation/sub-stage breakdown — no strings, no OpEstimate
-  /// vectors, flat thread-local scratch — so the per-op max over resources
-  /// compiles to a branch-free loop over the fixed resource axes.
+  /// Runs the same kernel as EstimateParallel, so it is bit-identical to its
+  /// `.duration` fields, but skips the per-operation/sub-stage breakdown: no
+  /// strings, no OpEstimate vectors, flat thread-local scratch.
   void EstimateDurations(const std::vector<ParallelStage>& stages,
                          std::vector<double>* out) const;
 
@@ -118,22 +120,15 @@ class BoeModel {
   const BoeOptions& options() const { return options_; }
 
  private:
-  std::vector<TaskEstimate> EstimatePaper(const std::vector<ParallelStage>& stages) const;
-  std::vector<TaskEstimate> EstimateSteadyState(
-      const std::vector<ParallelStage>& stages) const;
-  std::vector<TaskEstimate> EstimateAlignedSelf(
-      const std::vector<ParallelStage>& stages) const;
-
-  void DurationsPaper(const std::vector<ParallelStage>& stages,
-                      std::vector<double>* out) const;
-  void DurationsSteadyState(const std::vector<ParallelStage>& stages,
-                            std::vector<double>* out) const;
-  void DurationsAlignedSelf(const std::vector<ParallelStage>& stages,
-                            std::vector<double>* out) const;
+  /// The contention mode the kernel runs: options().mode, or the paper rule
+  /// on a node that fails Validate().
+  BoeOptions::ContentionMode KernelMode() const;
 
   NodeSpec node_;
   ResourceVector capacities_;
   BoeOptions options_;
+  /// Validate()'s answer, fixed at construction.
+  Status validation_ = Status::Ok();
 };
 
 }  // namespace dagperf

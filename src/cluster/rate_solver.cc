@@ -1,7 +1,9 @@
 #include "cluster/rate_solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -74,158 +76,183 @@ double WaterFill(double capacity, const std::vector<double>& populations,
 /// convergence is verified by the property-test suite.
 std::vector<FlowRate> SolveRates(const ResourceVector& capacities,
                                  const std::vector<Flow>& flows) {
-  std::vector<FlowRate> out;
-  SolveRates(capacities, flows, &out);
+  const size_t n = flows.size();
+  std::vector<FlowShape> shapes(n);
+  std::vector<const FlowShape*> shape_ptrs(n);
+  std::vector<double> populations(n);
+  for (size_t f = 0; f < n; ++f) {
+    shapes[f] = MakeFlowShape(capacities, flows[f].demand, flows[f].per_task_cap);
+    shape_ptrs[f] = &shapes[f];
+    populations[f] = flows[f].population;
+  }
+  RateEquilibrium equilibrium;
+  equilibrium.Solve(capacities, shape_ptrs.data(), populations.data(), n);
+  std::vector<FlowRate> out(n);
+  for (size_t f = 0; f < n; ++f) out[f] = equilibrium.Rate(f);
   return out;
 }
 
-void SolveRates(const ResourceVector& capacities, const std::vector<Flow>& flows,
-                std::vector<FlowRate>* result) {
-  const size_t n = flows.size();
-  std::vector<FlowRate>& out = *result;
-  out.assign(n, FlowRate{});
+FlowShape MakeFlowShape(const ResourceVector& capacities, const ResourceVector& demand,
+                        const ResourceVector& per_task_cap) {
+  FlowShape shape;
+  shape.demand = demand;
+  shape.per_task_cap = per_task_cap;
+  shape.cap_rate = kInf;
+  bool any = false;
+  for (int r = 0; r < kNumResources; ++r) {
+    const double d = demand.values[r];
+    if (d <= 0) continue;
+    any = true;
+    DAGPERF_CHECK_MSG(capacities.values[r] > 0, "demand on a zero-capacity resource");
+    const double task_cap = per_task_cap.values[r];
+    if (task_cap > 0) shape.cap_rate = std::min(shape.cap_rate, task_cap / d);
+  }
+  shape.trivial = !any;
+  return shape;
+}
 
-  // Thread-local scratch, capacity reused across calls: a warm solve (same
-  // or smaller flow count) performs no heap allocation. Values are fully
-  // re-assigned below, so reuse never changes the arithmetic.
-  struct Scratch {
-    std::vector<double> cap_rate;
-    std::vector<unsigned char> trivial;
-    std::vector<double> prev_rates;
-    std::vector<double> populations;
-    std::vector<double> wants;
-    std::vector<size_t> users;
-  };
-  static thread_local Scratch scratch;
-  std::vector<double>& cap_rate = scratch.cap_rate;
-  std::vector<unsigned char>& trivial = scratch.trivial;
-  cap_rate.assign(n, kInf);  // min_r per_task_cap_r / d_fr.
-  trivial.assign(n, 0);
-  for (size_t f = 0; f < n; ++f) {
-    DAGPERF_CHECK(flows[f].population > 0);
-    bool any = false;
-    for (int r = 0; r < kNumResources; ++r) {
-      const double d = flows[f].demand.values[r];
-      if (d <= 0) continue;
-      any = true;
-      DAGPERF_CHECK_MSG(capacities.values[r] > 0,
-                        "demand on a zero-capacity resource");
-      const double task_cap = flows[f].per_task_cap.values[r];
-      if (task_cap > 0) cap_rate[f] = std::min(cap_rate[f], task_cap / d);
+double RateEquilibrium::RateUnder(size_t f, int exclude, int* binding) const {
+  double v = shapes_[f]->cap_rate;
+  int b = -1;
+  const std::array<double, kNumResources>& limit = limit_[f];
+  for (int r = 0; r < kNumResources; ++r) {
+    if (r == exclude) continue;
+    // An undemanded resource caches +infinity and a NaN demand caches NaN;
+    // neither compares below v, exactly as when they were skipped.
+    if (limit[r] < v) {
+      v = limit[r];
+      b = r;
     }
-    if (!any) {
-      trivial[f] = 1;
-      out[f].progress_rate = kInf;
-      out[f].bottleneck = -1;
+  }
+  if (binding != nullptr) *binding = b;
+  return v;
+}
+
+void RateEquilibrium::Solve(const ResourceVector& capacities,
+                            const FlowShape* const* shapes, const double* populations,
+                            size_t n) {
+  capacities_ = capacities;
+  shapes_.assign(shapes, shapes + n);
+  populations_.assign(populations, populations + n);
+  limit_.resize(n);
+  rate_.assign(n, 0.0);
+  users_.resize(static_cast<size_t>(kNumResources) * n);
+  level_.fill(kInf);
+
+  // Flows that demand each resource (the users of its water-fill), and the
+  // limits under the initial (infinite) levels.
+  num_users_.fill(0);
+  for (size_t f = 0; f < n; ++f) {
+    DAGPERF_CHECK(populations[f] > 0);
+    for (int r = 0; r < kNumResources; ++r) {
+      const double d = shapes[f]->demand.values[r];
+      if (d <= 0) {
+        limit_[f][r] = kInf;
+        continue;
+      }
+      limit_[f][r] = std::min(level_[r], capacities.values[r]) / d;
+      users_[r * n + num_users_[r]++] = static_cast<unsigned>(f);
     }
   }
 
-  std::array<double, kNumResources> level;
-  level.fill(kInf);
-
-  // Rate of flow f under the current levels, optionally excluding one
-  // resource's constraint (for want computation) and reporting the binding.
-  const auto rate_under = [&](size_t f, int exclude, int* binding) -> double {
-    double v = cap_rate[f];
-    int b = -1;
-    for (int r = 0; r < kNumResources; ++r) {
-      if (r == exclude) continue;
-      const double d = flows[f].demand.values[r];
-      if (d <= 0) continue;
-      const double limit = std::min(level[r], capacities.values[r]) / d;
-      if (limit < v) {
-        v = limit;
-        b = r;
-      }
-    }
-    if (binding != nullptr) *binding = b;
-    return v;
-  };
-
   constexpr int kMaxIterations = 300;
   constexpr double kTolerance = 1e-13;
-  std::vector<double>& prev_rates = scratch.prev_rates;
-  prev_rates.assign(n, 0.0);
-  std::vector<double>& populations = scratch.populations;
-  std::vector<double>& wants = scratch.wants;
-  std::vector<size_t>& users = scratch.users;
   for (int iter = 0; iter < kMaxIterations; ++iter) {
     for (int r = 0; r < kNumResources; ++r) {
       if (capacities.values[r] <= 0) continue;
-      populations.clear();
-      wants.clear();
-      users.clear();
-      for (size_t f = 0; f < n; ++f) {
-        if (trivial[f]) continue;
-        const double d = flows[f].demand.values[r];
-        if (d <= 0) continue;
-        double want = d * rate_under(f, r, nullptr);
-        const double task_cap = flows[f].per_task_cap.values[r];
+      const unsigned* users = users_.data() + r * n;
+      const unsigned count = num_users_[r];
+      if (count == 0) continue;  // The level stays +infinity.
+      fill_populations_.resize(count);
+      fill_wants_.resize(count);
+      for (unsigned u = 0; u < count; ++u) {
+        const size_t f = users[u];
+        double want = shapes_[f]->demand.values[r] * RateUnder(f, r, nullptr);
+        const double task_cap = shapes_[f]->per_task_cap.values[r];
         if (task_cap > 0) want = std::min(want, task_cap);
-        populations.push_back(flows[f].population);
-        wants.push_back(want);
-        users.push_back(f);
+        fill_populations_[u] = populations_[f];
+        fill_wants_[u] = want;
       }
-      level[r] = users.empty() ? kInf
-                               : WaterFill(capacities.values[r], populations, wants);
+      const double level = WaterFill(capacities.values[r], fill_populations_, fill_wants_);
+      // An unmoved level leaves the cached limits as they are.
+      if (std::bit_cast<std::uint64_t>(level) == std::bit_cast<std::uint64_t>(level_[r])) {
+        continue;
+      }
+      level_[r] = level;
+      const double bound = std::min(level, capacities.values[r]);
+      for (unsigned u = 0; u < count; ++u) {
+        const size_t f = users[u];
+        limit_[f][r] = bound / shapes_[f]->demand.values[r];
+      }
     }
 
     double delta = 0.0;
     for (size_t f = 0; f < n; ++f) {
-      if (trivial[f]) continue;
-      const double v = rate_under(f, -1, nullptr);
-      delta = std::max(delta, std::fabs(v - prev_rates[f]) /
-                                  std::max(std::fabs(v), 1e-300));
-      prev_rates[f] = v;
+      if (shapes_[f]->trivial) continue;
+      const double v = RateUnder(f, -1, nullptr);
+      delta = std::max(delta, std::fabs(v - rate_[f]) / std::max(std::fabs(v), 1e-300));
+      rate_[f] = v;
     }
     if (delta < kTolerance) break;
   }
 
   // Equal-share denominator per resource, for reporting the offered share
   // of unsaturated resources (the paper's mu_X(Delta) * theta_X).
-  std::array<double, kNumResources> demanders;
-  demanders.fill(0.0);
+  demanders_.fill(0.0);
   for (size_t f = 0; f < n; ++f) {
-    if (trivial[f]) continue;
+    if (shapes_[f]->trivial) continue;
+    DAGPERF_CHECK_MSG(rate_[f] < kInf, "unbounded rate for a demanding flow");
     for (int r = 0; r < kNumResources; ++r) {
-      if (flows[f].demand.values[r] > 0) demanders[r] += flows[f].population;
+      if (shapes_[f]->demand.values[r] > 0) demanders_[r] += populations_[f];
     }
   }
+}
 
-  for (size_t f = 0; f < n; ++f) {
-    if (trivial[f]) continue;
-    int binding = -1;
-    const double v = rate_under(f, -1, &binding);
-    DAGPERF_CHECK_MSG(v < kInf, "unbounded rate for a demanding flow");
-    out[f].progress_rate = v;
-    out[f].bottleneck = binding;
-    if (binding == -1) {
-      // The flow's own per-task cap binds: report the capped resource.
-      for (int r = 0; r < kNumResources; ++r) {
-        const double d = flows[f].demand.values[r];
-        const double task_cap = flows[f].per_task_cap.values[r];
-        if (d > 0 && task_cap > 0 && task_cap / d <= cap_rate[f] * (1 + 1e-12)) {
-          out[f].bottleneck = r;
-          break;
-        }
+FlowRate RateEquilibrium::Rate(size_t f) const {
+  FlowRate out;
+  const FlowShape& shape = *shapes_[f];
+  if (shape.trivial) {
+    out.progress_rate = kInf;
+    return out;
+  }
+  int binding = -1;
+  out.progress_rate = RateUnder(f, -1, &binding);
+  out.bottleneck = binding;
+  if (binding == -1) {
+    // The flow's own per-task cap binds: report the capped resource.
+    for (int r = 0; r < kNumResources; ++r) {
+      const double d = shape.demand.values[r];
+      const double task_cap = shape.per_task_cap.values[r];
+      if (d > 0 && task_cap > 0 && task_cap / d <= shape.cap_rate * (1 + 1e-12)) {
+        out.bottleneck = r;
+        break;
       }
     }
-    // Offered per-task bandwidth: the water-fill level when the resource is
-    // saturated, else the equal split among its demanders (the paper's
-    // mu_X(Delta) * theta_X), clipped by the per-task cap and never below
-    // actual consumption.
-    for (int r = 0; r < kNumResources; ++r) {
-      const double d = flows[f].demand.values[r];
-      if (d <= 0) continue;
-      double offer = level[r] < kInf ? level[r]
-                                     : capacities.values[r] / demanders[r];
-      offer = std::min(offer, capacities.values[r]);
-      const double task_cap = flows[f].per_task_cap.values[r];
-      if (task_cap > 0) offer = std::min(offer, task_cap);
-      offer = std::max(offer, d * v);
-      out[f].offered.values[r] = offer;
-    }
   }
+  out.offered = Offered(f);
+  return out;
+}
+
+ResourceVector RateEquilibrium::Offered(size_t f) const {
+  ResourceVector offered;
+  const FlowShape& shape = *shapes_[f];
+  if (shape.trivial) return offered;
+  const double v = rate_[f];
+  // Offered per-task bandwidth: the water-fill level when the resource is
+  // saturated, else the equal split among its demanders (the paper's
+  // mu_X(Delta) * theta_X), clipped by the per-task cap and never below
+  // actual consumption.
+  for (int r = 0; r < kNumResources; ++r) {
+    const double d = shape.demand.values[r];
+    if (d <= 0) continue;
+    double offer = level_[r] < kInf ? level_[r] : capacities_.values[r] / demanders_[r];
+    offer = std::min(offer, capacities_.values[r]);
+    const double task_cap = shape.per_task_cap.values[r];
+    if (task_cap > 0) offer = std::min(offer, task_cap);
+    offer = std::max(offer, d * v);
+    offered.values[r] = offer;
+  }
+  return offered;
 }
 
 ResourceVector SolutionUtilization(const ResourceVector& capacities,

@@ -1,6 +1,8 @@
 #ifndef DAGPERF_CLUSTER_RATE_SOLVER_H_
 #define DAGPERF_CLUSTER_RATE_SOLVER_H_
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "cluster/resources.h"
@@ -58,10 +60,67 @@ struct FlowRate {
 std::vector<FlowRate> SolveRates(const ResourceVector& capacities,
                                  const std::vector<Flow>& flows);
 
-/// Allocation-lean variant for hot loops: writes the solution into `*out`
-/// (resized to flows.size(), capacity reused). Identical arithmetic.
-void SolveRates(const ResourceVector& capacities, const std::vector<Flow>& flows,
-                std::vector<FlowRate>* out);
+/// The population-independent part of a Flow: its demand and per-task cap
+/// plus what SolveRates derives from them. Callers that solve many sharing
+/// problems over the same flow shapes (BOE prices every sub-stage of a
+/// workflow state against one flow table) derive these once.
+struct FlowShape {
+  ResourceVector demand;
+  ResourceVector per_task_cap;
+  /// min_r per_task_cap_r / demand_r over the capped demanded resources
+  /// (+infinity when no cap applies).
+  double cap_rate = 0.0;
+  /// The flow demands nothing: its rate is +infinity.
+  bool trivial = false;
+};
+
+/// Derives a flow's shape. CHECK-fails on demand for a resource whose
+/// capacity is not positive, as SolveRates does.
+FlowShape MakeFlowShape(const ResourceVector& capacities, const ResourceVector& demand,
+                        const ResourceVector& per_task_cap);
+
+/// SolveRates split in two: Solve() finds the equilibrium (the per-resource
+/// water-fill levels and every flow's rate), and Rate()/Offered() read one
+/// flow's result, so a caller that needs a single flow's offer does not pay
+/// for every flow's. SolveRates is Solve() followed by Rate() for each flow;
+/// the arithmetic is the same, so the results are bit-identical.
+///
+/// An instance keeps its scratch between calls (a warm Solve() of no more
+/// flows than before does not allocate); use one per thread.
+class RateEquilibrium {
+ public:
+  /// Solves for `n` flows: flow k has population `populations[k]` and shape
+  /// `*shapes[k]`. The shapes must outlive the reads below.
+  void Solve(const ResourceVector& capacities, const FlowShape* const* shapes,
+             const double* populations, size_t n);
+
+  /// Flow k's full solution, as SolveRates reports it.
+  FlowRate Rate(size_t k) const;
+
+  /// Flow k's offered per-task share only (FlowRate::offered).
+  ResourceVector Offered(size_t k) const;
+
+ private:
+  /// Flow f's rate under the current levels, ignoring resource `exclude`
+  /// (-1: none); `*binding` gets the limiting resource or -1.
+  double RateUnder(size_t f, int exclude, int* binding) const;
+
+  ResourceVector capacities_;
+  std::array<double, kNumResources> level_{};
+  std::array<double, kNumResources> demanders_{};
+  std::vector<const FlowShape*> shapes_;
+  std::vector<double> populations_;
+  /// min(level_r, capacity_r) / demand_fr per flow, refreshed whenever a
+  /// level moves; +infinity where the flow does not demand r.
+  std::vector<std::array<double, kNumResources>> limit_;
+  /// Each flow's rate under the final levels.
+  std::vector<double> rate_;
+  /// Flows demanding each resource, flat: users_[r * n + u].
+  std::vector<unsigned> users_;
+  std::array<unsigned, kNumResources> num_users_{};
+  std::vector<double> fill_populations_;
+  std::vector<double> fill_wants_;
+};
 
 /// Convenience: the utilization of each resource implied by a solution
 /// (consumed / capacity, 0 when capacity is 0).

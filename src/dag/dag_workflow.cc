@@ -58,7 +58,7 @@ const std::vector<JobId>& DagWorkflow::parents(JobId id) const {
 
 const std::string& DagWorkflow::job_fingerprint(JobId id) const {
   DAGPERF_CHECK(id >= 0 && id < num_jobs());
-  return job_fingerprints_[id];
+  return (*job_fingerprints_)[id];
 }
 
 std::size_t DagWorkflow::job_fingerprint_hash(JobId id) const {
@@ -187,11 +187,12 @@ Result<DagWorkflow> DagBuilder::Build() && {
 
   // Structural fingerprints, precomputed while the flow is being frozen:
   // the compiled stage profiles plus the sorted parent list, byte-exact.
-  flow.job_fingerprints_.resize(n);
+  auto fingerprints =
+      std::make_shared<std::vector<std::string>>(static_cast<std::size_t>(n));
   flow.job_fingerprint_hashes_.resize(n);
   const std::hash<std::string> hasher;
   for (JobId id = 0; id < n; ++id) {
-    std::string& fp = flow.job_fingerprints_[id];
+    std::string& fp = (*fingerprints)[id];
     const JobProfile& job = flow.jobs_[id];
     AppendStageProfile(fp, job.map);
     fp += job.has_reduce() ? '\1' : '\0';
@@ -201,6 +202,7 @@ Result<DagWorkflow> DagBuilder::Build() && {
     for (JobId parent : parents) AppendInt64(fp, parent);
     flow.job_fingerprint_hashes_[id] = hasher(fp);
   }
+  flow.job_fingerprints_ = std::move(fingerprints);
   return flow;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DAGPERF_DAG_DAG_WORKFLOW_H_
 #define DAGPERF_DAG_DAG_WORKFLOW_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +51,13 @@ class DagWorkflow {
   /// call while the flow itself is immutable.
   const std::string& job_fingerprint(JobId id) const;
   const std::vector<std::string>& job_fingerprints() const {
+    return *job_fingerprints_;
+  }
+  /// The same vector as shared by this flow and its copies, and by no flow
+  /// of another Build(): sharing its owner proves equal fingerprints without
+  /// comparing bytes (checkpoint probes, model/incremental.h).
+  const std::shared_ptr<const std::vector<std::string>>&
+  shared_job_fingerprints() const {
     return job_fingerprints_;
   }
   /// std::hash of job_fingerprint(id) — a cheap per-job ordering signature
@@ -65,7 +73,7 @@ class DagWorkflow {
   std::vector<std::pair<JobId, JobId>> edges_;
   std::vector<std::vector<JobId>> parents_;
   std::vector<std::vector<JobId>> children_;
-  std::vector<std::string> job_fingerprints_;
+  std::shared_ptr<const std::vector<std::string>> job_fingerprints_;
   std::vector<std::size_t> job_fingerprint_hashes_;
 };
 

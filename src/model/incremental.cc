@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <mutex>
 
 #include "obs/metrics.h"
@@ -49,6 +50,15 @@ void AppendInt(std::string& out, std::int64_t value) {
   std::memcpy(bits, &value, sizeof(std::int64_t));
   out.append(bits, sizeof(std::int64_t));
 }
+
+/// One step of the key digest: xor in a word, then a multiply-xorshift.
+std::uint64_t Mix(std::uint64_t h, std::uint64_t value) {
+  h ^= value;
+  h *= 0x9E3779B97F4A7C15ULL;
+  return h ^ (h >> 32);
+}
+
+constexpr std::size_t kDigestBytes = sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -103,56 +113,160 @@ void PrefixCheckpointStore::AppendJobFingerprint(const DagWorkflow& flow,
   out->append(flow.job_fingerprint(id));
 }
 
-bool PrefixCheckpointStore::BuildKey(const std::string& global_fp,
-                                     const std::vector<std::string>& job_fps,
-                                     const DagWorkflow& flow, const JobId* done,
-                                     std::size_t done_count, std::string* out) {
-  const int n = flow.num_jobs();
-  thread_local std::vector<unsigned char> done_mark;
-  done_mark.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t i = 0; i < done_count; ++i) {
-    if (done[i] < 0 || done[i] >= n) return false;
-    done_mark[static_cast<std::size_t>(done[i])] = 1;
+struct PrefixCheckpointStore::KeyParts {
+  const std::string* global_fp = nullptr;
+  const DagWorkflow* flow = nullptr;
+  const JobId* done = nullptr;
+  std::size_t done_count = 0;
+  /// Activated jobs (every parent done), ascending.
+  std::vector<JobId> activated;
+  std::uint64_t digest = 0;
+  /// Bytes of the written key.
+  std::size_t size = 0;
+
+  /// Describes the key of boundary `done` of `flow`; false when a done id
+  /// is out of range. `global_hash` is std::hash of `global`.
+  bool Init(const std::string& global, std::size_t global_hash,
+            const DagWorkflow& dag, const JobId* done_ids, std::size_t count) {
+    global_fp = &global;
+    flow = &dag;
+    done = done_ids;
+    done_count = count;
+    const int n = dag.num_jobs();
+    done_mark.assign(static_cast<std::size_t>(n), 0);
+    digest = Mix(global_hash, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (done_ids[i] < 0 || done_ids[i] >= n) return false;
+      done_mark[static_cast<std::size_t>(done_ids[i])] = 1;
+      digest = Mix(digest, static_cast<std::uint64_t>(done_ids[i]));
+    }
+    size = global.size() + sizeof(std::int64_t) * (1 + count) + 1 + kDigestBytes;
+    activated.clear();
+    for (JobId id = 0; id < n; ++id) {
+      bool ready = true;
+      for (JobId parent : dag.parents(id)) {
+        if (!done_mark[static_cast<std::size_t>(parent)]) {
+          ready = false;
+          break;
+        }
+      }
+      if (!ready) continue;
+      activated.push_back(id);
+      size += sizeof(std::int64_t) + dag.job_fingerprint(id).size() + 1;
+      digest = Mix(Mix(digest, static_cast<std::uint64_t>(id)),
+                   dag.job_fingerprint_hash(id));
+    }
+    return true;
   }
 
-  out->clear();
-  *out += global_fp;
-  AppendInt(*out, static_cast<std::int64_t>(done_count));
-  for (std::size_t i = 0; i < done_count; ++i) AppendInt(*out, done[i]);
-  *out += '#';
-  for (JobId id = 0; id < n; ++id) {
-    bool activated = true;
-    for (JobId parent : flow.parents(id)) {
-      if (!done_mark[static_cast<std::size_t>(parent)]) {
-        activated = false;
-        break;
+  /// Emits the key's bytes in order through `sink(data, size) -> bool`,
+  /// stopping at the first false; returns whether every call was true.
+  template <typename Sink>
+  bool Write(Sink&& sink) const {
+    if (!WriteBoundary(sink)) return false;
+    for (JobId id : activated) {
+      const std::string& fp = flow->job_fingerprint(id);
+      if (!Word(sink, id) || !sink(fp.data(), fp.size()) || !sink("|", 1)) {
+        return false;
       }
     }
-    if (!activated) continue;
-    AppendInt(*out, id);
-    *out += job_fps[static_cast<std::size_t>(id)];
-    *out += '|';
+    return Word(sink, static_cast<std::int64_t>(digest));
   }
+
+  /// Emits the key's first part: global fingerprint, done set, '#'.
+  template <typename Sink>
+  bool WriteBoundary(Sink&& sink) const {
+    if (!sink(global_fp->data(), global_fp->size())) return false;
+    if (!Word(sink, static_cast<std::int64_t>(done_count))) return false;
+    for (std::size_t i = 0; i < done_count; ++i) {
+      if (!Word(sink, done[i])) return false;
+    }
+    return sink("#", 1);
+  }
+
+ private:
+  template <typename Sink>
+  static bool Word(Sink& sink, std::int64_t value) {
+    char bits[sizeof(value)];
+    std::memcpy(bits, &value, sizeof(bits));
+    return sink(bits, sizeof(bits));
+  }
+
+  std::vector<unsigned char> done_mark;
+};
+
+std::size_t PrefixCheckpointStore::KeyHash::operator()(
+    const std::string& key) const {
+  if (key.size() < kDigestBytes) return std::hash<std::string>()(key);
+  std::uint64_t digest;
+  std::memcpy(&digest, key.data() + key.size() - kDigestBytes, kDigestBytes);
+  return static_cast<std::size_t>(digest);
+}
+
+std::size_t PrefixCheckpointStore::KeyHash::operator()(
+    const KeyParts& parts) const {
+  return static_cast<std::size_t>(parts.digest);
+}
+
+bool PrefixCheckpointStore::KeyEqual::operator()(
+    const KeyParts& parts, const Checkpoint& checkpoint) const {
+  const std::string& key = checkpoint->key;
+  if (key.size() != parts.size) return false;
+  std::uint64_t digest;
+  std::memcpy(&digest, key.data() + key.size() - kDigestBytes, kDigestBytes);
+  if (digest != parts.digest) return false;
+  const char* at = key.data();
+  const auto matches = [&at](const char* data, std::size_t size) {
+    if (std::memcmp(at, data, size) != 0) return false;
+    at += size;
+    return true;
+  };
+  // The capturing flow, or a copy of it: equal fingerprints, so with equal
+  // global fingerprint and done set, the activated jobs and everything
+  // after them are equal too.
+  const auto& shared = parts.flow->shared_job_fingerprints();
+  if (!checkpoint->job_fingerprints.owner_before(shared) &&
+      !shared.owner_before(checkpoint->job_fingerprints) &&
+      !checkpoint->job_fingerprints.expired()) {
+    return parts.WriteBoundary(matches);
+  }
+  return parts.Write(matches);
+}
+
+bool PrefixCheckpointStore::BuildKey(const std::string& global_fp,
+                                     const DagWorkflow& flow, const JobId* done,
+                                     std::size_t done_count, std::string* out) {
+  thread_local KeyParts parts;
+  if (!parts.Init(global_fp, std::hash<std::string>()(global_fp), flow, done,
+                  done_count)) {
+    return false;
+  }
+  out->clear();
+  out->reserve(parts.size);
+  parts.Write([out](const char* data, std::size_t size) {
+    out->append(data, size);
+    return true;
+  });
   return true;
 }
 
 std::shared_ptr<const EstimatorCheckpoint> PrefixCheckpointStore::Lookup(
-    const DagWorkflow& flow, const std::string& global_fp,
-    const std::vector<std::string>& job_fps) const {
-  thread_local std::string key;
+    const DagWorkflow& flow, const std::string& global_fp) const {
+  thread_local KeyParts parts;
+  const std::size_t global_hash = std::hash<std::string>()(global_fp);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     // done_sets_ is ordered deepest-first, so the first key match is the
     // checkpoint with the most completed jobs — the maximal shared prefix.
     for (const std::vector<JobId>& done : done_sets_) {
-      if (!BuildKey(global_fp, job_fps, flow, done.data(), done.size(), &key)) {
+      if (!parts.Init(global_fp, global_hash, flow, done.data(), done.size())) {
         continue;
       }
-      const auto it = entries_.find(key);
+      const auto it = entries_.find(parts);
       if (it != entries_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         Metrics().prefix_hits.Add(1);
-        return it->second;
+        return *it;
       }
     }
   }
@@ -199,7 +313,7 @@ void PrefixCheckpointStore::Insert(
     done_sets_.insert(it, checkpoint->done);
   }
   bytes_ += size;
-  entries_.emplace(checkpoint->key, std::move(checkpoint));
+  entries_.insert(std::move(checkpoint));
   inserts_.fetch_add(1, std::memory_order_relaxed);
   Metrics().checkpoints_stored.Add(1);
 }
@@ -227,7 +341,7 @@ PrefixCheckpointStore::Export() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   std::vector<std::shared_ptr<const EstimatorCheckpoint>> out;
   out.reserve(entries_.size());
-  for (const auto& [key, checkpoint] : entries_) out.push_back(checkpoint);
+  for (const auto& checkpoint : entries_) out.push_back(checkpoint);
   return out;
 }
 

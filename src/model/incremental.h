@@ -7,7 +7,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster_spec.h"
@@ -35,6 +35,12 @@ namespace dagperf {
 ///   [sorted done-job ids]                            -- the prefix boundary
 ///   [for each ACTIVATED job (all parents done), ascending id:
 ///        id, stage profiles (map + reduce), parent ids]
+///   [8-byte digest of the above]                     -- the store's hash
+/// The digest is mixed from the global fingerprint's hash, the done ids and
+/// each activated job's id and precomputed fingerprint hash, so a probe
+/// compares stored keys in place instead of writing and hashing a key of
+/// several KB (about 450 bytes per activated job). Equality is still on
+/// every byte.
 /// Only activated jobs enter the key: a job whose parents are not all done
 /// cannot have run before the boundary, so its profile cannot have
 /// influenced the trajectory — which is what lets candidates that differ
@@ -77,6 +83,11 @@ struct StageDynState {
 /// memcpy-style vector assigns (every record is trivially copyable).
 struct EstimatorCheckpoint {
   std::string key;
+  /// The job fingerprints of the flow that captured this checkpoint (empty
+  /// when restored from a snapshot). A probe by a flow sharing their owner
+  /// (DagWorkflow::shared_job_fingerprints) needs no byte compare of them;
+  /// held weakly, so a checkpoint never keeps a dead flow's bytes alive.
+  std::weak_ptr<const std::vector<std::string>> job_fingerprints;
   /// Completed jobs at the boundary, ascending.
   std::vector<JobId> done;
   /// Activated jobs (all parents done), ascending. Non-activated jobs have
@@ -141,11 +152,9 @@ class PrefixCheckpointStore {
   explicit PrefixCheckpointStore(Options options);
 
   /// The deepest checkpoint matching a prefix of `flow` (most done jobs),
-  /// or nullptr. `job_fps[id]` must hold AppendJobFingerprint(flow, id) for
-  /// every id of the flow (extra entries are ignored). Counts a hit or miss.
+  /// or nullptr. Counts a hit or miss.
   std::shared_ptr<const EstimatorCheckpoint> Lookup(
-      const DagWorkflow& flow, const std::string& global_fp,
-      const std::vector<std::string>& job_fps) const;
+      const DagWorkflow& flow, const std::string& global_fp) const;
 
   /// Whether Insert would store a checkpoint of `bytes` (its ByteSize())
   /// under `key` right now — the estimator asks before paying the capture
@@ -194,17 +203,52 @@ class PrefixCheckpointStore {
   /// `flow`, computing the activated set internally. Returns false when the
   /// done set cannot belong to this flow (an id out of range), in which
   /// case `*out` is unspecified.
-  static bool BuildKey(const std::string& global_fp,
-                       const std::vector<std::string>& job_fps,
-                       const DagWorkflow& flow, const JobId* done,
-                       std::size_t done_count, std::string* out);
+  static bool BuildKey(const std::string& global_fp, const DagWorkflow& flow,
+                       const JobId* done, std::size_t done_count,
+                       std::string* out);
 
  private:
+  /// A key described by its parts (BuildKey's inputs) instead of written
+  /// out: probes compare it with stored keys in place.
+  struct KeyParts;
+
+  /// Hashes a checkpoint or a key by the key's trailing digest (keys
+  /// shorter than a digest, which BuildKey never writes, are hashed whole)
+  /// and a KeyParts by the digest of the key it describes.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const std::string& key) const;
+    std::size_t operator()(
+        const std::shared_ptr<const EstimatorCheckpoint>& checkpoint) const {
+      return (*this)(checkpoint->key);
+    }
+    std::size_t operator()(const KeyParts& parts) const;
+  };
+  /// Equality of keys; a checkpoint stands for its key.
+  struct KeyEqual {
+    using is_transparent = void;
+    using Checkpoint = std::shared_ptr<const EstimatorCheckpoint>;
+    bool operator()(const Checkpoint& a, const Checkpoint& b) const {
+      return a->key == b->key;
+    }
+    bool operator()(const std::string& key, const Checkpoint& c) const {
+      return key == c->key;
+    }
+    bool operator()(const Checkpoint& c, const std::string& key) const {
+      return key == c->key;
+    }
+    bool operator()(const KeyParts& parts, const Checkpoint& c) const;
+    bool operator()(const Checkpoint& c, const KeyParts& parts) const {
+      return (*this)(parts, c);
+    }
+  };
+
   void CountRejectedFull();
 
   Options options_;
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const EstimatorCheckpoint>>
+  std::unordered_set<std::shared_ptr<const EstimatorCheckpoint>, KeyHash,
+                     KeyEqual>
       entries_;
   /// Distinct done sets seen by Insert, ordered deepest-first (size
   /// descending, then lexicographic) — the probe sequence for Lookup.

@@ -16,7 +16,9 @@ namespace dagperf {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'P', 'W', 'A', 'R', 'M', '0', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+// v2: checkpoint keys end with an 8-byte digest (model/incremental.h), so a
+// v1 checkpoint could never match a probe again.
+constexpr std::uint32_t kFormatVersion = 2;
 
 std::uint64_t Fnv1a64(const char* data, std::size_t size) {
   std::uint64_t hash = 1469598103934665603ull;

@@ -178,11 +178,9 @@ struct Workspace {
 
   // Checkpoint scratch. fp_global points at the global fingerprint in
   // effect for the current estimate — either the caller's precomputed one
-  // (EstimatorOptions::checkpoint_global_fp) or the ws-owned buffer below;
-  // fp_jobs always points at the flow's precomputed job fingerprints.
+  // (EstimatorOptions::checkpoint_global_fp) or the ws-owned buffer below.
   std::string global_fp;
   const std::string* fp_global = nullptr;
-  const std::vector<std::string>* fp_jobs = nullptr;
   std::string key;
   std::vector<JobId> done_ids;
 
@@ -312,9 +310,8 @@ void MaybeStoreCheckpoint(PrefixCheckpointStore& store, const DagWorkflow& flow,
   for (JobId id = 0; id < ws.n; ++id) {
     if (ws.done[id]) ws.done_ids.push_back(id);
   }
-  if (!PrefixCheckpointStore::BuildKey(*ws.fp_global, *ws.fp_jobs, flow,
-                                       ws.done_ids.data(), ws.done_ids.size(),
-                                       &ws.key)) {
+  if (!PrefixCheckpointStore::BuildKey(*ws.fp_global, flow, ws.done_ids.data(),
+                                       ws.done_ids.size(), &ws.key)) {
     return;
   }
   std::size_t jobs = 0;
@@ -334,6 +331,7 @@ void MaybeStoreCheckpoint(PrefixCheckpointStore& store, const DagWorkflow& flow,
 
   auto cp = std::make_shared<EstimatorCheckpoint>();
   cp->key = ws.key;
+  cp->job_fingerprints = flow.shared_job_fingerprints();
   cp->done = ws.done_ids;
   cp->now = now;
   cp->next_state_index = state_index;
@@ -404,7 +402,6 @@ Status StateBasedEstimator::EstimateInto(const DagWorkflow& flow,
     // fingerprint (scope, cluster, scheduler, options) is either supplied by
     // the caller (the sweep computes it once per candidate for ordering) or
     // serialised into workspace scratch here.
-    ws.fp_jobs = &flow.job_fingerprints();
     if (options_.checkpoint_global_fp != nullptr) {
       ws.fp_global = options_.checkpoint_global_fp;
     } else {
@@ -414,7 +411,7 @@ Status StateBasedEstimator::EstimateInto(const DagWorkflow& flow,
           &ws.global_fp);
       ws.fp_global = &ws.global_fp;
     }
-    resume = store->Lookup(flow, *ws.fp_global, *ws.fp_jobs);
+    resume = store->Lookup(flow, *ws.fp_global);
     if (resume != nullptr &&
         static_cast<int>(resume->done.size()) == flow.num_jobs()) {
       // Complete-result checkpoint: every job was done at the boundary, so

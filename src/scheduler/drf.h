@@ -34,9 +34,13 @@ struct StageDemand {
 ///
 /// Given the aggregate cluster capacity and each stage's per-task demand and
 /// task backlog, returns the number of concurrently running tasks each stage
-/// receives: containers are granted one at a time to the stage with the
-/// smallest dominant share until capacity, per-node caps, or backlogs are
-/// exhausted.
+/// receives. The result is that of granting containers one at a time to the
+/// stage with the smallest dominant share (lowest index on ties) until
+/// capacity, per-node caps, or backlogs are exhausted, with the capacity
+/// checks made on the same floating-point running sums. It is computed in
+/// batches: the smallest-share stage takes its whole run of grants up to
+/// the runner-up's share, and stages sharing one slot shape take whole
+/// rounds at once (see docs/modeling.md).
 class DrfAllocator {
  public:
   DrfAllocator(const ClusterSpec& cluster, const SchedulerConfig& config);
@@ -58,6 +62,18 @@ class DrfAllocator {
   int NodeSlots(const SlotDemand& demand) const;
 
  private:
+  /// Grants when every stage with backlog has the same slot shape: rounds
+  /// found by a water-fill over the backlogs. Returns false, granting
+  /// nothing, when the shapes differ or the shares are too small to order
+  /// grants by count.
+  bool AllocateUniform(const std::vector<StageDemand>& stages, int task_cap,
+                       std::vector<int>* granted) const;
+
+  /// Grants in runs: the smallest-share stage takes grants until it no
+  /// longer fits or its share passes the runner-up's.
+  void AllocateRuns(const std::vector<StageDemand>& stages, int task_cap,
+                    std::vector<int>* granted) const;
+
   double total_vcores_;
   double total_memory_;
   double node_vcores_;

@@ -108,13 +108,6 @@ Status TenantRegistry::Admit(const std::string& tenant) {
   return Status::Ok();
 }
 
-void TenantRegistry::OnAdmitRollback(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = Find(tenant);
-  entry.queued = std::max(0, entry.queued - 1);
-  --entry.submitted;  // The request was never really accepted.
-}
-
 void TenantRegistry::OnExecuteStart(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = Find(tenant);

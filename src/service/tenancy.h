@@ -65,14 +65,10 @@ class TenantRegistry {
   explicit TenantRegistry(Options options);
 
   /// Fair-share admission for one request of `tenant`. On Ok the tenant
-  /// holds one queued slot (release it via OnExecuteStart + OnDone, or
-  /// OnAdmitRollback if the request never reaches a worker). Rejections are
-  /// RESOURCE_EXHAUSTED (retryable) and count into shed_total.
+  /// holds one queued slot (released via OnExecuteStart + OnDone).
+  /// Rejections are RESOURCE_EXHAUSTED (retryable) and count into
+  /// shed_total.
   Status Admit(const std::string& tenant);
-
-  /// Returns the queued slot of a request that was admitted but then
-  /// rejected downstream (chaos seam, overload shed) without executing.
-  void OnAdmitRollback(const std::string& tenant);
 
   /// Moves one slot of `tenant` from queued to in-flight (worker dequeue).
   void OnExecuteStart(const std::string& tenant);

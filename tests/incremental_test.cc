@@ -98,6 +98,89 @@ TEST(PrefixCheckpointStoreTest, IdenticalFlowResumesFullDepth) {
   EXPECT_GT(stats.resumed_states, 0u);
 }
 
+TEST(PrefixCheckpointStoreTest, CapturingFlowAndEqualBytesResumeAlike) {
+  // A probe by the capturing flow or a copy of it (shared fingerprints)
+  // skips the fingerprint bytes; a separately built equal flow compares
+  // them. Both must resume at full depth with the same answer, and a flow
+  // differing only in its last job must not.
+  const BoeModel boe(kCluster.node);
+  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
+  PrefixCheckpointStore store;
+  EstimatorOptions options;
+  options.checkpoints = &store;
+  const StateBasedEstimator estimator(kCluster, kSched, options);
+
+  DagEstimate cold;
+  {
+    const DagWorkflow flow = ChainWithReducers(8);
+    cold = estimator.Estimate(flow, source).value();
+    const DagWorkflow copy = flow;
+    EXPECT_EQ(&copy.job_fingerprints(), &flow.job_fingerprints());
+    const DagEstimate by_copy = estimator.Estimate(copy, source).value();
+    EXPECT_EQ(by_copy.resumed_states, static_cast<int>(cold.states.size()));
+    ExpectIdentical(by_copy, cold);
+  }
+  // The capturing flow is gone: an equal rebuild matches on bytes.
+  const DagWorkflow rebuilt = ChainWithReducers(8);
+  const DagEstimate by_bytes = estimator.Estimate(rebuilt, source).value();
+  EXPECT_EQ(by_bytes.resumed_states, static_cast<int>(cold.states.size()));
+  ExpectIdentical(by_bytes, cold);
+
+  const DagWorkflow other = ChainWithReducers(16);
+  const DagEstimate partial = estimator.Estimate(other, source).value();
+  EXPECT_GT(partial.resumed_states, 0);
+  EXPECT_LT(partial.resumed_states, static_cast<int>(partial.states.size()));
+  const StateBasedEstimator plain(kCluster, kSched);
+  ExpectIdentical(partial, plain.Estimate(other, source).value());
+
+  // Every stored key is what BuildKey writes for its boundary.
+  std::string global_fp;
+  PrefixCheckpointStore::AppendGlobalFingerprint("", kCluster, kSched, options,
+                                                 &global_fp);
+  for (const auto& checkpoint : store.Export()) {
+    std::string by_rebuilt, by_other;
+    ASSERT_TRUE(PrefixCheckpointStore::BuildKey(
+        global_fp, rebuilt, checkpoint->done.data(), checkpoint->done.size(),
+        &by_rebuilt));
+    ASSERT_TRUE(PrefixCheckpointStore::BuildKey(
+        global_fp, other, checkpoint->done.data(), checkpoint->done.size(),
+        &by_other));
+    EXPECT_TRUE(checkpoint->key == by_rebuilt || checkpoint->key == by_other);
+  }
+}
+
+TEST(PrefixCheckpointStoreTest, EqualDigestWithOtherBytesMisses) {
+  // The digest only routes a probe; equality is on every byte. Stored keys
+  // with one fingerprint byte flipped keep their size and digest, and must
+  // still never match.
+  const BoeModel boe(kCluster.node);
+  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
+  PrefixCheckpointStore store;
+  EstimatorOptions options;
+  options.checkpoints = &store;
+  const StateBasedEstimator estimator(kCluster, kSched, options);
+  const DagWorkflow flow = ChainWithReducers(8);
+  ASSERT_TRUE(estimator.Estimate(flow, source).ok());
+
+  std::vector<std::shared_ptr<const EstimatorCheckpoint>> forged;
+  for (const auto& checkpoint : store.Export()) {
+    auto copy = std::make_shared<EstimatorCheckpoint>(*checkpoint);
+    copy->job_fingerprints.reset();
+    // The last byte of the last activated job's fingerprint sits before
+    // its '|' and the 8-byte digest.
+    copy->key[copy->key.size() - 10] ^= 1;
+    forged.push_back(std::move(copy));
+  }
+  PrefixCheckpointStore forged_store;
+  forged_store.Import(forged);
+  EstimatorOptions forged_options;
+  forged_options.checkpoints = &forged_store;
+  const StateBasedEstimator probe(kCluster, kSched, forged_options);
+  const DagEstimate estimate = probe.Estimate(flow, source).value();
+  EXPECT_EQ(estimate.resumed_states, 0);
+  EXPECT_EQ(forged_store.stats().hits, 0u);
+}
+
 TEST(PrefixCheckpointStoreTest, ByteCapRejectsInsertsDeterministically) {
   const BoeModel boe(kCluster.node);
   const BoeTaskTimeSource source(boe, Duration::Seconds(1));
@@ -268,30 +351,26 @@ TEST(PrefixCheckpointStoreTest, BuildKeyEdgeCases) {
   std::string global_fp;
   PrefixCheckpointStore::AppendGlobalFingerprint("scope", kCluster, kSched,
                                                  EstimatorOptions{}, &global_fp);
-  std::vector<std::string> job_fps(flow.jobs().size());
-  for (JobId id = 0; id < static_cast<JobId>(flow.jobs().size()); ++id) {
-    PrefixCheckpointStore::AppendJobFingerprint(flow, id, &job_fps[id]);
-  }
 
   // Deterministic: two builds of the same boundary produce equal keys.
   const std::vector<JobId> done = {0};
   std::string key1, key2;
-  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, job_fps, flow,
+  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, flow,
                                               done.data(), done.size(), &key1));
-  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, job_fps, flow,
+  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, flow,
                                               done.data(), done.size(), &key2));
   EXPECT_EQ(key1, key2);
 
   // The empty boundary (nothing done yet) is a valid key.
   std::string empty_key;
-  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, job_fps, flow, nullptr,
+  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, flow, nullptr,
                                               0, &empty_key));
   EXPECT_NE(empty_key, key1);
 
   // Deeper boundaries produce different keys.
   const std::vector<JobId> deeper = {0, 1};
   std::string key3;
-  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, job_fps, flow,
+  ASSERT_TRUE(PrefixCheckpointStore::BuildKey(global_fp, flow,
                                               deeper.data(), deeper.size(),
                                               &key3));
   EXPECT_NE(key3, key1);
@@ -299,7 +378,7 @@ TEST(PrefixCheckpointStoreTest, BuildKeyEdgeCases) {
   // A done id outside the flow cannot form a key.
   const std::vector<JobId> bogus = {99};
   std::string unused;
-  EXPECT_FALSE(PrefixCheckpointStore::BuildKey(global_fp, job_fps, flow,
+  EXPECT_FALSE(PrefixCheckpointStore::BuildKey(global_fp, flow,
                                                bogus.data(), bogus.size(),
                                                &unused));
 }

@@ -230,15 +230,18 @@ TEST(TenantRegistryTest, SoleTenantMayFillTheWholeQueue) {
   EXPECT_EQ(stats[0].shed_total, 1u);
 }
 
-TEST(TenantRegistryTest, RollbackReturnsTheQueuedSlot) {
+TEST(TenantRegistryTest, FinishedRequestReturnsItsSlot) {
   TenantRegistry::Options options;
   options.capacity_slots = 2;
   TenantRegistry registry(options);
   ASSERT_TRUE(registry.Admit("t").ok());
   ASSERT_TRUE(registry.Admit("t").ok());
   ASSERT_FALSE(registry.Admit("t").ok());
-  registry.OnAdmitRollback("t");
+  // A worker dequeues one request and finishes it: its slot comes back.
+  registry.OnExecuteStart("t");
+  registry.OnDone("t", /*ok=*/true, /*cpu_ms=*/1.0);
   EXPECT_TRUE(registry.Admit("t").ok());
+  EXPECT_FALSE(registry.Admit("t").ok());
 }
 
 TEST(TenantRegistryTest, LightTenantAdmitsPastASaturatedHeavyOne) {

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "cluster/rate_solver.h"
 #include "common/rng.h"
@@ -159,6 +164,183 @@ TEST_P(RateSolverPropertyTest, OfferedShareCoversConsumption) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RateSolverPropertyTest,
                          ::testing::Range<uint64_t>(1, 33));
+
+/// Test-only copy of the plain solver: Gauss-Seidel water-fills over every
+/// resource each pass, limits recomputed from the levels on every read, all
+/// flows' offers computed. SolveRates and RateEquilibrium must match it bit
+/// for bit.
+namespace plain {
+
+double WaterFill(double capacity, const std::vector<double>& populations,
+                 const std::vector<double>& wants) {
+  double total = 0.0;
+  for (size_t i = 0; i < wants.size(); ++i) {
+    total += populations[i] * std::min(wants[i], kInf);
+    if (total == kInf) break;
+  }
+  if (total <= capacity) return kInf;
+  std::vector<size_t> order(wants.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return wants[a] < wants[b]; });
+  double consumed = 0.0;
+  double above_weight = 0.0;
+  for (size_t i : order) above_weight += populations[i];
+  for (size_t i : order) {
+    const double level = (capacity - consumed) / above_weight;
+    if (level <= wants[i]) return std::max(level, 0.0);
+    consumed += populations[i] * wants[i];
+    above_weight -= populations[i];
+  }
+  return wants[order.back()];
+}
+
+std::vector<FlowRate> SolveRates(const ResourceVector& capacities,
+                                 const std::vector<Flow>& flows) {
+  const size_t n = flows.size();
+  std::vector<FlowRate> out(n);
+  std::vector<double> cap_rate(n, kInf);
+  std::vector<bool> trivial(n, false);
+  for (size_t f = 0; f < n; ++f) {
+    bool any = false;
+    for (int r = 0; r < kNumResources; ++r) {
+      const double d = flows[f].demand.values[r];
+      if (d <= 0) continue;
+      any = true;
+      const double task_cap = flows[f].per_task_cap.values[r];
+      if (task_cap > 0) cap_rate[f] = std::min(cap_rate[f], task_cap / d);
+    }
+    if (!any) {
+      trivial[f] = true;
+      out[f].progress_rate = kInf;
+    }
+  }
+  std::array<double, kNumResources> level;
+  level.fill(kInf);
+  const auto rate_under = [&](size_t f, int exclude, int* binding) {
+    double v = cap_rate[f];
+    int b = -1;
+    for (int r = 0; r < kNumResources; ++r) {
+      if (r == exclude) continue;
+      const double d = flows[f].demand.values[r];
+      if (d <= 0) continue;
+      const double limit = std::min(level[r], capacities.values[r]) / d;
+      if (limit < v) {
+        v = limit;
+        b = r;
+      }
+    }
+    if (binding != nullptr) *binding = b;
+    return v;
+  };
+  std::vector<double> prev(n, 0.0);
+  for (int iter = 0; iter < 300; ++iter) {
+    for (int r = 0; r < kNumResources; ++r) {
+      if (capacities.values[r] <= 0) continue;
+      std::vector<double> populations;
+      std::vector<double> wants;
+      for (size_t f = 0; f < n; ++f) {
+        if (trivial[f]) continue;
+        const double d = flows[f].demand.values[r];
+        if (d <= 0) continue;
+        double want = d * rate_under(f, r, nullptr);
+        const double task_cap = flows[f].per_task_cap.values[r];
+        if (task_cap > 0) want = std::min(want, task_cap);
+        populations.push_back(flows[f].population);
+        wants.push_back(want);
+      }
+      level[r] = wants.empty() ? kInf : WaterFill(capacities.values[r], populations, wants);
+    }
+    double delta = 0.0;
+    for (size_t f = 0; f < n; ++f) {
+      if (trivial[f]) continue;
+      const double v = rate_under(f, -1, nullptr);
+      delta = std::max(delta, std::fabs(v - prev[f]) / std::max(std::fabs(v), 1e-300));
+      prev[f] = v;
+    }
+    if (delta < 1e-13) break;
+  }
+  std::array<double, kNumResources> demanders{};
+  for (size_t f = 0; f < n; ++f) {
+    if (trivial[f]) continue;
+    for (int r = 0; r < kNumResources; ++r) {
+      if (flows[f].demand.values[r] > 0) demanders[r] += flows[f].population;
+    }
+  }
+  for (size_t f = 0; f < n; ++f) {
+    if (trivial[f]) continue;
+    int binding = -1;
+    const double v = rate_under(f, -1, &binding);
+    out[f].progress_rate = v;
+    out[f].bottleneck = binding;
+    if (binding == -1) {
+      for (int r = 0; r < kNumResources; ++r) {
+        const double d = flows[f].demand.values[r];
+        const double task_cap = flows[f].per_task_cap.values[r];
+        if (d > 0 && task_cap > 0 && task_cap / d <= cap_rate[f] * (1 + 1e-12)) {
+          out[f].bottleneck = r;
+          break;
+        }
+      }
+    }
+    for (int r = 0; r < kNumResources; ++r) {
+      const double d = flows[f].demand.values[r];
+      if (d <= 0) continue;
+      double offer = level[r] < kInf ? level[r] : capacities.values[r] / demanders[r];
+      offer = std::min(offer, capacities.values[r]);
+      const double task_cap = flows[f].per_task_cap.values[r];
+      if (task_cap > 0) offer = std::min(offer, task_cap);
+      offer = std::max(offer, d * v);
+      out[f].offered.values[r] = offer;
+    }
+  }
+  return out;
+}
+
+}  // namespace plain
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(RateSolverReferenceTest, MatchesPlainGaussSeidelBitForBit) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<Flow> flows = RandomFlows(rng.NextUint64(), 1 + trial % 12);
+    for (Flow& f : flows) {
+      // Repeated shapes tie in the water-fill order; demand-free flows and
+      // flows without a cpu cap take the other branches.
+      if (rng.NextDouble() < 0.2) f = flows.front();
+      if (rng.NextDouble() < 0.05) f.demand = ResourceVector{};
+      if (rng.NextDouble() < 0.1) f.per_task_cap = ResourceVector{};
+    }
+    const std::vector<FlowRate> want = plain::SolveRates(PaperCaps(), flows);
+    const std::vector<FlowRate> got = SolveRates(PaperCaps(), flows);
+
+    std::vector<FlowShape> shapes;
+    std::vector<double> populations;
+    for (const Flow& f : flows) {
+      shapes.push_back(MakeFlowShape(PaperCaps(), f.demand, f.per_task_cap));
+      populations.push_back(f.population);
+    }
+    std::vector<const FlowShape*> shape_ptrs;
+    for (const FlowShape& shape : shapes) shape_ptrs.push_back(&shape);
+    RateEquilibrium equilibrium;
+    equilibrium.Solve(PaperCaps(), shape_ptrs.data(), populations.data(), flows.size());
+
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t f = 0; f < flows.size(); ++f) {
+      EXPECT_TRUE(SameBits(got[f].progress_rate, want[f].progress_rate))
+          << "trial " << trial << " flow " << f;
+      EXPECT_EQ(got[f].bottleneck, want[f].bottleneck) << "trial " << trial;
+      const ResourceVector offered = equilibrium.Offered(f);
+      for (int r = 0; r < kNumResources; ++r) {
+        EXPECT_TRUE(SameBits(got[f].offered.values[r], want[f].offered.values[r]))
+            << "trial " << trial << " flow " << f << " resource " << r;
+        EXPECT_TRUE(SameBits(offered.values[r], want[f].offered.values[r]))
+            << "trial " << trial << " flow " << f << " resource " << r;
+      }
+    }
+  }
+}
 
 TEST(RateSolverEdgeTest, EmptyFlowsIsEmpty) {
   EXPECT_TRUE(SolveRates(PaperCaps(), {}).empty());

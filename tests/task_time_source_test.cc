@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/rate_solver.h"
 #include "sim/simulator.h"
 
 namespace dagperf {
@@ -134,6 +141,251 @@ StageProfile RandomStage(std::mt19937_64& rng, int index) {
     stage.substages.push_back(ss);
   }
   return stage;
+}
+
+/// Test-only copy of the straightforward BOE loops: every contention mode
+/// built from whole TaskEstimate structs, one public SolveRates call per
+/// solve, no flow table, no skipped solves. BoeModel's kernel must match it
+/// bit for bit.
+namespace naive {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+ResourceVector PerTaskCaps() {
+  ResourceVector caps;
+  caps[Resource::kCpu] = 1.0;
+  return caps;
+}
+
+SubStageEstimate EstimateSubStage(const SubStageProfile& substage,
+                                  const ResourceVector& alloc) {
+  SubStageEstimate est;
+  est.name = substage.name;
+  double worst = 0.0;
+  for (Resource r : kAllResources) {
+    const double demand = substage.demand[r];
+    if (demand <= 0) continue;
+    OpEstimate op;
+    op.resource = r;
+    op.demand = demand;
+    const double a = alloc[r];
+    op.time = std::isfinite(demand) && a > 0 ? Duration(demand / a)
+                                             : Duration::Infinite();
+    est.ops.push_back(op);
+    if (op.time.seconds() > worst) {
+      worst = op.time.seconds();
+      est.bottleneck = r;
+    }
+  }
+  est.duration = Duration(worst);
+  for (auto& op : est.ops) {
+    op.utilization = worst > 0 ? op.time.seconds() / worst : 0.0;
+  }
+  return est;
+}
+
+TaskEstimate CombineSubStages(const StageProfile& stage,
+                              std::vector<SubStageEstimate> substages) {
+  TaskEstimate task;
+  task.stage_name = stage.name;
+  double total = 0.0;
+  double longest = -1.0;
+  for (const auto& ss : substages) {
+    total += ss.duration.seconds();
+    if (ss.duration.seconds() > longest) {
+      longest = ss.duration.seconds();
+      task.bottleneck = ss.bottleneck;
+    }
+  }
+  task.duration = Duration(total);
+  task.substages = std::move(substages);
+  return task;
+}
+
+std::vector<TaskEstimate> Paper(const ResourceVector& capacities,
+                                const std::vector<ParallelStage>& stages) {
+  ResourceVector contenders;
+  for (const auto& ps : stages) {
+    const ResourceVector total = ps.stage->TotalDemand();
+    for (Resource r : kAllResources) {
+      if (total[r] > 0) contenders[r] += ps.tasks_per_node;
+    }
+  }
+  const ResourceVector task_caps = PerTaskCaps();
+  ResourceVector alloc;
+  for (Resource r : kAllResources) {
+    double share = contenders[r] > 0 ? capacities[r] / contenders[r] : capacities[r];
+    if (task_caps[r] > 0) share = std::min(std::max(share, 0.0), task_caps[r]);
+    alloc[r] = share;
+  }
+  std::vector<TaskEstimate> out;
+  for (const auto& ps : stages) {
+    std::vector<SubStageEstimate> subs;
+    for (const auto& ss : ps.stage->substages) subs.push_back(EstimateSubStage(ss, alloc));
+    out.push_back(CombineSubStages(*ps.stage, std::move(subs)));
+  }
+  return out;
+}
+
+double Delta(const std::vector<TaskEstimate>& current,
+             const std::vector<TaskEstimate>& next) {
+  double delta = 0.0;
+  for (size_t i = 0; i < current.size(); ++i) {
+    const double old_t = current[i].duration.seconds();
+    const double new_t = next[i].duration.seconds();
+    if (old_t != kInf && new_t != kInf) {
+      delta = std::max(delta, std::fabs(new_t - old_t) / std::max(old_t, 1e-12));
+    }
+  }
+  return delta;
+}
+
+/// Stage j's tasks spread over its sub-stages in proportion to their time.
+void AppendSpread(const std::vector<ParallelStage>& stages,
+                  const std::vector<TaskEstimate>& current, size_t j,
+                  std::vector<Flow>* flows,
+                  std::vector<std::pair<size_t, size_t>>* keys) {
+  const double total_time = std::max(current[j].duration.seconds(), 1e-12);
+  for (size_t t = 0; t < stages[j].stage->substages.size(); ++t) {
+    const double frac =
+        std::max(current[j].substages[t].duration.seconds(), 0.0) / total_time;
+    if (frac <= 1e-12) continue;
+    Flow flow;
+    flow.population = stages[j].tasks_per_node * frac;
+    flow.demand = stages[j].stage->substages[t].demand;
+    flow.per_task_cap = PerTaskCaps();
+    flows->push_back(flow);
+    if (keys != nullptr) keys->emplace_back(j, t);
+  }
+}
+
+std::vector<TaskEstimate> SteadyState(const ResourceVector& capacities,
+                                      const BoeOptions& options,
+                                      const std::vector<ParallelStage>& stages) {
+  std::vector<TaskEstimate> current = Paper(capacities, stages);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    std::vector<Flow> flows;
+    std::vector<std::pair<size_t, size_t>> keys;
+    for (size_t i = 0; i < stages.size(); ++i) {
+      AppendSpread(stages, current, i, &flows, &keys);
+    }
+    const std::vector<FlowRate> rates = SolveRates(capacities, flows);
+    std::vector<TaskEstimate> next = current;
+    for (size_t k = 0; k < flows.size(); ++k) {
+      const auto [i, s] = keys[k];
+      next[i].substages[s] = EstimateSubStage(stages[i].stage->substages[s], rates[k].offered);
+    }
+    for (size_t i = 0; i < stages.size(); ++i) {
+      next[i] = CombineSubStages(*stages[i].stage, std::move(next[i].substages));
+    }
+    const double delta = Delta(current, next);
+    current = std::move(next);
+    if (delta < options.tolerance) break;
+  }
+  return current;
+}
+
+std::vector<TaskEstimate> AlignedSelf(const ResourceVector& capacities,
+                                      const BoeOptions& options,
+                                      const std::vector<ParallelStage>& stages) {
+  std::vector<TaskEstimate> current = Paper(capacities, stages);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    std::vector<TaskEstimate> next = current;
+    for (size_t i = 0; i < stages.size(); ++i) {
+      for (size_t s = 0; s < stages[i].stage->substages.size(); ++s) {
+        std::vector<Flow> flows(1);
+        flows[0].population = stages[i].tasks_per_node;
+        flows[0].demand = stages[i].stage->substages[s].demand;
+        flows[0].per_task_cap = PerTaskCaps();
+        for (size_t j = 0; j < stages.size(); ++j) {
+          if (j != i) AppendSpread(stages, current, j, &flows, nullptr);
+        }
+        const std::vector<FlowRate> rates = SolveRates(capacities, flows);
+        next[i].substages[s] =
+            EstimateSubStage(stages[i].stage->substages[s], rates[0].offered);
+      }
+    }
+    for (size_t i = 0; i < stages.size(); ++i) {
+      next[i] = CombineSubStages(*stages[i].stage, std::move(next[i].substages));
+    }
+    const double delta = Delta(current, next);
+    current = std::move(next);
+    if (delta < options.tolerance) break;
+  }
+  return current;
+}
+
+std::vector<TaskEstimate> Estimate(const NodeSpec& node, const BoeOptions& options,
+                                   const std::vector<ParallelStage>& stages) {
+  const ResourceVector capacities = node.Capacities();
+  switch (options.mode) {
+    case BoeOptions::ContentionMode::kPaper:
+      return Paper(capacities, stages);
+    case BoeOptions::ContentionMode::kSteadyState:
+      return SteadyState(capacities, options, stages);
+    case BoeOptions::ContentionMode::kAlignedSelf:
+      return AlignedSelf(capacities, options, stages);
+  }
+  return {};
+}
+
+}  // namespace naive
+
+/// Bitwise equality of two doubles (so -0.0 != 0.0 and NaN == NaN).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(BoeKernelTest, MatchesNaiveLoopsBitForBitInEveryContentionMode) {
+  std::mt19937_64 rng(1806);
+  std::uniform_real_distribution<double> population(0.05, 12.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const BoeOptions::ContentionMode mode :
+       {BoeOptions::ContentionMode::kPaper, BoeOptions::ContentionMode::kSteadyState,
+        BoeOptions::ContentionMode::kAlignedSelf}) {
+    BoeOptions options;
+    options.mode = mode;
+    for (int trial = 0; trial < 250; ++trial) {
+      NodeSpec node = TestNode();
+      node.cores = 1 + static_cast<int>(unit(rng) * 16);
+      node.network_bw = Rate::MBps(20 + 400 * unit(rng));
+      node.disk_read_bw = Rate::MBps(50 + 800 * unit(rng));
+      const BoeModel model(node, options);
+      const int k = 1 + trial % 6;
+      std::vector<StageProfile> stages;
+      for (int i = 0; i < k; ++i) stages.push_back(RandomStage(rng, i));
+      std::vector<ParallelStage> running;
+      for (const StageProfile& stage : stages) running.push_back({&stage, population(rng)});
+
+      const std::vector<TaskEstimate> want = naive::Estimate(node, options, running);
+      const std::vector<TaskEstimate> got = model.EstimateParallel(running);
+      std::vector<double> durations;
+      model.EstimateDurations(running, &durations);
+      const std::string where =
+          "mode " + std::to_string(static_cast<int>(mode)) + " trial " + std::to_string(trial);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      ASSERT_EQ(durations.size(), want.size()) << where;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(SameBits(durations[i], want[i].duration.seconds())) << where;
+        EXPECT_TRUE(SameBits(got[i].duration.seconds(), want[i].duration.seconds())) << where;
+        EXPECT_EQ(got[i].bottleneck, want[i].bottleneck) << where;
+        ASSERT_EQ(got[i].substages.size(), want[i].substages.size()) << where;
+        for (size_t s = 0; s < want[i].substages.size(); ++s) {
+          const SubStageEstimate& g = got[i].substages[s];
+          const SubStageEstimate& w = want[i].substages[s];
+          EXPECT_TRUE(SameBits(g.duration.seconds(), w.duration.seconds())) << where;
+          EXPECT_EQ(g.bottleneck, w.bottleneck) << where;
+          ASSERT_EQ(g.ops.size(), w.ops.size()) << where;
+          for (size_t o = 0; o < w.ops.size(); ++o) {
+            EXPECT_EQ(g.ops[o].resource, w.ops[o].resource) << where;
+            EXPECT_TRUE(SameBits(g.ops[o].demand, w.ops[o].demand)) << where;
+            EXPECT_TRUE(SameBits(g.ops[o].time.seconds(), w.ops[o].time.seconds())) << where;
+            EXPECT_TRUE(SameBits(g.ops[o].utilization, w.ops[o].utilization)) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TaskTimesContractTest, BoeBatchEqualsPerQueryInEveryContentionMode) {
