@@ -21,15 +21,12 @@
 //          memo miss) must reach >= 80% of the live pre-restart service's
 //          rate (a cold control service is probed for contrast).
 //
-// Two 0.8 sections exercise in-flight coalescing and hedged sweeps:
+// The coalesce section exercises in-flight coalescing:
 //
 //   coalesce — 64 clients burst the *same* request at a cold workflow;
 //          the first submission computes, the rest attach to the in-flight
 //          leader. Gate: actual computations (completed minus attached)
-//          stay within 10% of requests;
-//   hedged sweep — a reducer sweep with ~5% of candidates hit by injected
-//          50x stragglers, run unhedged and hedged. Gate: hedging cuts the
-//          candidate p99 by >= 20% while wasting < 15% of its launches.
+//          stay within 10% of requests.
 //
 // Reports requests/sec, p50/p99 latency and the memo hit rate to stdout and
 // BENCH_serve.json. The warm stack must beat cold on throughput — that gap
@@ -42,7 +39,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -56,8 +52,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/parallel.h"
-#include "model/sweep.h"
 #include "resilience/fault.h"
 #include "router/router.h"
 #include "service/line_client.h"
@@ -445,137 +439,6 @@ int Main(int argc, char** argv) {
   const double burst_p50 = QuantileOfMs(burst_ms, 0.50);
   const double burst_p99 = QuantileOfMs(burst_ms, 0.99);
 
-  // --- Hedged sweeps: stragglers raced against delayed duplicates. ---
-  //
-  // A reducer sweep with ~5% of candidates hit by a 50x straggler, injected
-  // at the model.task_time seam — the sleep lands inside a pool worker's
-  // compute, exactly where a wedged node or a cold page cache would. The
-  // hedged run duplicates any candidate that overstays a pinned delay and
-  // takes whichever copy finishes first; both copies compute identical
-  // bits, so hedging is invisible in the output and must show up only in
-  // the tail. Gates: hedged p99 at least 20% under unhedged p99, and
-  // wasted hedges (the loser ran to completion — duplicate work for
-  // nothing) under 15% of launches.
-  std::vector<int> reducer_counts;
-  for (int r = 4; r <= 192; r += 4) reducer_counts.push_back(r);
-  const Result<std::vector<DagWorkflow>> hedge_flows = BuildReducerCandidates(
-      WordCountSpec(Bytes::FromGB(20)), reducer_counts);
-  if (!hedge_flows.ok()) {
-    std::fprintf(stderr, "%s\n", hedge_flows.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<SweepCandidate> sweep_candidates;
-  for (const DagWorkflow& flow : *hedge_flows) {
-    sweep_candidates.push_back({&flow, cluster, flow.name()});
-  }
-  const SchedulerConfig sweep_sched;
-  const BoeModel sweep_model(cluster.node);
-  const BoeTaskTimeSource sweep_source(sweep_model, Duration::Seconds(1));
-  // An explicit pool: a dedicated pool sized by `threads` is clamped to the
-  // hardware, and a one-core CI machine would degrade to the serial loop
-  // where hedging never arms. A caller-owned pool is taken as-is.
-  ThreadPool sweep_pool(4);
-  SweepOptions sweep_base;
-  sweep_base.pool = &sweep_pool;
-
-  // Clean calibration: the per-candidate p50 under this host's contention
-  // (the run also fills the process-wide latency window hedging draws its
-  // delay from). Stragglers sleep 50x this p50; the hedge delay is pinned
-  // well above the clean tail and well below the straggler.
-  const SweepResult calibration =
-      EstimateBatch(sweep_candidates, sweep_sched, sweep_source, sweep_base);
-  for (const Result<DagEstimate>& estimate : calibration.estimates) {
-    if (!estimate.ok()) {
-      std::fprintf(stderr, "%s\n", estimate.status().ToString().c_str());
-      return 1;
-    }
-  }
-  const double sweep_p50_ms =
-      std::max(0.4, QuantileOfMs(calibration.candidate_latency_ms, 0.5));
-  const double straggler_ms = 50.0 * sweep_p50_ms;
-  const double hedge_delay_ms = std::max(1.0, 8.0 * sweep_p50_ms);
-
-  // The injector fires per memo-miss compute and a candidate issues many,
-  // so a naive 5% per call would straggle nearly every candidate: measure
-  // calls-per-candidate with a never-firing armed plan, then solve for the
-  // per-call probability that leaves ~5% of *candidates* straggling.
-  resilience::FaultPoint& task_time_point =
-      injector.GetPoint("model.task_time");
-  resilience::FaultPlan probe;
-  probe.probability = 1e-12;
-  if (Status st = injector.Configure("model.task_time", probe); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  injector.Arm(7);
-  const std::uint64_t evals_before = task_time_point.evaluations();
-  EstimateBatch(sweep_candidates, sweep_sched, sweep_source, sweep_base);
-  const double calls_per_candidate = std::max(
-      1.0, static_cast<double>(task_time_point.evaluations() - evals_before) /
-               static_cast<double>(sweep_candidates.size()));
-  injector.Disarm();
-  const double per_call_probability =
-      1.0 - std::pow(0.95, 1.0 / calls_per_candidate);
-
-  resilience::FaultPlan straggle;
-  straggle.probability = per_call_probability;
-  straggle.latency_ms = straggler_ms;
-  const int sweep_rounds = 8;
-  const auto run_sweeps = [&](const SweepOptions& options, std::uint64_t seed,
-                              SweepStats* totals) {
-    std::vector<double> latencies_ms;
-    latencies_ms.reserve(sweep_candidates.size() * sweep_rounds);
-    if (Status st = injector.Configure("model.task_time", straggle); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    injector.Arm(seed);
-    for (int round = 0; round < sweep_rounds; ++round) {
-      const SweepResult result =
-          EstimateBatch(sweep_candidates, sweep_sched, sweep_source, options);
-      for (const Result<DagEstimate>& estimate : result.estimates) {
-        if (!estimate.ok()) {
-          std::fprintf(stderr, "sweep candidate failed: %s\n",
-                       estimate.status().ToString().c_str());
-          std::exit(1);
-        }
-      }
-      latencies_ms.insert(latencies_ms.end(),
-                          result.candidate_latency_ms.begin(),
-                          result.candidate_latency_ms.end());
-      if (totals != nullptr) {
-        totals->hedges_launched += result.stats.hedges_launched;
-        totals->hedges_won += result.stats.hedges_won;
-        totals->hedges_wasted += result.stats.hedges_wasted;
-      }
-    }
-    injector.Disarm();
-    return latencies_ms;
-  };
-
-  const std::vector<double> unhedged_ms = run_sweeps(sweep_base, 11, nullptr);
-
-  SweepOptions sweep_hedged = sweep_base;
-  sweep_hedged.hedge.enabled = true;
-  sweep_hedged.hedge.min_samples = 1;
-  // Pin the delay (min == max): the gate should measure the race mechanism,
-  // not drift in the shared window's quantile as straggler latencies land
-  // in it between rounds.
-  sweep_hedged.hedge.min_delay_ms = hedge_delay_ms;
-  sweep_hedged.hedge.max_delay_ms = hedge_delay_ms;
-  SweepStats hedge_totals;
-  const std::vector<double> hedged_ms =
-      run_sweeps(sweep_hedged, 11, &hedge_totals);
-  injector.ResetAll();
-
-  const double p99_unhedged = QuantileOfMs(unhedged_ms, 0.99);
-  const double p99_hedged = QuantileOfMs(hedged_ms, 0.99);
-  const double p99_improvement =
-      p99_unhedged > 0 ? 1.0 - p99_hedged / p99_unhedged : 0.0;
-  const double wasted_fraction =
-      static_cast<double>(hedge_totals.hedges_wasted) /
-      std::max(1.0, static_cast<double>(hedge_totals.hedges_launched));
-
   // --- Fleet: router overhead vs a direct shard + failover recovery. -------
   //
   // Both stacks answer the same 64 globally distinct (workflow, nodes)
@@ -942,17 +805,6 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(burst_stats.coalesce_leaders), burst_p50,
       burst_p99);
   std::printf(
-      "hedged sweep (%zu candidates x %d rounds, ~5%% stragglers at "
-      "%.1f ms, hedge delay %.2f ms):\n"
-      "  p99 unhedged %7.2f ms -> hedged %7.2f ms (%.0f%% better); "
-      "hedges: %llu launched, %llu won, %llu wasted (%.1f%% of launches)\n",
-      sweep_candidates.size(), sweep_rounds, straggler_ms, hedge_delay_ms,
-      p99_unhedged, p99_hedged, 100.0 * p99_improvement,
-      static_cast<unsigned long long>(hedge_totals.hedges_launched),
-      static_cast<unsigned long long>(hedge_totals.hedges_won),
-      static_cast<unsigned long long>(hedge_totals.hedges_wasted),
-      100.0 * wasted_fraction);
-  std::printf(
       "fleet (%d shards, %d clients, %d sweeps paired direct+router over "
       "TCP):\n"
       "  direct p50 %6.2f ms p99 %6.2f ms; router p50 %6.2f ms p99 %6.2f ms "
@@ -1043,28 +895,6 @@ int Main(int argc, char** argv) {
   coalesce_json.Set("p50_ms", Json::MakeNumber(burst_p50));
   coalesce_json.Set("p99_ms", Json::MakeNumber(burst_p99));
   doc.Set("coalesce", std::move(coalesce_json));
-  Json hedge_json = Json::MakeObject();
-  hedge_json.Set("candidates",
-                 Json::MakeNumber(static_cast<double>(sweep_candidates.size())));
-  hedge_json.Set("rounds", Json::MakeNumber(sweep_rounds));
-  hedge_json.Set("calls_per_candidate", Json::MakeNumber(calls_per_candidate));
-  hedge_json.Set("straggler_latency_ms", Json::MakeNumber(straggler_ms));
-  hedge_json.Set("per_call_probability",
-                 Json::MakeNumber(per_call_probability));
-  hedge_json.Set("hedge_delay_ms", Json::MakeNumber(hedge_delay_ms));
-  hedge_json.Set("p99_unhedged_ms", Json::MakeNumber(p99_unhedged));
-  hedge_json.Set("p99_hedged_ms", Json::MakeNumber(p99_hedged));
-  hedge_json.Set("p99_improvement", Json::MakeNumber(p99_improvement));
-  hedge_json.Set(
-      "hedges_launched",
-      Json::MakeNumber(static_cast<double>(hedge_totals.hedges_launched)));
-  hedge_json.Set("hedges_won", Json::MakeNumber(
-                                   static_cast<double>(hedge_totals.hedges_won)));
-  hedge_json.Set(
-      "hedges_wasted",
-      Json::MakeNumber(static_cast<double>(hedge_totals.hedges_wasted)));
-  hedge_json.Set("wasted_fraction", Json::MakeNumber(wasted_fraction));
-  doc.Set("hedged_sweep", std::move(hedge_json));
   Json fleet_json = Json::MakeObject();
   fleet_json.Set("shards", Json::MakeNumber(kFleetShards));
   fleet_json.Set("clients", Json::MakeNumber(kFleetClients));

@@ -49,10 +49,6 @@ WindowedHistogram::Slot* WindowedHistogram::LiveSlot(std::uint64_t epoch) {
 
 void WindowedHistogram::Record(double value, double now_us) {
   if (!internal::Enabled()) return;
-  RecordAlways(value, now_us);
-}
-
-void WindowedHistogram::RecordAlways(double value, double now_us) {
   const std::uint64_t epoch = EpochOf(now_us, options_.epoch_seconds);
   for (int attempt = 0; attempt < 64; ++attempt) {
     Slot* slot = LiveSlot(epoch);

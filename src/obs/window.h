@@ -59,14 +59,6 @@ class WindowedHistogram {
   void Record(double value) { Record(value, MonotonicUs()); }
   void Record(double value, double now_us);
 
-  /// Records regardless of the process-wide metrics flag. For windows that
-  /// are control inputs, not telemetry — e.g. the sweep hedger derives its
-  /// hedge delay from a latency window, which must keep filling when the
-  /// operator has metrics off (an empty window would silently disable
-  /// hedging).
-  void RecordAlways(double value) { RecordAlways(value, MonotonicUs()); }
-  void RecordAlways(double value, double now_us);
-
   /// Sums every live epoch inside `window_seconds` ending at `now_us` into
   /// one Histogram::Snapshot (the current partial epoch included). An empty
   /// window yields count == 0 and Quantile() == 0.

@@ -153,15 +153,6 @@ void WriteSweep(JsonWriter& w, const ServiceSweepResult& served) {
       .Key("completed").Number(stats.completed)
       .Key("deadline_exceeded").Number(stats.deadline_exceeded)
       .Key("failures").Number(stats.failures);
-  // Hedge accounting appears only when the race actually launched hedges,
-  // so unhedged sweeps keep their response shape.
-  if (stats.hedges_launched > 0) {
-    w.Key("hedges").BeginObject()
-        .Key("launched").Number(static_cast<double>(stats.hedges_launched))
-        .Key("wasted").Number(static_cast<double>(stats.hedges_wasted))
-        .Key("won").Number(static_cast<double>(stats.hedges_won))
-        .EndObject();
-  }
   w.Key("incremental").BeginObject()
       .Key("checkpoints_stored")
       .Number(static_cast<double>(stats.checkpoints_stored))
@@ -442,10 +433,6 @@ std::string Protocol::HandleRequest(const Json& request) {
         }
         estimate.nodes_list.push_back(static_cast<int>(entry.AsNumber()));
       }
-      // Wire "hedge": true opts this sweep into straggler hedging with the
-      // SweepHedgeOptions defaults (a sweep that needs tuned knobs sets
-      // ServiceOptions::hedge instead).
-      estimate.hedge.enabled = request.GetBool("hedge", false);
     } else {
       const double nodes = request.GetNumber("nodes", 0.0);
       if (!IntegerIn(nodes, 0)) {

@@ -122,11 +122,6 @@ struct EstimateRequest {
     return *this;
   }
 
-  EstimateRequest& WithHedging(SweepHedgeOptions value) {
-    hedge = value;
-    return *this;
-  }
-
   /// Whether SweepNodes was given candidates: decides which half of the
   /// response the service fills.
   bool is_sweep() const { return !nodes_list.empty(); }
@@ -162,10 +157,6 @@ struct EstimateRequest {
   /// Coalescing is value-keyed and bit-exact, so the only reason to opt out
   /// is wanting this request's *timing* to be its own (benchmarks, probes).
   bool coalesce = true;
-
-  /// Straggler hedging for a sweep; when not enabled the service-level
-  /// default (ServiceOptions::hedge) applies instead.
-  SweepHedgeOptions hedge;
 };
 
 /// What Submit resolves to: exactly one of the two members is

@@ -611,9 +611,6 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
   sweep_options.pool = pool_.get();
   sweep_options.budget = request.budget;
   sweep_options.estimator = options_.estimator;
-  // Straggler hedging: the request's own options when it set them, else
-  // the service-wide default (off unless the operator opted in).
-  sweep_options.hedge = request.hedge.enabled ? request.hedge : options_.hedge;
   EstimateResponse response;
   ServiceSweepResult& result = response.sweep.emplace();
   result.sweep =

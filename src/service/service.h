@@ -139,11 +139,6 @@ struct ServiceOptions {
   /// off for every request; per-request opt-out via
   /// EstimateRequest::WithoutCoalescing.
   bool coalescing = true;
-
-  /// Service-wide default for sweep straggler hedging (SweepHedgeOptions);
-  /// applied to every sweep that does not carry its own hedge options. Off
-  /// by default — hedging spends duplicate work for tail latency.
-  SweepHedgeOptions hedge;
 };
 
 /// Monotonic service counters plus the memo cache's cumulative behaviour.

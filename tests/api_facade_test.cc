@@ -39,7 +39,7 @@
 #endif
 
 // The unified submission API (EstimateRequest builder, EstimateResponse,
-// in-flight coalescing, hedged sweeps) arrived in 0.8.
+// in-flight coalescing) arrived in 0.8.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 8
 #error "unified submission API requires dagperf >= 0.8"
 #endif
@@ -48,6 +48,13 @@
 // import for warm handoff) arrived in 0.9.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 9
 #error "fleet serving requires dagperf >= 0.9"
+#endif
+
+// 2.0 removed sweep hedging, candidate retries and per-candidate memos
+// from the facade (EstimateRequest::WithHedging, SweepOptions::{hedge,
+// max_retries, share_cache}); the builder checked below is the 2.0 one.
+#if DAGPERF_VERSION_MAJOR < 2
+#error "the request builder checked here requires dagperf >= 2.0"
 #endif
 
 namespace dagperf {
@@ -201,15 +208,11 @@ TEST(ApiFacadeTest, ChainersSetTheFieldsSubmitReads) {
   EXPECT_TRUE(request.explain);
   EXPECT_FALSE(request.coalesce);
 
-  SweepHedgeOptions hedge;
-  hedge.enabled = true;
-  const EstimateRequest sweep = EstimateRequest::For("daily-etl")
-                                    .SweepNodes({8, 16})
-                                    .WithHedging(hedge);
+  const EstimateRequest sweep =
+      EstimateRequest::For("daily-etl").SweepNodes({8, 16});
   EXPECT_TRUE(sweep.is_sweep());
   EXPECT_EQ(sweep.workflow, "daily-etl");
   EXPECT_EQ(sweep.nodes_list, (std::vector<int>{8, 16}));
-  EXPECT_TRUE(sweep.hedge.enabled);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Deadline & cooperative-cancellation tests (docs/robustness.md): token and
 // deadline semantics, the shared CheckBudget poll, the cancellable
 // ParallelFor, per-state polling in the estimator, and EstimateBatch's
-// partial results, per-candidate statuses, and bounded retries — with the
-// matching obs counters asserted.
+// partial results and per-candidate statuses — with the matching obs
+// counters asserted.
 
 #include <vector>
 
@@ -235,54 +235,39 @@ TEST(EstimateBatch, UnexpiredBudgetIsHarmless) {
   for (const auto& estimate : sweep.estimates) EXPECT_TRUE(estimate.ok());
 }
 
-TEST(EstimateBatch, RetryableFailuresRetryBoundedTimes) {
-  obs::SetMetricsEnabled(true);
-  const std::uint64_t before =
-      obs::MetricsRegistry::Default().GetCounter("sweep.retries").value();
-  const ClusterSpec cluster = ClusterSpec::PaperCluster();
-  const BoeModel boe(cluster.node);
-  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
-  const DagWorkflow flow = SingleJobFlow(WordCountSpec(Bytes::FromGB(10)));
-  const std::vector<SweepCandidate> requests(2,
-                                              SweepCandidate{&flow, cluster, ""});
-  SweepOptions options;
-  options.threads = 1;
-  options.max_retries = 3;
-  // max_states = 0 makes every attempt fail with kInternal, the retryable
-  // code, so each candidate burns exactly max_retries retries.
-  options.estimator.max_states = 0;
-  const SweepResult sweep =
-      EstimateBatch(requests, SchedulerConfig{}, source, options);
-  EXPECT_EQ(sweep.stats.completed, 0);
-  EXPECT_EQ(sweep.stats.failures, sweep.stats.candidates);
-  EXPECT_EQ(sweep.stats.retries, 3 * sweep.stats.candidates);
-  for (const auto& estimate : sweep.estimates) {
-    ASSERT_FALSE(estimate.ok());
-    EXPECT_EQ(estimate.status().code(), ErrorCode::kInternal);
-  }
-  EXPECT_EQ(
-      obs::MetricsRegistry::Default().GetCounter("sweep.retries").value(),
-      before + static_cast<std::uint64_t>(sweep.stats.retries));
-  obs::SetMetricsEnabled(false);
-}
-
-TEST(EstimateBatch, InvalidArgumentIsNotRetried) {
+TEST(EstimateBatch, EachFailureKeepsItsStatusInItsOwnSlot) {
   const ClusterSpec cluster = ClusterSpec::PaperCluster();
   ClusterSpec bad = cluster;
   bad.num_nodes = -1;
   const BoeModel boe(cluster.node);
   const BoeTaskTimeSource source(boe, Duration::Seconds(1));
   const DagWorkflow flow = SingleJobFlow(WordCountSpec(Bytes::FromGB(10)));
-  const std::vector<SweepCandidate> requests = {{&flow, bad, ""}};
+
+  // An invalid cluster fails with kInvalidArgument, and with no states to
+  // spend the estimator fails with kInternal. The estimator is
+  // deterministic, so each failure is final: it stays in its own slot, next
+  // to the good candidate's result, and counts once.
+  const std::vector<SweepCandidate> requests = {{&flow, bad, ""},
+                                                {&flow, cluster, ""}};
   SweepOptions options;
   options.threads = 1;
-  options.max_retries = 5;
   const SweepResult sweep =
       EstimateBatch(requests, SchedulerConfig{}, source, options);
-  EXPECT_EQ(sweep.stats.retries, 0);
   EXPECT_EQ(sweep.stats.failures, 1);
+  EXPECT_EQ(sweep.stats.completed, 1);
   ASSERT_FALSE(sweep.estimates[0].ok());
   EXPECT_EQ(sweep.estimates[0].status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(sweep.estimates[1].ok());
+
+  options.estimator.max_states = 0;
+  const SweepResult starved =
+      EstimateBatch(requests, SchedulerConfig{}, source, options);
+  EXPECT_EQ(starved.stats.completed, 0);
+  EXPECT_EQ(starved.stats.failures, starved.stats.candidates);
+  ASSERT_FALSE(starved.estimates[0].ok());
+  EXPECT_EQ(starved.estimates[0].status().code(), ErrorCode::kInvalidArgument);
+  ASSERT_FALSE(starved.estimates[1].ok());
+  EXPECT_EQ(starved.estimates[1].status().code(), ErrorCode::kInternal);
 }
 
 }  // namespace

@@ -409,6 +409,41 @@ TEST(ProtocolTest, InlineFlowDocument) {
   EXPECT_GT(parsed.value().Get("result")->GetNumber("makespan_s", 0.0), 0.0);
 }
 
+TEST(ProtocolTest, SweepIgnoresRetiredHedgeField) {
+  // Straggler hedging was removed in 2.0; old clients may still send
+  // "hedge", which is ignored like any unknown key.
+  EstimationService service;
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  Protocol protocol(&service);
+
+  const auto sweep = [&](const std::string& line) {
+    Result<Json> parsed = Json::Parse(protocol.HandleLine(line));
+    EXPECT_TRUE(parsed.ok()) << line;
+    return std::move(parsed).value();
+  };
+  const Json plain =
+      sweep(R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8]})");
+  const Json hedged = sweep(
+      R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8],"hedge":true})");
+  for (const Json* answer : {&plain, &hedged}) {
+    ASSERT_TRUE(answer->GetBool("ok", false)) << answer->DumpCompact();
+    const Json* stats = answer->Get("result")->Get("stats");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->Get("hedges"), nullptr);
+  }
+  const Json* want = plain.Get("result")->Get("candidates");
+  const Json* got = hedged.Get("result")->Get("candidates");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  ASSERT_EQ(got->AsArray().size(), 3u);
+  ASSERT_EQ(got->AsArray().size(), want->AsArray().size());
+  for (std::size_t i = 0; i < want->AsArray().size(); ++i) {
+    EXPECT_TRUE(got->AsArray()[i].GetBool("ok", false));
+    EXPECT_EQ(got->AsArray()[i].GetNumber("makespan_s", -1.0),
+              want->AsArray()[i].GetNumber("makespan_s", -2.0));
+  }
+}
+
 TEST(ProtocolTest, SaturatingWaterFillStateIsAnswered) {
   // TS-Q18 on 61 nodes reaches a state whose network wants sum to exactly
   // the node's capacity; the rate solver used to abort the whole process

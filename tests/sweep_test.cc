@@ -3,13 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 #include <random>
-#include <thread>
 #include <vector>
 
-#include "common/parallel.h"
 #include "model/task_time_cache.h"
 #include "workloads/hibench.h"
 #include "workloads/micro.h"
@@ -323,117 +320,6 @@ TEST(TaskTimeMemoTest, ScopeSeparatesEntries) {
   // And both match their uncached versions exactly.
   ExpectIdentical(est_a, estimator.Estimate(flow, source_a).value());
   ExpectIdentical(est_b, estimator.Estimate(flow, source_b).value());
-}
-
-/// A deterministic source made artificially slow: every query sleeps before
-/// delegating, so candidates overstay any small hedge delay and the race
-/// machinery actually engages. The delay must sleep, not spin: on a one-core
-/// host a busy-wait starves the hedge timer thread of the CPU and the race
-/// never launches. Values are untouched — the bit-identity contract must
-/// hold no matter which side of a race finishes first.
-class SlowedSource : public TaskTimeSource {
- public:
-  SlowedSource(const TaskTimeSource& inner, double delay_us)
-      : inner_(inner), delay_us_(delay_us) {}
-
-  Duration TaskTime(const EstimationContext& context) const override {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(delay_us_));
-    return inner_.TaskTime(context);
-  }
-
-  NormalParams TaskTimeDist(const EstimationContext& context) const override {
-    return inner_.TaskTimeDist(context);
-  }
-
- private:
-  const TaskTimeSource& inner_;
-  const double delay_us_;
-};
-
-TEST(SweepHedgeTest, HedgedResultsAreBitIdenticalToUnhedged) {
-  Result<std::vector<DagWorkflow>> flows = BuildReducerCandidates(
-      WordCountSpec(Bytes::FromGB(20)), {8, 16, 24, 32, 48, 64, 96, 128});
-  ASSERT_TRUE(flows.ok());
-  std::vector<SweepCandidate> candidates;
-  for (const DagWorkflow& flow : *flows) {
-    candidates.push_back({&flow, kCluster, flow.name()});
-  }
-  const BoeModel boe(kCluster.node);
-  const BoeTaskTimeSource fast(boe, Duration::Seconds(1));
-  const SlowedSource slow(fast, /*delay_us=*/200.0);
-
-  // Serial, unhedged, uncached: the golden bits.
-  SweepOptions serial;
-  serial.threads = 1;
-  serial.memoize = false;
-  serial.incremental = false;
-  const SweepResult golden = EstimateBatch(candidates, kSched, fast, serial);
-
-  // An explicit pool: a dedicated pool sized by `threads` is clamped to the
-  // hardware, and a one-core CI machine would degrade to the serial loop
-  // where hedging never arms. A caller-owned pool is taken as-is.
-  ThreadPool pool(4);
-
-  // Warm the process-wide latency window so the hedge delay is computable
-  // (hedging stays dormant until the window holds min_samples completions).
-  SweepOptions warm;
-  warm.pool = &pool;
-  warm.memoize = false;
-  warm.incremental = false;
-  EstimateBatch(candidates, kSched, slow, warm);
-
-  SweepOptions hedged = warm;
-  hedged.hedge.enabled = true;
-  hedged.hedge.min_samples = 1;
-  hedged.hedge.quantile = 0.5;
-  hedged.hedge.min_delay_ms = 0.05;
-  hedged.hedge.max_delay_ms = 0.1;
-  const SweepResult raced = EstimateBatch(candidates, kSched, slow, hedged);
-
-  ASSERT_EQ(raced.estimates.size(), golden.estimates.size());
-  for (size_t i = 0; i < raced.estimates.size(); ++i) {
-    ASSERT_TRUE(raced.estimates[i].ok())
-        << raced.estimates[i].status().ToString();
-    ExpectIdentical(*raced.estimates[i], *golden.estimates[i]);
-  }
-  // Candidates are far slower than the forced delay, so the race engaged;
-  // every launched hedge either won, lost after running (wasted), or was
-  // skipped before starting — never more outcomes than launches.
-  EXPECT_GT(raced.stats.hedges_launched, 0u);
-  EXPECT_LE(raced.stats.hedges_won + raced.stats.hedges_wasted,
-            raced.stats.hedges_launched);
-  // Latency is recorded per candidate whether or not its race was hedged.
-  for (const double latency_ms : raced.candidate_latency_ms) {
-    EXPECT_GE(latency_ms, 0.0);
-  }
-}
-
-TEST(SweepHedgeTest, HedgingStaysDormantBelowMinSamples) {
-  Result<std::vector<DagWorkflow>> flows =
-      BuildReducerCandidates(WordCountSpec(Bytes::FromGB(10)), {8, 16});
-  ASSERT_TRUE(flows.ok());
-  std::vector<SweepCandidate> candidates;
-  for (const DagWorkflow& flow : *flows) {
-    candidates.push_back({&flow, kCluster, flow.name()});
-  }
-  const BoeModel boe(kCluster.node);
-  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
-
-  ThreadPool pool(2);
-  SweepOptions options;
-  options.pool = &pool;
-  options.hedge.enabled = true;
-  // A threshold no test run reaches: the window cannot justify a delay, so
-  // no hedge may launch even with hedging enabled.
-  options.hedge.min_samples = 1000000000;
-  const SweepResult result = EstimateBatch(candidates, kSched, source, options);
-  for (const Result<DagEstimate>& estimate : result.estimates) {
-    ASSERT_TRUE(estimate.ok());
-  }
-  EXPECT_EQ(result.stats.hedges_launched, 0u);
-  EXPECT_EQ(result.stats.hedges_won, 0u);
-  EXPECT_EQ(result.stats.hedges_wasted, 0u);
 }
 
 }  // namespace

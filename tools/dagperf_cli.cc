@@ -516,10 +516,10 @@ int ReportSweep(const std::string& knob_name, const std::vector<int>& knobs,
   if (sweep.stats.completed < sweep.stats.candidates) {
     std::fprintf(stderr,
                  "%d/%d candidates completed (%d cancelled, %d deadline, "
-                 "%d failed, %d retries)\n",
+                 "%d failed)\n",
                  sweep.stats.completed, sweep.stats.candidates,
                  sweep.stats.cancelled, sweep.stats.deadline_exceeded,
-                 sweep.stats.failures, sweep.stats.retries);
+                 sweep.stats.failures);
   }
   if (sweep.stats.best_index >= 0) {
     std::printf("best: %s=%d -> %.1f s\n", knob_name.c_str(),
@@ -556,7 +556,6 @@ int ReportSweep(const std::string& knob_name, const std::vector<int>& knobs,
     doc.Set("failures", Json::MakeNumber(sweep.stats.failures));
     doc.Set("cancelled", Json::MakeNumber(sweep.stats.cancelled));
     doc.Set("deadline_exceeded", Json::MakeNumber(sweep.stats.deadline_exceeded));
-    doc.Set("retries", Json::MakeNumber(sweep.stats.retries));
     doc.Set("cache_hits",
             Json::MakeNumber(static_cast<double>(sweep.stats.cache_hits)));
     doc.Set("cache_misses",
