@@ -5,7 +5,8 @@
 //   micro   — a tight loop over a disarmed FaultPoint::Evaluate(): the
 //             advertised price is one relaxed atomic load per seam.
 //   baseline— the warm serving path (one EstimationService, persistent
-//             memo) with the injector disarmed: req/s, p50, p99.
+//             checkpoint store) with the injector disarmed: req/s, p50,
+//             p99.
 //   faulted — the same workload with a seeded 10% fault schedule armed
 //             (service.execute errors + model.task_time latency): req/s,
 //             p50, p99 and the failure count. Failures are answered, not
@@ -153,7 +154,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Warm the memo so both measured runs see the steady serving state.
+  // Warm the checkpoint store so both measured runs see the steady serving
+  // state.
   (void)DriveClients(service, clients, per_client / 4 + 1, names);
 
   // --- baseline: seams compiled in, injector disarmed.
@@ -175,8 +177,7 @@ int Main(int argc, char** argv) {
       // counters run: the seams/request calibration must see every seam the
       // disarmed path crosses, not just the two that inject.
       !injector.Configure("service.admit", {.probability = 1e-12}).ok() ||
-      !injector.Configure("pool.submit", {.probability = 1e-12}).ok() ||
-      !injector.Configure("memo.insert", {.probability = 1e-12}).ok()) {
+      !injector.Configure("pool.submit", {.probability = 1e-12}).ok()) {
     std::fprintf(stderr, "fault configuration rejected\n");
     return 1;
   }

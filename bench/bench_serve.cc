@@ -6,7 +6,7 @@
 //   cold — the pre-service per-request path: every request constructs its
 //          own BOE model, task-time source and estimator, no cache;
 //   warm — one long-lived EstimationService: shared pool, admission queue,
-//          and the persistent cross-request task-time memo.
+//          and the persistent cross-request prefix-checkpoint store.
 //
 // Two further sections exercise the multi-tenant overload layer:
 //
@@ -15,11 +15,11 @@
 //          measured trickle; DRF fair-share admission must keep serving the
 //          light tenant (p99 of its served requests within 2x of isolated),
 //          and every rejection must be retryable with a retry_after_ms hint;
-//   snapshot — the warm service's memo + checkpoints are saved, restored
-//          into a fresh service, and probed with 100 requests: the restored
-//          shard's warm-serving rate (requests answered without a single
-//          memo miss) must reach >= 80% of the live pre-restart service's
-//          rate (a cold control service is probed for contrast).
+//   snapshot — the warm service's checkpoints are saved, restored into a
+//          fresh service, and probed with 100 requests: the restored
+//          shard's warm-serving rate (requests whose every state came from a
+//          restored checkpoint) must reach >= 80% of the live pre-restart
+//          service's rate (a cold control service is probed for contrast).
 //
 // The coalesce section exercises in-flight coalescing:
 //
@@ -28,7 +28,7 @@
 //          leader. Gate: actual computations (completed minus attached)
 //          stay within 10% of requests.
 //
-// Reports requests/sec, p50/p99 latency and the memo hit rate to stdout and
+// Reports requests/sec, p50/p99 latency and checkpoint resumes to stdout and
 // BENCH_serve.json. The warm stack must beat cold on throughput — that gap
 // is the service layer's reason to exist. CI gates the JSON (see ci.yml).
 //
@@ -138,7 +138,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", suite.status().ToString().c_str());
     return 1;
   }
-  // A small recurring set — the serving pattern the persistent memo targets.
+  // A small recurring set — the serving pattern the checkpoint store targets.
   const std::size_t distinct = std::min<std::size_t>(4, suite->size());
   std::vector<std::string> names;
   std::vector<DagWorkflow> flows;
@@ -163,7 +163,8 @@ int Main(int argc, char** argv) {
     return false;
   });
 
-  // Warm: one service, registered once, shared memo across every request.
+  // Warm: one service, registered once, shared checkpoints across every
+  // request.
   EstimationService service;
   for (std::size_t i = 0; i < distinct; ++i) {
     if (Status st = service.RegisterWorkflow(names[i], std::move(flows[i]));
@@ -177,7 +178,6 @@ int Main(int argc, char** argv) {
         return service.Submit(EstimateRequest::For(name)).get().ok();
       });
   const ServiceStats warm_stats = service.Stats();
-  const TaskTimeMemo::Stats cache = warm_stats.cache;
 
   // Registers the recurring workflow set into a fresh service (the suite
   // still owns pristine copies; `flows` was moved into the warm service).
@@ -323,10 +323,10 @@ int Main(int argc, char** argv) {
   // The probe mix spreads the recurring workflows over three cluster sizes
   // — distinct (workflow, nodes) pairs, so a cold start pays real model
   // evaluations. The metric is the warm-serving rate: the fraction of the
-  // first `probe_requests` requests that completed without a single memo
-  // miss (every task time came from the restored memo or a restored prefix
-  // checkpoint — no cold evaluation). A restart from snapshot must reach
-  // >= 80% of the live pre-restart service's own rate on the same mix.
+  // first `probe_requests` requests whose every state was resumed from a
+  // prefix checkpoint (no state stepped, no task time computed). A restart
+  // from snapshot must reach >= 80% of the live pre-restart service's own
+  // rate on the same mix.
   const int probe_requests = 100;
   const std::vector<int> probe_nodes = {0, 20, 40};
   const auto probe_request = [&](int i) {
@@ -338,12 +338,16 @@ int Main(int argc, char** argv) {
   const auto warm_rate = [&](EstimationService& target) {
     int warm_served = 0;
     for (int i = 0; i < probe_requests; ++i) {
-      const std::uint64_t misses_before = target.Stats().cache.misses;
-      if (!target.Submit(probe_request(i)).get().ok()) {
+      Result<EstimateResponse> response = target.Submit(probe_request(i)).get();
+      if (!response.ok()) {
         std::fprintf(stderr, "snapshot probe request failed\n");
         std::exit(1);
       }
-      if (target.Stats().cache.misses == misses_before) ++warm_served;
+      const DagEstimate& estimate = response->estimate->estimate;
+      if (estimate.resumed_states ==
+          static_cast<int>(estimate.states.size())) {
+        ++warm_served;
+      }
     }
     return static_cast<double>(warm_served) / probe_requests;
   };
@@ -386,8 +390,8 @@ int Main(int argc, char** argv) {
   // at the same moment. The first submission becomes the in-flight leader
   // and actually computes; the rest attach to it and are fulfilled from the
   // leader's bits. Each round bursts the clients at a workflow this service
-  // has never estimated, with the leader's first memo-miss compute stalled
-  // 60 ms through the chaos seam — on a one-core CI host the burst threads
+  // has never estimated, with the leader's first BOE solve stalled 60 ms
+  // through the chaos seam — on a one-core CI host the burst threads
   // are still being spawned while the leader runs, and the stall keeps the
   // in-flight window open until every submission has attached. The gate is
   // the point of coalescing: actual computations (completed minus attached)
@@ -446,7 +450,7 @@ int Main(int argc, char** argv) {
   // `dagperf serve` child, "router" goes through a 3-shard consistent-hash
   // fleet. Distinct pairs force full model compute per request, so the
   // overhead ratio compares the proxy hop against genuine work rather than
-  // against sub-millisecond memo hits. CI gates router p50 <= 1.2x direct
+  // against sub-millisecond checkpoint hits. CI gates router p50 <= 1.2x direct
   // p50. Afterwards the shard owning names[0]'s arc is SIGKILLed under a
   // trickle of load; failover_recovery_ms is the time until the
   // supervisor's restarted child passes its readmission quorum, and every
@@ -502,7 +506,7 @@ int Main(int argc, char** argv) {
   // has seen: (workflow, nodes) pairs stay globally distinct within each
   // stack, so every candidate pays full model compute and the overhead
   // ratio compares the proxy hop against real work, not sub-millisecond
-  // memo hits. Both stacks are up at once and each client issues every
+  // checkpoint hits. Both stacks are up at once and each client issues every
   // sweep to BOTH back-to-back in alternating order — paired samples, so
   // ambient scheduler noise (this may be a one-core box) hits the two
   // stacks equally instead of whichever run it coincided with.
@@ -551,8 +555,8 @@ int Main(int argc, char** argv) {
           out->push_back((Now() - begin) * 1e3);
           return true;
         };
-        // Warmup: repeat-key requests (memo hits, near-zero compute) that
-        // open every pooled connection and fault in both stacks' code
+        // Warmup: repeat-key requests (checkpoint hits, near-zero compute)
+        // that open every pooled connection and fault in both stacks' code
         // paths before the measured loop.
         for (std::size_t w = 0; w < 2 * names.size(); ++w) {
           const std::string warm =
@@ -765,15 +769,12 @@ int Main(int argc, char** argv) {
   const double warm_p50 = warm.QuantileMs(0.50), warm_p99 = warm.QuantileMs(0.99);
   std::printf("cold (per-request stack): %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n",
               cold_rps, cold_p50, cold_p99);
-  std::printf("warm (service + memo):    %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n",
+  std::printf("warm (service + store):   %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n",
               warm_rps, warm_p50, warm_p99);
-  std::printf(
-      "speedup %.2fx, cache hit rate %.1f%% (%llu hits, %llu misses, "
-      "%llu checkpoint resumes)\n",
-      speedup, 100.0 * cache.hit_rate(),
-      static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses),
-      static_cast<unsigned long long>(warm_stats.incremental.hits));
+  std::printf("speedup %.2fx, %llu checkpoint resumes, %llu coalesced\n",
+              speedup,
+              static_cast<unsigned long long>(warm_stats.incremental.hits),
+              static_cast<unsigned long long>(warm_stats.coalesce_attached));
   std::printf(
       "multi-tenant (%d flooders, zipf over 4 tenants + 1 light):\n"
       "  light p99 isolated %6.2f ms, contended %6.2f ms (ratio %.2fx, "
@@ -836,13 +837,10 @@ int Main(int argc, char** argv) {
   warm_json.Set("p99_ms", Json::MakeNumber(warm_p99));
   doc.Set("warm", std::move(warm_json));
   doc.Set("warm_vs_cold_speedup", Json::MakeNumber(speedup));
-  doc.Set("cache_hit_rate", Json::MakeNumber(cache.hit_rate()));
-  doc.Set("cache_hits", Json::MakeNumber(static_cast<double>(cache.hits)));
-  doc.Set("cache_misses", Json::MakeNumber(static_cast<double>(cache.misses)));
-  // Prefix-checkpoint resumes: exact repeats short-circuit here and never
-  // reach the memo. Since 0.8, an exact repeat that is still *in flight*
-  // attaches to the leader instead and runs zero estimator states — warmth
-  // gates must consider all three counters.
+  // Prefix-checkpoint resumes: exact repeats short-circuit here. Since 0.8,
+  // an exact repeat that is still *in flight* attaches to the leader
+  // instead and runs zero estimator states — warmth gates must consider
+  // both counters.
   doc.Set("checkpoint_hits",
           Json::MakeNumber(static_cast<double>(warm_stats.incremental.hits)));
   doc.Set("warm_coalesced",

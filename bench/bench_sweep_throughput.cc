@@ -7,7 +7,7 @@
 //    full engine with incremental prefix-resume on — and
 //  * a dense tuner neighborhood (a long ETL chain whose LAST job carries
 //    the swept knob over 32 candidates), re-swept warm the way a tuning
-//    service sees it: the memo and checkpoint store are service-lifetime,
+//    session sees it: the memo and checkpoint store live for the session,
 //    so each re-estimation resumes from checkpointed state instead of
 //    replaying the shared prefix. This is where incremental re-estimation
 //    pays off hardest.
@@ -229,10 +229,10 @@ int main(int argc, char** argv) {
 
   // --- Section B: the dense tuner neighborhood, re-swept warm. ---
   //
-  // The scenario: a tuning service holds its memo and checkpoint store for
-  // the session (exactly how DagPerfService wires them) and the user keeps
-  // re-estimating the same dense knob neighborhood while iterating. Both
-  // configurations get their service-lifetime cache primed by one untimed
+  // The scenario: a tuning session holds its memo and checkpoint store (as
+  // the tuner holds its session memo) and the user keeps re-estimating the
+  // same dense knob neighborhood while iterating. Both configurations get
+  // their session-lifetime cache primed by one untimed
   // pass; the timed reps then measure the steady-state re-sweep. The memo
   // baseline still replays every candidate's state machine (answering
   // task-time queries from cache); the incremental engine resumes each

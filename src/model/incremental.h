@@ -51,8 +51,8 @@ namespace dagperf {
 /// options are part of every key, so changing them simply misses. The
 /// TaskTimeSource is NOT captured by the key (sources are opaque); callers
 /// must set a distinct `checkpoint_scope` per source identity, exactly as
-/// they scope a shared TaskTimeMemo (the service uses the same scope string
-/// for both). See docs/performance.md.
+/// they scope a shared TaskTimeMemo (a sweep uses the same scope string for
+/// both). See docs/performance.md.
 
 /// One in-flight wave of tasks: `size` tasks that started together and have
 /// completed `frac` of their duration (moved here from the estimator so
@@ -116,8 +116,8 @@ struct EstimatorCheckpoint {
 };
 
 /// Thread-safe store of prefix checkpoints, shared across the candidates of
-/// a sweep and — like TaskTimeMemo, which it lives beside in the service's
-/// cross-request cache — across requests, with the same scope strings.
+/// a sweep and — as the service's one cross-request warm store — across
+/// requests, scoped per cluster.
 ///
 /// Inserts are first-wins (matching keys imply bit-identical content, so
 /// either copy is correct) and stop once the byte cap is reached: rejecting

@@ -17,8 +17,9 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'P', 'W', 'A', 'R', 'M', '0', '1'};
 // v2: checkpoint keys end with an 8-byte digest (model/incremental.h), so a
-// v1 checkpoint could never match a probe again.
-constexpr std::uint32_t kFormatVersion = 2;
+// v1 checkpoint could never match a probe again. v3: the task-time memo
+// section is gone; the payload holds checkpoints only.
+constexpr std::uint32_t kFormatVersion = 3;
 
 std::uint64_t Fnv1a64(const char* data, std::size_t size) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -259,24 +260,14 @@ bool ReadCheckpoint(Cursor& cursor, EstimatorCheckpoint* cp) {
 
 }  // namespace
 
-Status SaveWarmSnapshot(const std::string& path, const TaskTimeMemo& memo,
+Status SaveWarmSnapshot(const std::string& path,
                         const PrefixCheckpointStore& checkpoints,
                         SnapshotStats* stats) {
-  const std::vector<TaskTimeMemo::ExportedEntry> entries = memo.Export();
   const std::vector<std::shared_ptr<const EstimatorCheckpoint>> stored =
       checkpoints.Export();
 
   std::string payload;
-  payload.reserve(entries.size() * 64 + stored.size() * 512);
-  PutU64(payload, entries.size());
-  for (const TaskTimeMemo::ExportedEntry& entry : entries) {
-    PutString(payload, entry.key);
-    PutU8(payload, static_cast<std::uint8_t>((entry.has_time ? 1 : 0) |
-                                             (entry.has_dist ? 2 : 0)));
-    PutDouble(payload, entry.time.seconds());
-    PutDouble(payload, entry.dist.mean);
-    PutDouble(payload, entry.dist.stddev);
-  }
+  payload.reserve(stored.size() * 512);
   PutU64(payload, stored.size());
   for (const auto& checkpoint : stored) PutCheckpoint(payload, *checkpoint);
 
@@ -308,7 +299,6 @@ Status SaveWarmSnapshot(const std::string& path, const TaskTimeMemo& memo,
                             " failed");
   }
   if (stats != nullptr) {
-    stats->memo_entries = entries.size();
     stats->checkpoints = stored.size();
     stats->bytes = payload.size();
   }
@@ -317,11 +307,10 @@ Status SaveWarmSnapshot(const std::string& path, const TaskTimeMemo& memo,
 
 namespace {
 
-/// Shared loader; when `scope` is non-null only entries with the
+/// Shared loader; when `scope` is non-null only checkpoints with the
 /// `scope + '#'` key prefix are imported. The filter runs after full
 /// validation — a corrupt snapshot is rejected whole either way.
 Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
-                            TaskTimeMemo* memo,
                             PrefixCheckpointStore* checkpoints,
                             SnapshotStats* stats) {
   std::ifstream in(path, std::ios::binary);
@@ -379,24 +368,10 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
                                    "cold-starting");
   }
 
-  // Parse fully into local staging before touching the targets: a payload
+  // Parse fully into local staging before touching the target: a payload
   // that passes the checksum but still trips a bounds check (a logic bug,
-  // not line noise) must not leave the stores half-imported.
+  // not line noise) must not leave the store half-imported.
   Cursor cursor{header.data, header.remaining};
-  const std::size_t memo_count = cursor.ReadCount(sizeof(std::uint64_t) + 1);
-  std::vector<TaskTimeMemo::ExportedEntry> entries;
-  entries.reserve(memo_count);
-  for (std::size_t i = 0; i < memo_count && cursor.ok; ++i) {
-    TaskTimeMemo::ExportedEntry entry;
-    entry.key = cursor.ReadString();
-    const std::uint8_t flags = cursor.ReadU8();
-    entry.has_time = (flags & 1) != 0;
-    entry.has_dist = (flags & 2) != 0;
-    entry.time = Duration::Seconds(cursor.ReadDouble());
-    entry.dist.mean = cursor.ReadDouble();
-    entry.dist.stddev = cursor.ReadDouble();
-    entries.push_back(std::move(entry));
-  }
   const std::size_t checkpoint_count =
       cursor.ReadCount(sizeof(std::uint64_t));
   std::vector<std::shared_ptr<const EstimatorCheckpoint>> restored;
@@ -418,32 +393,22 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
   }
 
   if (scope != nullptr) {
-    // Both stores put `scope + '#'` first in their keys (see
-    // TaskTimeMemo::Fingerprint and AppendGlobalFingerprint), so a prefix
-    // test selects exactly one cluster scope's warm state — the '#' stops
-    // "default" from also matching a "default2" scope.
+    // The checkpoint store puts `scope + '#'` first in its keys (see
+    // AppendGlobalFingerprint), so a prefix test selects exactly one
+    // cluster scope's warm state — the '#' stops "default" from also
+    // matching a "default2" scope.
     const std::string prefix = *scope + "#";
-    auto outside_scope = [&prefix](const std::string& key) {
-      return key.compare(0, prefix.size(), prefix) != 0;
-    };
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&](const TaskTimeMemo::ExportedEntry& e) {
-                                   return outside_scope(e.key);
-                                 }),
-                  entries.end());
     restored.erase(
         std::remove_if(
             restored.begin(), restored.end(),
-            [&](const std::shared_ptr<const EstimatorCheckpoint>& c) {
-              return outside_scope(c->key);
+            [&prefix](const std::shared_ptr<const EstimatorCheckpoint>& c) {
+              return c->key.compare(0, prefix.size(), prefix) != 0;
             }),
         restored.end());
   }
 
-  memo->Import(entries);
   checkpoints->Import(restored);
   if (stats != nullptr) {
-    stats->memo_entries = entries.size();
     stats->checkpoints = restored.size();
     stats->bytes = static_cast<std::size_t>(payload_size);
   }
@@ -452,17 +417,17 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
 
 }  // namespace
 
-Status LoadWarmSnapshot(const std::string& path, TaskTimeMemo* memo,
+Status LoadWarmSnapshot(const std::string& path,
                         PrefixCheckpointStore* checkpoints,
                         SnapshotStats* stats) {
-  return LoadWarmSnapshotImpl(path, nullptr, memo, checkpoints, stats);
+  return LoadWarmSnapshotImpl(path, nullptr, checkpoints, stats);
 }
 
 Status LoadWarmSnapshotForScope(const std::string& path,
-                                const std::string& scope, TaskTimeMemo* memo,
+                                const std::string& scope,
                                 PrefixCheckpointStore* checkpoints,
                                 SnapshotStats* stats) {
-  return LoadWarmSnapshotImpl(path, &scope, memo, checkpoints, stats);
+  return LoadWarmSnapshotImpl(path, &scope, checkpoints, stats);
 }
 
 }  // namespace dagperf

@@ -69,7 +69,7 @@ struct EstimatorOptions {
   /// TaskTimeSource identity is not captured by the checkpoint key, so set a
   /// distinct scope per source (hardware model, fixed overheads, profile
   /// data) when several share one store. The service uses its per-cluster
-  /// cache scope for both the memo and the checkpoint store.
+  /// scope.
   std::string checkpoint_scope;
 
   /// Advanced: the precomputed global checkpoint fingerprint — exactly the

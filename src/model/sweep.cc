@@ -81,6 +81,11 @@ SweepResult EstimateBatch(const std::vector<SweepCandidate>& requests,
   }
   const TaskTimeMemo::Stats before =
       memo != nullptr ? memo->stats() : TaskTimeMemo::Stats{};
+  // One decorator serves every candidate: it holds only (source, memo,
+  // scope) and is safe to share across the pool's workers.
+  std::optional<MemoizedTaskTimeSource> cached;
+  if (memo != nullptr) cached.emplace(source, memo, options.cache_scope);
+  const TaskTimeSource& priced = cached ? *cached : source;
 
   // Checkpoint-store wiring mirrors the memo: an external store wins,
   // otherwise an incremental batch gets a batch-local store so candidates
@@ -137,14 +142,8 @@ SweepResult EstimateBatch(const std::vector<SweepCandidate>& requests,
     if (i < fingerprints.size() && !fingerprints[i].sig.empty()) {
       candidate_options.checkpoint_global_fp = &fingerprints[i].global;
     }
-    if (memo == nullptr) {
-      result.estimates[i] =
-          EstimateOne(requests[i], scheduler, source, candidate_options);
-    } else {
-      const MemoizedTaskTimeSource cached(source, memo, options.cache_scope);
-      result.estimates[i] =
-          EstimateOne(requests[i], scheduler, cached, candidate_options);
-    }
+    result.estimates[i] =
+        EstimateOne(requests[i], scheduler, priced, candidate_options);
     evaluated[i] = 1;
   };
 

@@ -1,6 +1,5 @@
 #include "model/task_time_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <mutex>
 
@@ -12,17 +11,9 @@ namespace dagperf {
 
 namespace {
 
-/// Chaos seams (latency-only: TaskTime has no error channel, so injected
-/// error plans surface at service.execute instead — see docs/robustness.md).
-/// model.task_time delays the underlying source's computation on a memo
-/// miss; memo.insert delays between compute and store, widening the
-/// insert-race window the memo's last-write-wins path must tolerate.
-resilience::FaultPoint& TaskTimeFault() {
-  static resilience::FaultPoint& point =
-      resilience::FaultInjector::Default().GetPoint("model.task_time");
-  return point;
-}
-
+/// Chaos seam (latency-only, like model.task_time in task_time_source.cc):
+/// memo.insert delays between compute and store, widening the insert-race
+/// window the memo's last-write-wins path must tolerate.
 resilience::FaultPoint& MemoInsertFault() {
   static resilience::FaultPoint& point =
       resilience::FaultInjector::Default().GetPoint("memo.insert");
@@ -114,83 +105,18 @@ TaskTimeMemo::Stats TaskTimeMemo::stats() const {
   return s;
 }
 
-void TaskTimeMemo::Clear() {
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.entries.clear();
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses.store(0, std::memory_order_relaxed);
-    shard.insert_races.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::vector<TaskTimeMemo::ExportedEntry> TaskTimeMemo::Export() const {
-  std::vector<ExportedEntry> out;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    out.reserve(out.size() + shard.entries.size());
-    for (const auto& [key, entry] : shard.entries) {
-      ExportedEntry exported;
-      exported.key = key;
-      exported.time = entry.time;
-      exported.dist = entry.dist;
-      exported.has_time = entry.has_time;
-      exported.has_dist = entry.has_dist;
-      out.push_back(std::move(exported));
-    }
-  }
-  // Keys are unique across shards, so sorting by key alone yields one total
-  // order regardless of shard hash or map iteration order — snapshot bytes
-  // for a given entry set are identical run to run.
-  std::sort(out.begin(), out.end(),
-            [](const ExportedEntry& a, const ExportedEntry& b) {
-              return a.key < b.key;
-            });
-  return out;
-}
-
-void TaskTimeMemo::Import(const std::vector<ExportedEntry>& entries) {
-  // Bucket by shard first so each stripe is locked once, not per entry.
-  std::array<std::vector<const ExportedEntry*>, kShardCount> buckets;
-  for (const ExportedEntry& exported : entries) {
-    buckets[ShardIndex(exported.key)].push_back(&exported);
-  }
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (buckets[i].empty()) continue;
-    Shard& shard = shards_[i];
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    for (const ExportedEntry* exported : buckets[i]) {
-      Entry& entry = shard.entries[exported->key];
-      if (exported->has_time && !entry.has_time) {
-        entry.time = exported->time;
-        entry.has_time = true;
-      }
-      if (exported->has_dist && !entry.has_dist) {
-        entry.dist = exported->dist;
-        entry.has_dist = true;
-      }
-    }
-  }
-}
-
 MemoizedTaskTimeSource::MemoizedTaskTimeSource(const TaskTimeSource& base,
                                                TaskTimeMemo* memo, std::string scope)
     : base_(base), memo_(memo), scope_(std::move(scope)) {}
 
-void MemoizedTaskTimeSource::CountHit(TaskTimeMemo::Shard& shard) const {
+void MemoizedTaskTimeSource::CountHit(TaskTimeMemo::Shard& shard) {
   shard.hits.fetch_add(1, std::memory_order_relaxed);
   Metrics().hits.Add(1);
-  if (obs::internal::Enabled()) {
-    local_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
-void MemoizedTaskTimeSource::CountMiss(TaskTimeMemo::Shard& shard) const {
+void MemoizedTaskTimeSource::CountMiss(TaskTimeMemo::Shard& shard) {
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   Metrics().misses.Add(1);
-  if (obs::internal::Enabled()) {
-    local_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 Duration MemoizedTaskTimeSource::TaskTime(const EstimationContext& context) const {
@@ -232,7 +158,6 @@ void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
   // One solve prices the whole state; every missing key is filled from it.
   // The solve lands in a private buffer: `*out` may be a per-thread buffer
   // that a memoised source further down reuses.
-  (void)TaskTimeFault().Evaluate();
   std::vector<Duration> computed;
   base_.TaskTimes(context, &computed);
   (void)MemoInsertFault().Evaluate();
@@ -272,7 +197,6 @@ NormalParams MemoizedTaskTimeSource::TaskTimeDist(
     }
   }
   CountMiss(shard);
-  (void)TaskTimeFault().Evaluate();
   const NormalParams dist = base_.TaskTimeDist(context);
   (void)MemoInsertFault().Evaluate();
   {

@@ -32,13 +32,16 @@ namespace dagperf {
 /// shared across sources or knob settings that the context alone does not
 /// distinguish (e.g. different node hardware, different fixed overheads).
 ///
+/// A memo is scoped to one batch of work: one EstimateBatch call (the
+/// batch-local default) or one tuner session that passes its own memo to
+/// each round. Nothing keeps a memo across serving requests; a recurring
+/// request is answered by the prefix-checkpoint store (model/incremental.h).
+///
 /// Internally the table is striped into kShardCount power-of-two shards
 /// (hash-of-key → shard), each with its own reader-writer lock and hit/miss
-/// counters, so concurrent sweeps and coalesced service requests contend on
-/// 1/kShardCount of the keyspace instead of one global mutex. The striping
-/// is invisible at the API: stats() rolls the per-shard counters up, and
-/// Export() returns entries sorted by key so warm-state snapshot bytes stay
-/// deterministic (and bit-compatible with the pre-sharded format).
+/// counters, so the workers of a parallel sweep contend on 1/kShardCount of
+/// the keyspace instead of one global mutex. The striping is invisible at
+/// the API: stats() rolls the per-shard counters up.
 ///
 /// All operations are safe to call concurrently.
 class TaskTimeMemo {
@@ -55,9 +58,6 @@ class TaskTimeMemo {
     /// deterministic — but duplicated work worth watching under load).
     std::uint64_t insert_races = 0;
     std::size_t entries = 0;
-    /// Stripe count (constant for a build; surfaced so `stats` consumers
-    /// can normalise contention numbers without a header dependency).
-    std::size_t shards = kShardCount;
 
     double hit_rate() const {
       const std::uint64_t total = hits + misses;
@@ -67,33 +67,8 @@ class TaskTimeMemo {
 
   Stats stats() const;
 
-  /// Drops every entry and zeroes the per-shard hit/miss/race counters.
-  /// The service calls this on drain, so post-drain `stats` gauges report
-  /// the new epoch only — counters from before the drain never leak into
-  /// hit-rate computed after it.
-  void Clear();
-
-  /// One memo entry in exported form — the warm-state snapshot
-  /// (model/snapshot.h) serialises these; Entry itself stays private.
-  struct ExportedEntry {
-    std::string key;
-    Duration time;
-    NormalParams dist;
-    bool has_time = false;
-    bool has_dist = false;
-  };
-
-  /// Snapshot of every stored entry, sorted by key. The sort makes the
-  /// export independent of shard iteration order and hash seeding, which
-  /// keeps warm-state snapshot bytes (model/snapshot.h) deterministic for a
-  /// given set of entries.
-  std::vector<ExportedEntry> Export() const;
-
-  /// Merges entries into the memo. Existing keys keep their stored value —
-  /// sources are deterministic, so a colliding import carries the same bits
-  /// either way. Hit/miss counters are untouched: imported warmth shows up
-  /// as hits, exactly like warmth earned by serving.
-  void Import(const std::vector<ExportedEntry>& entries);
+  /// The memo key of `context`: scope, '#', the exact bytes of every
+  /// running stage, then the query index.
   static std::string Fingerprint(const std::string& scope,
                                  const EstimationContext& context);
 
@@ -123,15 +98,10 @@ class TaskTimeMemo {
     mutable std::atomic<std::uint64_t> insert_races{0};
   };
 
-  static std::size_t ShardIndex(std::string_view key) {
+  Shard& ShardFor(std::string_view key) {
     static_assert((kShardCount & (kShardCount - 1)) == 0,
                   "shard count must be a power of two");
-    return std::hash<std::string_view>{}(key) & (kShardCount - 1);
-  }
-
-  Shard& ShardFor(std::string_view key) { return shards_[ShardIndex(key)]; }
-  const Shard& ShardFor(std::string_view key) const {
-    return shards_[ShardIndex(key)];
+    return shards_[std::hash<std::string_view>{}(key) & (kShardCount - 1)];
   }
 
   std::array<Shard, kShardCount> shards_;
@@ -165,28 +135,13 @@ class MemoizedTaskTimeSource : public TaskTimeSource {
   std::optional<TaskAttribution> Attribution(
       const EstimationContext& context) const override;
 
-  /// Hit/miss counts observed through *this instance* — the memo's own
-  /// stats aggregate every user of the table, which cannot attribute cache
-  /// behaviour to one request. The service creates one decorator per
-  /// request, so these counters classify that request's warm/cold path.
-  /// Only maintained while obs metrics are enabled (one extra relaxed add
-  /// per query when armed, nothing when not).
-  std::uint64_t local_hits() const {
-    return local_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t local_misses() const {
-    return local_misses_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void CountHit(TaskTimeMemo::Shard& shard) const;
-  void CountMiss(TaskTimeMemo::Shard& shard) const;
+  static void CountHit(TaskTimeMemo::Shard& shard);
+  static void CountMiss(TaskTimeMemo::Shard& shard);
 
   const TaskTimeSource& base_;
   TaskTimeMemo* memo_;
   std::string scope_;
-  mutable std::atomic<std::uint64_t> local_hits_{0};
-  mutable std::atomic<std::uint64_t> local_misses_{0};
 };
 
 }  // namespace dagperf

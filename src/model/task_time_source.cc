@@ -6,8 +6,23 @@
 
 #include "common/check.h"
 #include "common/stats.h"
+#include "resilience/fault.h"
 
 namespace dagperf {
+
+namespace {
+
+/// Chaos seam (latency-only: TaskTime has no error channel, so injected
+/// error plans surface at service.execute instead — see docs/robustness.md).
+/// model.task_time delays each BOE solve, wherever it is asked for: a serve
+/// estimate, a memo miss in a sweep, or a direct library call.
+resilience::FaultPoint& TaskTimeFault() {
+  static resilience::FaultPoint& point =
+      resilience::FaultInjector::Default().GetPoint("model.task_time");
+  return point;
+}
+
+}  // namespace
 
 NormalParams TaskTimeSource::TaskTimeDist(const EstimationContext& context) const {
   const double mean = TaskTime(context).seconds();
@@ -41,6 +56,7 @@ Duration BoeTaskTimeSource::TaskTime(const EstimationContext& context) const {
 
 void BoeTaskTimeSource::TaskTimes(const EstimationContext& context,
                                   std::vector<Duration>* out) const {
+  (void)TaskTimeFault().Evaluate();
   // Duration-only fast path: bit-identical to EstimateParallel's durations
   // without materialising the per-operation breakdown (Attribution still
   // pays for the full estimate, but only runs when attribution is on).

@@ -103,7 +103,9 @@ class TaskTimeSource {
 };
 
 /// Task times computed by the BOE model from stage profiles and the current
-/// contention context.
+/// contention context. TaskTime() and the default TaskTimeDist() answer
+/// through TaskTimes(), so every solve crosses the `model.task_time` chaos
+/// seam (docs/robustness.md) exactly once.
 class BoeTaskTimeSource : public TaskTimeSource {
  public:
   /// `fixed_overhead` is added to every task (container startup cost — a

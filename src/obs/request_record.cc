@@ -45,8 +45,6 @@ void AppendRecordJson(std::ostringstream& out, const RequestRecord& r) {
       << ",\"exec_us\":" << r.exec_us() << ",\"total_us\":" << r.total_us()
       << ",\"states\":" << r.states
       << ",\"resumed_states\":" << r.resumed_states
-      << ",\"memo_hits\":" << r.memo_hits
-      << ",\"memo_misses\":" << r.memo_misses
       << ",\"retries\":" << static_cast<int>(r.retries)
       << ",\"had_deadline\":" << (r.had_deadline ? "true" : "false")
       << ",\"deadline_met\":" << (r.deadline_met ? "true" : "false")
@@ -62,7 +60,6 @@ void AppendRecordJson(std::ostringstream& out, const RequestRecord& r) {
 const char* RequestPathName(RequestPath path) {
   switch (path) {
     case RequestPath::kFullReplay: return "full_replay";
-    case RequestPath::kMemoWarm: return "memo_warm";
     case RequestPath::kIncremental: return "incremental";
     case RequestPath::kCoalesced: return "coalesced";
     case RequestPath::kUnknown: break;

@@ -25,10 +25,8 @@ namespace obs {
 /// How the estimate was produced — the cost classes of the warm path.
 enum class RequestPath : std::uint8_t {
   kUnknown = 0,
-  /// Every state replayed, cold memo.
+  /// Every state replayed.
   kFullReplay = 1,
-  /// Task times answered mostly by the cross-request memo.
-  kMemoWarm = 2,
   /// Resumed from a prefix checkpoint (incremental re-estimation).
   kIncremental = 3,
   /// Served by attaching to another request's in-flight computation
@@ -53,11 +51,9 @@ struct RequestRecord {
   double start_us = 0.0;
   double end_us = 0.0;
 
-  /// Estimator states actually stepped (post-resume) and memo behaviour.
+  /// Estimator states actually stepped (post-resume).
   std::uint32_t states = 0;
   std::uint32_t resumed_states = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
 
   RequestPath path = RequestPath::kUnknown;
   /// Stable outcome code (ErrorCodeName vocabulary, stored as its numeric

@@ -24,7 +24,7 @@ namespace resilience {
 ///   level 1  pressure   shed expensive (cold, large) work; disable
 ///                       bottleneck attribution on served answers
 ///   level 2  overload   additionally cap the estimator's max_states
-///   level 3  brownout   serve memo-warm / incremental answers only;
+///   level 3  brownout   serve warm / incremental answers only;
 ///                       everything cold is shed
 ///
 /// Answers served at level >= 1 are tagged degraded (wire field
@@ -76,7 +76,7 @@ class OverloadController {
   int level() const { return level_.load(std::memory_order_acquire); }
 
   /// Admission decision for an arriving request. `warm` = the serving layer
-  /// expects to answer from warm state (memo / prefix checkpoints);
+  /// expects to answer from warm state (prefix checkpoints);
   /// `expensive` = a cold request whose pre-estimate crosses the cost
   /// threshold. Levels 1-2 shed expensive work; level 3 sheds everything
   /// cold. Never sheds warm work — warm answers are what brownout exists to

@@ -15,8 +15,8 @@ namespace router {
 /// nodes and their predecessors. Ownership depends only on the hashed
 /// strings, so it is deterministic across process restarts — a restarted
 /// router routes every key to the same shard as its predecessor did, which
-/// is what lets each shard's memo / PrefixCheckpointStore stay hot for its
-/// key range.
+/// is what lets each shard's PrefixCheckpointStore stay hot for its key
+/// range.
 ///
 /// Removing one of N shards moves only that shard's arcs (≈ 1/N of the key
 /// space) to ring successors; re-adding it moves exactly those arcs back.

@@ -119,10 +119,10 @@ Router::~Router() {
 
 std::string Router::RouteKey(const std::string& cluster,
                              const std::string& workflow) {
-  // Mirrors the warm stores' key layout: both the memo fingerprint and the
-  // checkpoint global fingerprint start with `scope + '#'` (scope defaults
-  // to the cluster name), so everything a shard computes for one
-  // (cluster, workflow) pair shares one ring position.
+  // Mirrors the warm store's key layout: the checkpoint global fingerprint
+  // starts with `scope + '#'` (scope defaults to the cluster name), so
+  // everything a shard computes for one (cluster, workflow) pair shares one
+  // ring position.
   return (cluster.empty() ? "default" : cluster) + "#" + workflow;
 }
 

@@ -109,8 +109,8 @@ struct ShardInfo {
 /// The `dagperf route` process: fronts N child `dagperf serve` shards over
 /// the NDJSON/TCP protocol. Requests are routed on a consistent-hash ring
 /// keyed by cluster-scope fingerprint (cluster + workflow), so repeats of a
-/// key always land on the shard whose memo / PrefixCheckpointStore is warm
-/// for it. Each shard is health-checked (active stats probes + passive
+/// key always land on the shard whose PrefixCheckpointStore is warm for
+/// it. Each shard is health-checked (active stats probes + passive
 /// error scoring through CircuitBreaker), supervised (crashed children are
 /// restarted with their --snapshot-dir so they rejoin warm from their
 /// DPWARM01 snapshot), and readmitted to the ring only after a probe

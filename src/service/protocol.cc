@@ -182,9 +182,9 @@ Json StatsToJson(const ServiceStats& stats) {
   if (!stats.shard_id.empty()) {
     result.Set("shard_id", Json::MakeString(stats.shard_id));
   }
-  // Which warm-state epoch the cache/incremental rates below belong to —
-  // bumped whenever a drain resets the memo and checkpoint stores, so
-  // clients never mix pre- and post-drain hit rates.
+  // Which warm-state epoch the incremental rates below belong to — bumped
+  // whenever a drain resets the checkpoint store, so clients never mix
+  // pre- and post-drain hit rates.
   result.Set("stats_epoch",
              Json::MakeNumber(static_cast<double>(stats.stats_epoch)));
   result.Set("workflows", Json::MakeNumber(stats.workflows));
@@ -195,13 +195,6 @@ Json StatsToJson(const ServiceStats& stats) {
   coalesce.Set("attached",
                Json::MakeNumber(static_cast<double>(stats.coalesce_attached)));
   result.Set("coalesce", std::move(coalesce));
-  Json cache = Json::MakeObject();
-  cache.Set("hits", Json::MakeNumber(static_cast<double>(stats.cache.hits)));
-  cache.Set("misses", Json::MakeNumber(static_cast<double>(stats.cache.misses)));
-  cache.Set("entries", Json::MakeNumber(static_cast<double>(stats.cache.entries)));
-  cache.Set("hit_rate", Json::MakeNumber(stats.cache.hit_rate()));
-  cache.Set("shards", Json::MakeNumber(static_cast<double>(stats.cache.shards)));
-  result.Set("cache", std::move(cache));
   Json incremental = Json::MakeObject();
   incremental.Set("hits",
                   Json::MakeNumber(static_cast<double>(stats.incremental.hits)));

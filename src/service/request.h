@@ -138,8 +138,8 @@ struct EstimateRequest {
   std::string tenant;
 
   /// When > 0, overrides the cluster's node count for this request only.
-  /// Cheap: node hardware (and thus the BOE model and cache scope) is
-  /// unchanged; per-node task populations are part of every memo key.
+  /// Cheap: node hardware (and thus the BOE model and checkpoint scope) is
+  /// unchanged; the node count is part of every checkpoint key.
   int nodes = 0;
 
   std::vector<int> nodes_list;

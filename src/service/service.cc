@@ -27,18 +27,16 @@ struct ServiceMetrics {
   obs::Counter& failed;
   obs::Counter& shed;
   obs::Counter& expired_in_queue;
-  /// Per-request cost-class attribution (tentpole): how each served request
-  /// got its answer — full replay, memo-warm, checkpoint resume, or by
-  /// attaching to another request's in-flight computation.
+  /// Per-request cost-class attribution: how each served request got its
+  /// answer — full replay, checkpoint resume, or by attaching to another
+  /// request's in-flight computation.
   obs::Counter& path_full_replay;
-  obs::Counter& path_memo_warm;
   obs::Counter& path_incremental;
   obs::Counter& path_coalesced;
   /// Warm-state reset epochs (drain/shutdown); rates exported next to this
   /// counter are always computed within one epoch.
   obs::Counter& reset_epoch;
   obs::Gauge& queue_depth;
-  obs::Gauge& cache_hit_rate;
   obs::Histogram& latency_us;
   obs::Histogram& queue_wait_us;
 
@@ -51,8 +49,6 @@ struct ServiceMetrics {
             "service.expired_in_queue")),
         path_full_replay(obs::MetricsRegistry::Default().GetCounter(
             "service.path.full_replay")),
-        path_memo_warm(obs::MetricsRegistry::Default().GetCounter(
-            "service.path.memo_warm")),
         path_incremental(obs::MetricsRegistry::Default().GetCounter(
             "service.path.incremental")),
         path_coalesced(obs::MetricsRegistry::Default().GetCounter(
@@ -60,8 +56,6 @@ struct ServiceMetrics {
         reset_epoch(
             obs::MetricsRegistry::Default().GetCounter("stats.reset_epoch")),
         queue_depth(obs::MetricsRegistry::Default().GetGauge("service.queue_depth")),
-        cache_hit_rate(
-            obs::MetricsRegistry::Default().GetGauge("service.cache_hit_rate")),
         latency_us(
             obs::MetricsRegistry::Default().GetHistogram("service.latency_us")),
         queue_wait_us(obs::MetricsRegistry::Default().GetHistogram(
@@ -95,9 +89,8 @@ resilience::FaultPoint& ExecuteFault() {
 /// caller has cancelled). CancelToken carries no callbacks,
 /// so abandonment has to be discovered by polling — and the task-time path
 /// is the only place a leader reliably visits often, with a period that
-/// keeps the poll off the hot path. Wraps the raw source (inside the memo
-/// decorator), so only compute-bound executions poll: memo-warm ones finish
-/// before abandonment could matter.
+/// keeps the poll off the hot path. Only compute-bound executions poll:
+/// checkpoint-resumed ones finish before abandonment could matter.
 class AbandonPollSource : public TaskTimeSource {
  public:
   AbandonPollSource(const TaskTimeSource& inner, std::function<void()> poll)
@@ -188,7 +181,7 @@ struct EstimationService::ClusterEntry {
   BoeModel model;
   BoeTaskTimeSource boe_source;
   /// The active source (points at `boe_source` unless repointed) and the
-  /// memo scope its entries are keyed under.
+  /// scope its checkpoints are keyed under.
   const TaskTimeSource* source;
   std::string scope;
 
@@ -491,11 +484,10 @@ Result<EstimateResponse> EstimationService::Execute(
               : options_.brownout_max_states;
     }
 
-    // The warm path: every task-time query goes through the service-lifetime
-    // memo, scoped by the cluster entry so hardware never aliases, and the
-    // estimator resumes recurring workflows from the service-lifetime
-    // checkpoint store (the cluster bits are part of the checkpoint key, so
-    // re-registration can never resume from stale state).
+    // The warm path: the estimator resumes recurring workflows from the
+    // service-lifetime checkpoint store, scoped by the cluster entry so
+    // hardware never aliases (the cluster bits are part of the checkpoint
+    // key, so re-registration can never resume from stale state).
     estimator_options.checkpoints = &checkpoints_;
     estimator_options.checkpoint_scope = entry.scope;
     // A coalesce leader computes for every attached caller: its execution
@@ -514,10 +506,9 @@ Result<EstimateResponse> EstimationService::Execute(
       });
       source = &*polled;
     }
-    const MemoizedTaskTimeSource cached(*source, &memo_, entry.scope);
     const StateBasedEstimator estimator(spec, options_.scheduler,
                                         estimator_options);
-    Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, cached);
+    Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, *source);
     if (!estimate.ok()) {
       Status status = estimate.status();
       // A brownout state cap is the server's doing, not the workflow's:
@@ -554,19 +545,12 @@ Result<EstimateResponse> EstimationService::Execute(
     Metrics().queue_wait_us.Record(start_us - call.submit_us);
     Metrics().latency_us.Record(end_us - call.submit_us);
     if (record != nullptr) {
-      // Cost-class attribution: the decorator is per-request, so its local
-      // hit/miss counts are exactly this request's memo behaviour.
       record->states = static_cast<std::uint32_t>(served.estimate.states.size());
       record->resumed_states =
           static_cast<std::uint32_t>(served.estimate.resumed_states);
-      record->memo_hits = cached.local_hits();
-      record->memo_misses = cached.local_misses();
       if (record->resumed_states > 0) {
         record->path = obs::RequestPath::kIncremental;
         Metrics().path_incremental.Add(1);
-      } else if (record->memo_hits > record->memo_misses) {
-        record->path = obs::RequestPath::kMemoWarm;
-        Metrics().path_memo_warm.Add(1);
       } else {
         record->path = obs::RequestPath::kFullReplay;
         Metrics().path_full_replay.Add(1);
@@ -601,8 +585,9 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
     candidates.push_back({resolved->flow.get(), spec,
                           resolved->workflow + "@" + std::to_string(nodes)});
   }
+  // The candidates share a batch-local memo (SweepOptions::memo stays null)
+  // and resume from the service-lifetime checkpoint store.
   SweepOptions sweep_options;
-  sweep_options.memo = &memo_;
   sweep_options.cache_scope = entry.scope;
   sweep_options.checkpoints = &checkpoints_;
   // Candidates fan out across the service pool; the worker running this
@@ -622,11 +607,8 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
   if (record != nullptr) {
     const SweepStats& stats = result.sweep.stats;
     record->resumed_states = static_cast<std::uint32_t>(stats.resumed_states);
-    record->path = stats.resumed_states > 0
-                       ? obs::RequestPath::kIncremental
-                       : (stats.cache_hit_rate > 0.5
-                              ? obs::RequestPath::kMemoWarm
-                              : obs::RequestPath::kFullReplay);
+    record->path = stats.resumed_states > 0 ? obs::RequestPath::kIncremental
+                                            : obs::RequestPath::kFullReplay;
   }
   return response;
 }
@@ -945,7 +927,6 @@ void EstimationService::SubmitImpl(
                            : Execute(request, call, start_us, group);
     const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
     if (watch_id != 0) watchdog_->Unwatch(watch_id);
-    Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
     Finish(call, std::move(result), exec_ms, group);
   });
 }
@@ -961,7 +942,6 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
 }
 
 void EstimationService::ResetWarmState() {
-  memo_.Clear();
   checkpoints_.Clear();
   {
     // The warm-work set mirrors the caches: cleared state is cold state,
@@ -971,27 +951,22 @@ void EstimationService::ResetWarmState() {
   }
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reset_epoch.Add(1);
-  // Recompute the rate gauges from the post-reset counters: a scrape after
-  // this point sees rates of the new epoch only, never a blend of the old
-  // epoch's numerator with the new epoch's denominator. The queue-depth
-  // gauge is re-set too — drain-path sheds can leave it at a stale depth.
-  Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  // Re-set the queue-depth gauge: drain-path sheds can leave it at a stale
+  // depth.
   Metrics().queue_depth.Set(queue_depth_.load(std::memory_order_relaxed));
 }
 
 Status EstimationService::SaveSnapshot(const std::string& path) {
   SnapshotStats snapshot_stats;
-  Status status = SaveWarmSnapshot(path, memo_, checkpoints_, &snapshot_stats);
+  Status status = SaveWarmSnapshot(path, checkpoints_, &snapshot_stats);
   if (status.ok()) {
     static obs::Counter& saves =
         obs::MetricsRegistry::Default().GetCounter("service.snapshot_saves");
     saves.Add(1);
-    flight_.AddEvent(
-        "snapshot", "saved " + std::to_string(snapshot_stats.memo_entries) +
-                        " memo entries + " +
-                        std::to_string(snapshot_stats.checkpoints) +
-                        " checkpoints (" +
-                        std::to_string(snapshot_stats.bytes) + " bytes)");
+    flight_.AddEvent("snapshot",
+                     "saved " + std::to_string(snapshot_stats.checkpoints) +
+                         " checkpoints (" +
+                         std::to_string(snapshot_stats.bytes) + " bytes)");
   } else {
     flight_.AddEvent("snapshot", "save failed: " + status.message());
   }
@@ -1000,16 +975,14 @@ Status EstimationService::SaveSnapshot(const std::string& path) {
 
 Status EstimationService::LoadSnapshot(const std::string& path) {
   SnapshotStats snapshot_stats;
-  Status status = LoadWarmSnapshot(path, &memo_, &checkpoints_, &snapshot_stats);
+  Status status = LoadWarmSnapshot(path, &checkpoints_, &snapshot_stats);
   if (status.ok()) {
     static obs::Counter& loads =
         obs::MetricsRegistry::Default().GetCounter("service.snapshot_loads");
     loads.Add(1);
-    flight_.AddEvent(
-        "snapshot", "restored " + std::to_string(snapshot_stats.memo_entries) +
-                        " memo entries + " +
-                        std::to_string(snapshot_stats.checkpoints) +
-                        " checkpoints");
+    flight_.AddEvent("snapshot",
+                     "restored " + std::to_string(snapshot_stats.checkpoints) +
+                         " checkpoints");
     // Restored triples are warm again the first time they are served;
     // nothing to pre-seed in warm_keys_ — classification heals per serve.
   } else {
@@ -1031,7 +1004,7 @@ Status EstimationService::LoadSnapshotForScope(const std::string& path,
     }
     if (!registered) {
       // A shard must not warm up state it cannot serve: keys for an
-      // unregistered scope would sit dead in the memo forever.
+      // unregistered scope would sit dead in the store forever.
       const Status status = Status::NotFound(
           "snapshot scope '" + scope + "' is not registered on this service");
       flight_.AddEvent("snapshot", "scoped restore rejected: " +
@@ -1040,18 +1013,15 @@ Status EstimationService::LoadSnapshotForScope(const std::string& path,
     }
   }
   SnapshotStats snapshot_stats;
-  Status status = LoadWarmSnapshotForScope(path, scope, &memo_, &checkpoints_,
-                                           &snapshot_stats);
+  Status status =
+      LoadWarmSnapshotForScope(path, scope, &checkpoints_, &snapshot_stats);
   if (status.ok()) {
     static obs::Counter& loads =
         obs::MetricsRegistry::Default().GetCounter("service.snapshot_loads");
     loads.Add(1);
-    flight_.AddEvent(
-        "snapshot", "restored scope '" + scope + "': " +
-                        std::to_string(snapshot_stats.memo_entries) +
-                        " memo entries + " +
-                        std::to_string(snapshot_stats.checkpoints) +
-                        " checkpoints");
+    flight_.AddEvent("snapshot", "restored scope '" + scope + "': " +
+                                     std::to_string(snapshot_stats.checkpoints) +
+                                     " checkpoints");
   } else {
     flight_.AddEvent("snapshot",
                      "scoped restore rejected: " + status.message());
@@ -1143,7 +1113,6 @@ ServiceStats EstimationService::Stats() const {
     stats.workflows = static_cast<int>(workflows_.size());
     stats.clusters = static_cast<int>(clusters_.size());
   }
-  stats.cache = memo_.stats();
   stats.incremental = checkpoints_.stats();
   stats.tenants = tenants_->Stats();
   if (overload_ != nullptr) {

@@ -22,7 +22,6 @@
 #include "model/explain.h"
 #include "model/state_estimator.h"
 #include "model/sweep.h"
-#include "model/task_time_cache.h"
 #include "model/task_time_source.h"
 #include "obs/request_record.h"
 #include "obs/slo.h"
@@ -39,7 +38,7 @@ namespace dagperf {
 /// self-tuning, capacity planning, §I) are recurring streams of estimate
 /// queries, not one-shot CLI runs. EstimationService turns the estimator
 /// into a long-lived, warm, concurrent entry point: it owns the worker
-/// pool, keeps one TaskTimeMemo alive across requests (scoped per
+/// pool, keeps one PrefixCheckpointStore alive across requests (scoped per
 /// registered cluster so hardware changes never alias), holds a registry of
 /// loaded workflows and clusters, and admits requests through a bounded
 /// queue that sheds load with Status::ResourceExhausted instead of building
@@ -115,7 +114,7 @@ struct ServiceOptions {
   int brownout_max_states = 2048;
 
   /// Warm-state snapshot file (model/snapshot.h). When set, Drain/Shutdown
-  /// serialise the memo + prefix-checkpoint store here immediately before
+  /// serialise the prefix-checkpoint store here immediately before
   /// the warm-state reset, so a restarted shard restores its warmth with
   /// LoadSnapshot instead of serving a cold-cache latency cliff. `dagperf
   /// serve --snapshot-dir` maps here (plus periodic saves).
@@ -141,7 +140,8 @@ struct ServiceOptions {
   bool coalescing = true;
 };
 
-/// Monotonic service counters plus the memo cache's cumulative behaviour.
+/// Monotonic service counters plus the checkpoint store's cumulative
+/// behaviour.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -152,9 +152,9 @@ struct ServiceStats {
   std::uint64_t expired_in_queue = 0;
   /// Requests the watchdog had to cancel (hard wall-clock bound).
   std::uint64_t watchdog_fired = 0;
-  /// How many times the warm state (memo + checkpoints) was reset — rates
-  /// computed from the cache stats below never span a reset: both are read
-  /// inside the same epoch. Drain/Shutdown bump this once.
+  /// How many times the warm state (checkpoints) was reset — rates computed
+  /// from the store stats below never span a reset: both are read inside
+  /// the same epoch. Drain/Shutdown bump this once.
   std::uint64_t stats_epoch = 0;
   int queue_depth = 0;
   bool draining = false;
@@ -166,7 +166,6 @@ struct ServiceStats {
   std::string shard_id;
   int workflows = 0;
   int clusters = 0;
-  TaskTimeMemo::Stats cache;
   /// The cross-request prefix-checkpoint store (incremental re-estimation).
   PrefixCheckpointStore::Stats incremental;
   /// Per-tenant accounting (stats verb "tenants" array), name-ordered.
@@ -200,14 +199,14 @@ class EstimationService {
   Status RegisterWorkflow(const std::string& name, DagWorkflow flow);
 
   /// Registers a cluster under `name` (validated). Each cluster owns its
-  /// BOE model and task-time source; its memo entries are scoped by the
-  /// cluster name so differing node hardware never aliases in the cache.
+  /// BOE model and task-time source; its checkpoints are scoped by the
+  /// cluster name so differing node hardware never aliases in the store.
   Status RegisterCluster(const std::string& name, const ClusterSpec& cluster);
 
   /// Points a registered cluster's task-time queries at a caller-owned
   /// source (profile-driven serving, test doubles). The source must be
   /// thread-safe and deterministic (TaskTimeSource contract) and must
-  /// outlive the service. `scope` keys its memo entries; pass a fresh scope
+  /// outlive the service. `scope` keys its checkpoints; pass a fresh scope
   /// when the source's answers differ from the BOE source's.
   Status RegisterSource(const std::string& cluster, const TaskTimeSource* source,
                         const std::string& scope);
@@ -222,7 +221,7 @@ class EstimationService {
   /// thread. Identical concurrent single-estimate requests are coalesced
   /// onto one computation (ServiceOptions::coalescing). A sweep holds one
   /// admission slot; its candidates fan out across the same pool and share
-  /// the persistent memo.
+  /// a batch-local memo and the persistent checkpoint store.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
@@ -255,13 +254,10 @@ class EstimationService {
 
   ServiceStats Stats() const;
 
-  /// The cross-request memo (exposed for benchmarks/tests).
-  TaskTimeMemo& memo() { return memo_; }
-
   /// The cross-request prefix-checkpoint store (exposed for
-  /// benchmarks/tests). Entries are scoped like the memo — per cluster
-  /// entry — and keyed on the cluster bits themselves, so re-registering a
-  /// cluster under the same name can never resume from stale state.
+  /// benchmarks/tests). Entries are scoped per cluster entry and keyed on
+  /// the cluster bits themselves, so re-registering a cluster under the
+  /// same name can never resume from stale state.
   PrefixCheckpointStore& checkpoints() { return checkpoints_; }
 
   /// The last-N-requests ring + pinned exemplars + breaker/watchdog events.
@@ -274,15 +270,15 @@ class EstimationService {
   /// against ServiceOptions::slo.
   const obs::SloTracker& slo_tracker() const { return slo_; }
 
-  /// Clears the warm state (memo + prefix checkpoints), bumps the stats
-  /// epoch (ServiceStats::stats_epoch, obs counter "stats.reset_epoch"), and
-  /// recomputes the hit-rate gauges from the now-empty stats so no exported
-  /// rate ever mixes pre- and post-reset counters. Drain/Shutdown call this
+  /// Clears the warm state (prefix checkpoints and their counters) and
+  /// bumps the stats epoch (ServiceStats::stats_epoch, obs counter
+  /// "stats.reset_epoch"), so no exported rate ever mixes pre- and
+  /// post-reset counters. Drain/Shutdown call this
   /// once after the pool quiesces; it is also safe to call on a live service
   /// (requests in flight simply start cold).
   void ResetWarmState();
 
-  /// Serialises the warm state (memo + prefix checkpoints) to `path` via
+  /// Serialises the warm state (prefix checkpoints) to `path` via
   /// model/snapshot.h; logs a flight event either way. Drain/Shutdown call
   /// this automatically (before the warm-state reset) when
   /// ServiceOptions::snapshot_path is set; `dagperf serve` also calls it
@@ -295,12 +291,13 @@ class EstimationService {
   Status LoadSnapshot(const std::string& path);
 
   /// Restores only the snapshot entries belonging to `scope` (the
-  /// cluster-scope prefix both warm stores key by — see
-  /// TaskTimeMemo::Fingerprint). The scope must be registered on this
-  /// service (RegisterCluster / RegisterSource): importing a snapshot for a
-  /// scope this shard does not own is NOT_FOUND and leaves the warm state
-  /// untouched. Like LoadSnapshot, the merge is first-wins: entries already
-  /// computed locally are never overwritten by snapshot entries.
+  /// cluster-scope prefix checkpoint keys start with — see
+  /// PrefixCheckpointStore::AppendGlobalFingerprint). The scope must be
+  /// registered on this service (RegisterCluster / RegisterSource):
+  /// importing a snapshot for a scope this shard does not own is NOT_FOUND
+  /// and leaves the warm state untouched. Like LoadSnapshot, the merge is
+  /// first-wins: entries already computed locally are never overwritten by
+  /// snapshot entries.
   Status LoadSnapshotForScope(const std::string& path,
                               const std::string& scope);
 
@@ -341,7 +338,7 @@ class EstimationService {
   Result<Resolved> Resolve(const EstimateRequest& request) const;
 
   /// Cost classes the fast pre-estimate sorts requests into for overload
-  /// shedding: warm work (memo/checkpoint-backed, never shed), cheap cold
+  /// shedding: warm work (checkpoint-backed, never shed), cheap cold
   /// work (shed only at the top of the ladder), expensive cold work (first
   /// to go).
   enum class CostClass { kWarm, kCheap, kExpensive };
@@ -374,7 +371,7 @@ class EstimationService {
   /// dequeued at `start_us`; a failure carries its cancel cause
   /// (MapCancelCause). The call's record (when observability is armed)
   /// accumulates the request's attribution: resolved names, states
-  /// executed, memo behaviour, path class, breaker interaction. `group`
+  /// executed, path class, breaker interaction. `group`
   /// (null when the request is not a coalesce leader) arms the group-abandon
   /// poll: the execution unwinds once every attached caller has cancelled.
   Result<EstimateResponse> Execute(const EstimateRequest& request, Call& call,
@@ -382,8 +379,9 @@ class EstimationService {
                                    const std::shared_ptr<CoalesceGroup>& group);
 
   /// Runs one sweep on a worker thread (slot already held): candidates fan
-  /// out across the service pool and share the persistent memo. Cancelled
-  /// candidates surface per candidate inside the result.
+  /// out across the service pool, share a batch-local memo and resume from
+  /// the persistent checkpoint store. Cancelled candidates surface per
+  /// candidate inside the result.
   Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
                                         double start_us,
                                         obs::RequestRecord* record);
@@ -415,7 +413,6 @@ class EstimationService {
 
   ServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;
-  TaskTimeMemo memo_;
   PrefixCheckpointStore checkpoints_;
 
   /// Per-tenant accounting + DRF fair-share admission (created in the ctor

@@ -57,6 +57,13 @@
 #error "the request builder checked here requires dagperf >= 2.0"
 #endif
 
+// 3.0 took the task-time memo out of the service and the snapshot
+// (EstimationService::memo, ServiceStats::cache, the memo parameter of
+// the snapshot functions); the snapshot call checked below is the 3.0 one.
+#if DAGPERF_VERSION_MAJOR < 3
+#error "the checkpoint-only snapshot API checked here requires dagperf >= 3.0"
+#endif
+
 namespace dagperf {
 namespace {
 
@@ -122,10 +129,9 @@ TEST(ApiFacadeTest, MultiTenantServingSurfaceIsReachableThroughTheFacade) {
   EXPECT_EQ(TenantRegistry::Canonical(""), "default");
   EXPECT_TRUE(tenants.Admit("alice").ok());
 
-  TaskTimeMemo memo;
   PrefixCheckpointStore store;
   const Status missing =
-      LoadWarmSnapshot("no-such-snapshot-file", &memo, &store, nullptr);
+      LoadWarmSnapshot("no-such-snapshot-file", &store, nullptr);
   EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
 }
 

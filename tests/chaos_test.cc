@@ -194,6 +194,30 @@ TEST(ChaosTest, SameSeedSameFailureSchedule) {
   EXPECT_NE(run_schedule(seed + 1), first);
 }
 
+TEST(ChaosTest, TaskTimeSeamFiresOnAPlainServeEstimate) {
+  // The model.task_time seam sits on the BOE solve itself, so a single
+  // estimate served by the service crosses it, not only a sweep's memo
+  // misses.
+  InjectorReset guard;
+  FaultInjector& injector = FaultInjector::Default();
+  ASSERT_TRUE(injector.Configure("model.task_time", {.probability = 1.0}).ok());
+  injector.Arm(ChaosSeed());
+
+  EstimationService service;
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  Result<EstimateResponse> served =
+      service.Submit(EstimateRequest::For("q6")).get();
+  injector.Disarm();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  std::uint64_t fires = 0;
+  for (const FaultInjector::PointStats& point : injector.Stats()) {
+    if (point.name == "model.task_time") fires = point.fires;
+  }
+  // One solve per stepped state, each one fired.
+  EXPECT_GE(fires, served.value().estimate->estimate.states.size());
+}
+
 TEST(ChaosTest, FaultScheduleOverLoopbackAnswersEveryRequest) {
   InjectorReset guard;
   FaultInjector& injector = FaultInjector::Default();
@@ -620,8 +644,8 @@ TEST(ChaosTest, PooledSweepStaysBitIdenticalUnderTaskTimeFaults) {
   // degrade to the serial loop.
   ThreadPool pool(4);
 
-  // Latency-only straggler injection on the memo-miss compute path: a fired
-  // query stalls its candidate mid-estimate while other workers fill and
+  // Latency-only straggler injection at the BOE solve (a memo miss): a fired
+  // solve stalls its candidate mid-estimate while other workers fill and
   // read the same memo and checkpoint store — under TSan in CI.
   ASSERT_TRUE(injector
                   .Configure("model.task_time",

@@ -8,7 +8,7 @@
 //   - SIGKILLing a shard under 64-client mixed-tenant load produces zero
 //     non-retryable client errors, the supervisor restarts it, readmission
 //     waits for the probe quorum, and the restarted shard rejoins *warm*
-//     (>= 0.5x its pre-kill memo entries, restored from its DPWARM01
+//     (>= 0.5x its pre-kill checkpoints, restored from its DPWARM01
 //     snapshot);
 //   - fleet-wide conservation: submitted == completed + failed + shed +
 //     expired across the shard fan-out when quiescent;
@@ -447,9 +447,9 @@ TEST(FleetTest, ShardKillUnderLoadFailsOverAndRejoinsWarm) {
     ASSERT_TRUE(stats.ok());
     const Json* entry = ShardEntry(stats.value(), victim);
     ASSERT_NE(entry, nullptr);
-    const Json* cache = entry->Get("stats")->Get("cache");
-    ASSERT_NE(cache, nullptr);
-    victim_entries_pre = cache->GetNumber("entries", 0);
+    const Json* checkpoints = entry->Get("stats")->Get("incremental");
+    ASSERT_NE(checkpoints, nullptr);
+    victim_entries_pre = checkpoints->GetNumber("entries", 0);
     EXPECT_GT(victim_entries_pre, 0) << "victim never warmed up";
     for (const ShardInfo& info : fleet.router().Shards()) {
       if (info.shard_id == victim) {
@@ -513,17 +513,17 @@ TEST(FleetTest, ShardKillUnderLoadFailsOverAndRejoinsWarm) {
                         << ")";
 
   // Warm rejoin: the restarted process restored its periodic DPWARM01
-  // snapshot, so its memo starts at >= half its pre-kill population rather
-  // than from zero.
+  // snapshot, so its checkpoint store starts at >= half its pre-kill
+  // population rather than from zero.
   {
     Result<Json> stats = CallJson(fleet.port(), R"({"op":"stats","id":5})");
     ASSERT_TRUE(stats.ok());
     const Json* entry = ShardEntry(stats.value(), victim);
     ASSERT_NE(entry, nullptr);
     ASSERT_TRUE(entry->GetBool("reachable", false));
-    const Json* cache = entry->Get("stats")->Get("cache");
-    ASSERT_NE(cache, nullptr);
-    EXPECT_GE(cache->GetNumber("entries", 0), 0.5 * victim_entries_pre)
+    const Json* checkpoints = entry->Get("stats")->Get("incremental");
+    ASSERT_NE(checkpoints, nullptr);
+    EXPECT_GE(checkpoints->GetNumber("entries", 0), 0.5 * victim_entries_pre)
         << "restarted shard came back cold (seed " << seed << ")";
     ExpectFleetConservation(stats.value());
   }

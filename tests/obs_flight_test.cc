@@ -135,8 +135,8 @@ TEST(FlightRecorderTest, ToJsonParsesAndCarriesTheRecordFields) {
   obs::FlightRecorder recorder;
   obs::RequestRecord record = MakeRecord(7, 650.0);
   record.states = 6;
-  record.memo_misses = 22;
-  record.path = obs::RequestPath::kMemoWarm;
+  record.resumed_states = 5;
+  record.path = obs::RequestPath::kIncremental;
   recorder.Record(record);
   recorder.AddEvent("breaker", "default: closed -> open");
   Result<Json> parsed = Json::Parse(recorder.ToJson());
@@ -148,8 +148,8 @@ TEST(FlightRecorderTest, ToJsonParsesAndCarriesTheRecordFields) {
   ASSERT_EQ(records->AsArray().size(), 1u);
   const Json& first = records->AsArray()[0];
   EXPECT_EQ(first.GetNumber("id", 0.0), 7.0);
-  EXPECT_EQ(first.GetString("path", ""), "memo_warm");
-  EXPECT_EQ(first.GetNumber("memo_misses", 0.0), 22.0);
+  EXPECT_EQ(first.GetString("path", ""), "incremental");
+  EXPECT_EQ(first.GetNumber("resumed_states", 0.0), 5.0);
   EXPECT_DOUBLE_EQ(first.GetNumber("total_us", 0.0), 650.0);
   const Json* events = doc.Get("events");
   ASSERT_NE(events, nullptr);

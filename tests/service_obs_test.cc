@@ -175,18 +175,17 @@ TEST(ServiceObsTest, RequestRecordCapturedEndToEnd) {
   EXPECT_STREQ(record.cluster, "default");
   EXPECT_TRUE(record.ok);
   EXPECT_EQ(record.outcome_code, 0);
-  // Cold service: every task time was computed, so the path is full replay
-  // and the memo reported misses but few hits.
+  // Cold service: every state was stepped, so the path is full replay.
   EXPECT_EQ(record.path, obs::RequestPath::kFullReplay);
   EXPECT_GT(record.states, 0u);
-  EXPECT_GT(record.memo_misses, 0u);
+  EXPECT_EQ(record.resumed_states, 0u);
   // Timebase sanity: submit <= start <= end, and exec dominates a cold run.
   EXPECT_GE(record.start_us, record.submit_us);
   EXPECT_GE(record.end_us, record.start_us);
   EXPECT_GT(record.total_us(), 0.0);
 }
 
-TEST(ServiceObsTest, RepeatRequestClassifiedMemoWarm) {
+TEST(ServiceObsTest, RepeatRequestClassifiedIncremental) {
   ScopedMetrics on;
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
@@ -200,16 +199,12 @@ TEST(ServiceObsTest, RepeatRequestClassifiedMemoWarm) {
   const obs::FlightRecorder::Dump dump = service.flight_recorder().Snapshot();
   ASSERT_EQ(dump.records.size(), 2u);
   EXPECT_EQ(dump.records.front().path, obs::RequestPath::kFullReplay);
-  // The second identical request rides the warm state: a prefix-checkpoint
-  // resume (incremental) or, failing that, a memo-dominated replay. Either
-  // way it must not be classified as another full replay.
+  // The second identical request resumes every state from the checkpoints
+  // the first one stored.
   const obs::RequestRecord& warm = dump.records.back();
-  EXPECT_NE(warm.path, obs::RequestPath::kFullReplay);
-  if (warm.path == obs::RequestPath::kIncremental) {
-    EXPECT_GT(warm.resumed_states, 0u);
-  } else {
-    EXPECT_GT(warm.memo_hits, warm.memo_misses);
-  }
+  EXPECT_EQ(warm.path, obs::RequestPath::kIncremental);
+  EXPECT_GT(warm.resumed_states, 0u);
+  EXPECT_EQ(warm.resumed_states, warm.states);
 }
 
 TEST(ServiceObsTest, FailedRequestPinnedAsErrorExemplar) {
@@ -373,23 +368,20 @@ TEST(ServiceObsTest, DrainBumpsStatsEpochAndResetsWarmState) {
   }
   const ServiceStats before = service.Stats();
   EXPECT_EQ(before.stats_epoch, 0u);
-  // The cold first request populated the memo (misses) even if the repeat
-  // resumed from a checkpoint instead of re-querying it.
-  EXPECT_GT(before.cache.misses, 0u);
-  EXPECT_GT(before.cache.entries, 0u);
+  // The cold first request stored checkpoints; the repeat resumed them.
+  EXPECT_GT(before.incremental.misses, 0u);
+  EXPECT_GT(before.incremental.hits, 0u);
+  EXPECT_GT(before.incremental.entries, 0u);
 
   ASSERT_TRUE(service.Drain().ok());
 
   // The warm state was cleared in the same epoch bump, so the exported
-  // hit-rate gauge and the counters agree: nothing mixes pre-drain history.
+  // counters start the new epoch at zero: nothing mixes pre-drain history.
   const ServiceStats after = service.Stats();
   EXPECT_EQ(after.stats_epoch, 1u);
-  EXPECT_EQ(after.cache.hits, 0u);
-  EXPECT_EQ(after.cache.misses, 0u);
-  EXPECT_EQ(after.cache.entries, 0u);
-  EXPECT_EQ(
-      obs::MetricsRegistry::Default().GetGauge("service.cache_hit_rate").value(),
-      0.0);
+  EXPECT_EQ(after.incremental.hits, 0u);
+  EXPECT_EQ(after.incremental.misses, 0u);
+  EXPECT_EQ(after.incremental.entries, 0u);
 }
 
 TEST(ServiceObsTest, LiveResetWarmStateIsSafeAndCountsEpochs) {

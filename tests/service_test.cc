@@ -1,7 +1,7 @@
 // Tests of the estimation service layer (src/service/): admission control
 // and load shedding, deadline expiry inside the queue, graceful drain with
-// requests in flight, cross-request memo reuse (asserted through the obs
-// counters), and the NDJSON wire protocol.
+// requests in flight, cross-request checkpoint reuse (asserted through the
+// store's counters), and the NDJSON wire protocol.
 
 #include "service/service.h"
 
@@ -221,51 +221,50 @@ TEST(ServiceTest, DrainWaitsForInflightAndRejectsNewWork) {
   ASSERT_TRUE(inflight.get().ok());
 }
 
-TEST(ServiceTest, MemoIsReusedAcrossRequests) {
-  obs::SetMetricsEnabled(true);
-  obs::Counter& hits = obs::MetricsRegistry::Default().GetCounter("memo.hits");
-  const std::uint64_t hits_before = hits.value();
-
+TEST(ServiceTest, CheckpointsAreReusedAcrossRequestsButNeverAcrossClusters) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
   Result<EstimateResponse> cold =
       service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(cold.ok());
-  const TaskTimeMemo::Stats after_cold = service.Stats().cache;
+  EXPECT_EQ(cold.value().estimate->estimate.resumed_states, 0);
+  const PrefixCheckpointStore::Stats after_cold = service.Stats().incremental;
   EXPECT_EQ(after_cold.hits, 0u);
-  EXPECT_GT(after_cold.misses, 0u);
+  EXPECT_GT(after_cold.inserts, 0u);
 
   // The identical request again resumes from the cross-request checkpoint
-  // store — the whole replay is skipped, so the memo is never even queried —
-  // and the answer must be bit-identical.
+  // store — the whole replay is skipped — and the answer must be
+  // bit-identical.
   Result<EstimateResponse> warm =
       service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.value().estimate->estimate.makespan.seconds(),
             cold.value().estimate->estimate.makespan.seconds());
-  const PrefixCheckpointStore::Stats incremental = service.Stats().incremental;
-  EXPECT_GT(incremental.hits, 0u);
-  EXPECT_GT(incremental.resumed_states, 0u);
+  EXPECT_EQ(warm.value().estimate->estimate.resumed_states,
+            static_cast<int>(warm.value().estimate->estimate.states.size()));
+  const PrefixCheckpointStore::Stats after_warm = service.Stats().incremental;
+  EXPECT_GT(after_warm.hits, after_cold.hits);
+  EXPECT_GT(after_warm.resumed_states, 0u);
 
-  // With the checkpoints gone the request replays in full, and every
-  // task-time query must hit the cross-request memo.
-  service.checkpoints().Clear();
-  Result<EstimateResponse> replay =
-      service.Submit(EstimateRequest::For("q6")).get();
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay.value().estimate->estimate.makespan.seconds(),
+  // The same workflow on different hardware must never reuse the default
+  // cluster's state: it misses the store, replays in full and answers
+  // differently.
+  ClusterSpec other = ClusterSpec::PaperCluster();
+  other.node.disk_read_bw = Rate::MBps(100);
+  other.node.disk_write_bw = Rate::MBps(90);
+  other.node.network_bw = Rate::MBps(60);
+  ASSERT_TRUE(service.RegisterCluster("big-nodes", other).ok());
+  Result<EstimateResponse> big =
+      service.Submit(EstimateRequest::For("q6").OnCluster("big-nodes")).get();
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big.value().estimate->estimate.resumed_states, 0);
+  EXPECT_NE(big.value().estimate->estimate.makespan.seconds(),
             cold.value().estimate->estimate.makespan.seconds());
-
-  const TaskTimeMemo::Stats after_warm = service.Stats().cache;
-  EXPECT_GT(after_warm.hits, 0u);
-  EXPECT_EQ(after_warm.misses, after_cold.misses);
-  EXPECT_GT(after_warm.hit_rate(), 0.0);
-
-  // The memo's own obs counter observed the hits too (the service shares
-  // the library-wide "memo.*" instrumentation).
-  EXPECT_GT(hits.value(), hits_before);
-  obs::SetMetricsEnabled(false);
+  const PrefixCheckpointStore::Stats after_big = service.Stats().incremental;
+  EXPECT_EQ(after_big.hits, after_warm.hits);
+  EXPECT_EQ(after_big.resumed_states, after_warm.resumed_states);
+  EXPECT_GT(after_big.inserts, after_warm.inserts);
 }
 
 TEST(ServiceTest, PerClusterCacheScopesNeverAlias) {
@@ -283,8 +282,8 @@ TEST(ServiceTest, PerClusterCacheScopesNeverAlias) {
       service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_TRUE(base.ok());
 
-  // Same workflow on different hardware: the scoped memo must not serve the
-  // default cluster's entries, so the answers differ.
+  // Same workflow on different hardware: the scoped checkpoint store must
+  // not serve the default cluster's entries, so the answers differ.
   Result<EstimateResponse> big =
       service.Submit(EstimateRequest::For("q6").OnCluster("big-nodes")).get();
   ASSERT_TRUE(big.ok());
@@ -695,30 +694,31 @@ TEST(ServiceTest, CoalescingOptOutRunsItsOwnComputation) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
-TEST(ServiceTest, DrainResetsPerShardMemoCounters) {
+TEST(ServiceTest, DrainResetsCheckpointCounters) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  // Two serves: the second hits the memo warmed by the first.
+  // Two serves: the second resumes from the checkpoints the first stored.
   for (int i = 0; i < 2; ++i) {
     Result<EstimateResponse> served =
         service.Submit(EstimateRequest::For("q6")).get();
     ASSERT_TRUE(served.ok());
   }
   const ServiceStats warm = service.Stats();
-  EXPECT_GT(warm.cache.hits + warm.cache.misses, 0u);
-  EXPECT_GT(warm.cache.entries, 0u);
+  EXPECT_GT(warm.incremental.hits, 0u);
+  EXPECT_GT(warm.incremental.entries, 0u);
 
-  // Drain resets the warm state; the post-drain stats recompute must see
-  // every per-shard counter zeroed — no pre-drain numerator can leak into
-  // a hit rate computed in the new epoch.
+  // Drain resets the warm state; the post-drain stats must see every store
+  // counter zeroed — no pre-drain numerator can leak into a hit rate
+  // computed in the new epoch.
   ASSERT_TRUE(service.Drain().ok());
   const ServiceStats cold = service.Stats();
-  EXPECT_EQ(cold.cache.hits, 0u);
-  EXPECT_EQ(cold.cache.misses, 0u);
-  EXPECT_EQ(cold.cache.insert_races, 0u);
-  EXPECT_EQ(cold.cache.entries, 0u);
-  EXPECT_EQ(cold.cache.shards, TaskTimeMemo::kShardCount);
+  EXPECT_EQ(cold.incremental.hits, 0u);
+  EXPECT_EQ(cold.incremental.misses, 0u);
+  EXPECT_EQ(cold.incremental.inserts, 0u);
+  EXPECT_EQ(cold.incremental.resumed_states, 0u);
+  EXPECT_EQ(cold.incremental.entries, 0u);
+  EXPECT_EQ(cold.incremental.bytes, 0u);
   EXPECT_EQ(cold.stats_epoch, warm.stats_epoch + 1);
 }
 

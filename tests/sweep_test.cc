@@ -322,5 +322,39 @@ TEST(TaskTimeMemoTest, ScopeSeparatesEntries) {
   ExpectIdentical(est_b, estimator.Estimate(flow, source_b).value());
 }
 
+TEST(TaskTimeMemoTest, BatchedFillServesEveryQuery) {
+  // One memoised TaskTimes() stores an entry per running stage: every
+  // per-query TaskTime() then hits and equals the wrapped source's answer.
+  DagBuilder builder("chain");
+  const JobId a = builder.AddJob(WordCountSpec(Bytes::FromGB(20)));
+  const JobId b = builder.AddJobAfter(a, TsSpec(Bytes::FromGB(10)));
+  builder.AddJobAfter(b, TsSpec(Bytes::FromGB(5)));
+  const DagWorkflow flow = std::move(builder).Build().value();
+  const BoeModel boe(kCluster.node);
+  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
+  EstimationContext ctx;
+  const double populations[] = {2.5, 0.75, 4.0};
+  for (JobId id = 0; id < flow.num_jobs(); ++id) {
+    ctx.running.push_back({&flow.job(id).map, populations[id % 3]});
+  }
+
+  TaskTimeMemo memo;
+  const MemoizedTaskTimeSource memoized(source, &memo, "scope");
+  std::vector<Duration> times;
+  memoized.TaskTimes(ctx, &times);
+  ASSERT_EQ(times.size(), ctx.running.size());
+  EXPECT_EQ(memo.stats().misses, ctx.running.size());
+  EXPECT_EQ(memo.stats().entries, ctx.running.size());
+
+  for (size_t q = 0; q < ctx.running.size(); ++q) {
+    ctx.query = q;
+    EXPECT_EQ(memoized.TaskTime(ctx).seconds(), times[q].seconds());
+    EXPECT_EQ(memoized.TaskTime(ctx).seconds(), source.TaskTime(ctx).seconds());
+  }
+  // Each TaskTime() probes the whole state; every probe hits.
+  EXPECT_EQ(memo.stats().misses, ctx.running.size());
+  EXPECT_EQ(memo.stats().hits, 2 * ctx.running.size() * ctx.running.size());
+}
+
 }  // namespace
 }  // namespace dagperf

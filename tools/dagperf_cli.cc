@@ -46,7 +46,7 @@
 //
 // `route` runs a multi-process fleet (src/router/): N child `dagperf serve`
 // shards behind a consistent-hash router on one TCP port. Requests route by
-// (cluster, workflow) so each shard's memo stays hot for its key range;
+// (cluster, workflow) so each shard's checkpoints stay hot for its key range;
 // crashed shards are restarted from their per-shard snapshot dir and
 // readmitted after a health-check quorum (docs/robustness.md "Shard
 // fleets"). --dir holds per-shard state (snapshots, port files, logs).
@@ -77,8 +77,8 @@
 // recording. `dagperf metrics --port P` fetches a running server's registry
 // over the `metrics` verb (--prom prints Prometheus text); without --port it
 // prints this process's own registry. `dagperf top --port P` subscribes via
-// the `watch` verb and renders live RPS / p50 / p99 / error rate / cache
-// hit rate / breaker states, one line per frame.
+// the `watch` verb and renders live RPS / p50 / p99 / error rate /
+// checkpoint hit rate / breaker states, one line per frame.
 
 #include <chrono>
 #include <csignal>
@@ -1140,9 +1140,9 @@ int CmdMetrics(const Args& args) {
 }
 
 /// Live serving dashboard: subscribes to a server's `watch` stream and
-/// renders one line per frame — RPS, latency quantiles, error and cache hit
-/// rates, queue depth, breaker states — until the stream ends (server
-/// drained, --iterations reached, or connection lost).
+/// renders one line per frame — RPS, latency quantiles, error and
+/// checkpoint hit rates, queue depth, breaker states — until the stream
+/// ends (server drained, --iterations reached, or connection lost).
 int CmdTop(const Args& args) {
   if (args.options.count("port") == 0) {
     return Fail(Status::InvalidArgument(
@@ -1171,7 +1171,7 @@ int CmdTop(const Args& args) {
         const Json* slo = result ? result->Get("slo_10s") : nullptr;
         const Json* stats = result ? result->Get("stats") : nullptr;
         if (slo == nullptr || stats == nullptr) return false;
-        const Json* cache = stats->Get("cache");
+        const Json* incremental = stats->Get("incremental");
         std::string breakers;
         if (const Json* b = result->Get("breakers");
             b != nullptr && b->type() == Json::Type::kObject) {
@@ -1191,7 +1191,8 @@ int CmdTop(const Args& args) {
                     slo->GetNumber("p99_ms", 0.0),
                     100.0 * slo->GetNumber("error_rate", 0.0),
                     100.0 * slo->GetNumber("deadline_hit_rate", 1.0),
-                    100.0 * (cache ? cache->GetNumber("hit_rate", 0.0) : 0.0),
+                    100.0 * (incremental ? incremental->GetNumber("hit_rate", 0.0)
+                                         : 0.0),
                     stats->GetNumber("queue_depth", 0.0), breakers.c_str());
         std::fflush(stdout);
         rc = kExitOk;
