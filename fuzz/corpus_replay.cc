@@ -5,8 +5,10 @@
 //
 // Directories are replayed through the spec-ingestion entry point by
 // default; a directory preceded by --protocol goes through the NDJSON
-// protocol entry point instead:
+// protocol entry point instead, and one preceded by --snapshot through the
+// warm-snapshot entry point:
 //   corpus_replay fuzz/corpus --protocol fuzz/corpus_protocol
+//       --snapshot fuzz/corpus_snapshot
 
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "protocol_ingestion.h"
+#include "snapshot_ingestion.h"
 #include "spec_ingestion.h"
 
 namespace fs = std::filesystem;
@@ -24,7 +27,8 @@ namespace fs = std::filesystem;
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: corpus_replay [--spec|--protocol] CORPUS_DIR...\n");
+                 "usage: corpus_replay [--spec|--protocol|--snapshot] "
+                 "CORPUS_DIR...\n");
     return 2;
   }
   int replayed = 0;
@@ -36,6 +40,10 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--protocol") == 0) {
       entry = dagperf::RunProtocolIngestion;
+      continue;
+    }
+    if (std::strcmp(argv[i], "--snapshot") == 0) {
+      entry = dagperf::RunSnapshotIngestion;
       continue;
     }
     const fs::path root(argv[i]);

@@ -10,10 +10,10 @@
 ///     // sharded fleet serving: router::Router consistent-hash front-end,
 ///     // protocol::LineClient, scoped snapshot import (warm handoff)
 ///   #endif
-#define DAGPERF_VERSION_MAJOR 3
+#define DAGPERF_VERSION_MAJOR 4
 #define DAGPERF_VERSION_MINOR 0
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "3.0"
+#define DAGPERF_VERSION_STRING "4.0"
 
 #endif  // DAGPERF_VERSION_H_

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <numeric>
 
 #include "obs/metrics.h"
 
@@ -273,6 +274,18 @@ std::shared_ptr<const EstimatorCheckpoint> PrefixCheckpointStore::Lookup(
   misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().prefix_misses.Add(1);
   return nullptr;
+}
+
+bool PrefixCheckpointStore::HoldsCompleteResult(
+    const DagWorkflow& flow, const std::string& global_fp) const {
+  thread_local KeyParts parts;
+  thread_local std::vector<JobId> all;
+  all.resize(static_cast<std::size_t>(flow.num_jobs()));
+  std::iota(all.begin(), all.end(), JobId{0});
+  parts.Init(global_fp, std::hash<std::string>()(global_fp), flow, all.data(),
+             all.size());
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  return entries_.find(parts) != entries_.end();
 }
 
 bool PrefixCheckpointStore::Admits(const std::string& key, std::size_t bytes) {

@@ -156,6 +156,12 @@ class PrefixCheckpointStore {
   std::shared_ptr<const EstimatorCheckpoint> Lookup(
       const DagWorkflow& flow, const std::string& global_fp) const;
 
+  /// Whether the complete-result checkpoint of `flow` (every job done: the
+  /// entry that turns an estimate into a copy) is stored under `global_fp`.
+  /// Counts neither a hit nor a miss.
+  bool HoldsCompleteResult(const DagWorkflow& flow,
+                           const std::string& global_fp) const;
+
   /// Whether Insert would store a checkpoint of `bytes` (its ByteSize())
   /// under `key` right now — the estimator asks before paying the capture
   /// copies. False when the key is already stored, or when the byte cap

@@ -20,6 +20,8 @@ constexpr char kMagic[8] = {'D', 'P', 'W', 'A', 'R', 'M', '0', '1'};
 // v1 checkpoint could never match a probe again. v3: the task-time memo
 // section is gone; the payload holds checkpoints only.
 constexpr std::uint32_t kFormatVersion = 3;
+constexpr std::size_t kHeaderSize =
+    sizeof(kMagic) + 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
 
 std::uint64_t Fnv1a64(const char* data, std::size_t size) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -305,29 +307,11 @@ Status SaveWarmSnapshot(const std::string& path,
   return Status::Ok();
 }
 
-namespace {
-
-/// Shared loader; when `scope` is non-null only checkpoints with the
-/// `scope + '#'` key prefix are imported. The filter runs after full
-/// validation — a corrupt snapshot is rejected whole either way.
-Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
-                            PrefixCheckpointStore* checkpoints,
-                            SnapshotStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("snapshot: no file at " + path);
-  }
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("snapshot: read error on " + path);
-  }
-
-  constexpr std::size_t kHeaderSize =
-      sizeof(kMagic) + 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+Result<std::vector<std::shared_ptr<const EstimatorCheckpoint>>>
+DecodeWarmSnapshot(std::string_view file, const std::string& origin) {
   if (file.size() < kHeaderSize) {
     return Status::InvalidArgument(
-        "snapshot: " + path + " is truncated (" +
+        "snapshot: " + origin + " is truncated (" +
         std::to_string(file.size()) + " bytes, header needs " +
         std::to_string(kHeaderSize) + "): cold-starting");
   }
@@ -335,20 +319,20 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
   char magic[sizeof(kMagic)];
   header.Take(magic, sizeof(magic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("snapshot: " + path +
+    return Status::InvalidArgument("snapshot: " + origin +
                                    " has a bad magic: cold-starting");
   }
   const std::uint32_t format = header.ReadU32();
   if (format != kFormatVersion) {
     return Status::FailedPrecondition(
-        "snapshot: " + path + " is format v" + std::to_string(format) +
+        "snapshot: " + origin + " is format v" + std::to_string(format) +
         ", this binary writes v" + std::to_string(kFormatVersion) +
         ": stale, cold-starting");
   }
   const std::uint32_t resources = header.ReadU32();
   if (resources != static_cast<std::uint32_t>(kNumResources)) {
     return Status::FailedPrecondition(
-        "snapshot: " + path + " was saved with " + std::to_string(resources) +
+        "snapshot: " + origin + " was saved with " + std::to_string(resources) +
         " resource dimensions, this binary has " +
         std::to_string(static_cast<int>(kNumResources)) +
         ": stale, cold-starting");
@@ -357,13 +341,13 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
   const std::uint64_t checksum = header.ReadU64();
   if (payload_size != header.remaining) {
     return Status::InvalidArgument(
-        "snapshot: " + path + " payload size mismatch (header says " +
+        "snapshot: " + origin + " payload size mismatch (header says " +
         std::to_string(payload_size) + ", file carries " +
         std::to_string(header.remaining) + "): truncated, cold-starting");
   }
   const std::uint64_t actual = Fnv1a64(header.data, header.remaining);
   if (actual != checksum) {
-    return Status::InvalidArgument("snapshot: " + path +
+    return Status::InvalidArgument("snapshot: " + origin +
                                    " checksum mismatch: corrupt, "
                                    "cold-starting");
   }
@@ -383,14 +367,38 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
   }
   if (!cursor.ok) {
     return Status::InvalidArgument(
-        "snapshot: " + path +
+        "snapshot: " + origin +
         " payload walks off a record boundary: corrupt, cold-starting");
   }
   if (cursor.remaining != 0) {
     return Status::InvalidArgument(
-        "snapshot: " + path + " carries " + std::to_string(cursor.remaining) +
+        "snapshot: " + origin + " carries " + std::to_string(cursor.remaining) +
         " trailing bytes: corrupt, cold-starting");
   }
+  return restored;
+}
+
+namespace {
+
+/// Shared loader; when `scope` is non-null only checkpoints with the
+/// `scope + '#'` key prefix are imported. The filter runs after full
+/// validation — a corrupt snapshot is rejected whole either way.
+Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
+                            PrefixCheckpointStore* checkpoints,
+                            SnapshotStats* stats) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound("snapshot: no file at " + path);
+  }
+  std::string file((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  if (!in.good() && !in.eof()) {
+    return Status::Internal("snapshot: read error on " + path);
+  }
+  auto decoded = DecodeWarmSnapshot(file, path);
+  if (!decoded.ok()) return decoded.status();
+  std::vector<std::shared_ptr<const EstimatorCheckpoint>> restored =
+      std::move(decoded).value();
 
   if (scope != nullptr) {
     // The checkpoint store puts `scope + '#'` first in its keys (see
@@ -410,7 +418,7 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
   checkpoints->Import(restored);
   if (stats != nullptr) {
     stats->checkpoints = restored.size();
-    stats->bytes = static_cast<std::size_t>(payload_size);
+    stats->bytes = file.size() - kHeaderSize;
   }
   return Status::Ok();
 }

@@ -2,7 +2,10 @@
 #define DAGPERF_MODEL_SNAPSHOT_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "model/incremental.h"
@@ -46,6 +49,12 @@ struct SnapshotStats {
 Status SaveWarmSnapshot(const std::string& path,
                         const PrefixCheckpointStore& checkpoints,
                         SnapshotStats* stats = nullptr);
+
+/// LoadWarmSnapshot without the file read and the import: validates and
+/// decodes snapshot bytes, touching no store. `origin` names the bytes in
+/// diagnostics; errors are LoadWarmSnapshot's, minus kNotFound.
+Result<std::vector<std::shared_ptr<const EstimatorCheckpoint>>>
+DecodeWarmSnapshot(std::string_view bytes, const std::string& origin);
 
 /// Parses and validates the snapshot at `path`, then imports its
 /// checkpoints into `checkpoints` (first-wins merge). On any validation

@@ -136,6 +136,8 @@ struct EstimationService::Call {
   std::function<void(Result<EstimateResponse>)> done;
   /// Canonical tenant name (TenantRegistry::Canonical).
   std::string tenant;
+  /// Resolved once at submission; every later step reads this.
+  Result<Resolved> resolved = Status::Internal("unresolved");
   /// The caller's raw token, so completion can tell a caller cancel from
   /// the shutdown signal (MapCancelCause).
   CancelToken caller_cancel;
@@ -157,7 +159,6 @@ struct EstimationService::CoalesceGroup {
     /// The waiter's own signals (caller cancel + shutdown link + deadline)
     /// — what fulfilment checks before handing over the leader's answer.
     Budget budget;
-    std::string workflow;
   };
 
   std::string key;
@@ -284,14 +285,6 @@ Status EstimationService::RegisterSource(const std::string& cluster,
   return Status::Ok();
 }
 
-std::vector<std::string> EstimationService::WorkflowNames() const {
-  std::shared_lock lock(registry_mutex_);
-  std::vector<std::string> names;
-  names.reserve(workflows_.size());
-  for (const auto& [name, flow] : workflows_) names.push_back(name);
-  return names;
-}
-
 Result<EstimationService::Resolved> EstimationService::Resolve(
     const EstimateRequest& request) const {
   Resolved resolved;
@@ -320,32 +313,47 @@ Result<EstimationService::Resolved> EstimationService::Resolve(
   return resolved;
 }
 
+EstimationService::EffectiveInputs EstimationService::Effective(
+    const EstimateRequest& request, const ClusterEntry& entry,
+    int level) const {
+  EffectiveInputs effective{entry.spec, options_.estimator};
+  if (request.nodes > 0) effective.spec.num_nodes = request.nodes;
+  EstimatorOptions& options = effective.options;
+  options.attribute_bottlenecks =
+      request.explain || options.attribute_bottlenecks;
+  // Brownout overlay (the resilience/overload.h ladder): level >= 1 drops
+  // bottleneck attribution, level >= 2 additionally caps the state budget.
+  if (level >= 1) options.attribute_bottlenecks = false;
+  if (level >= 2 && (options.max_states <= 0 ||
+                     options.max_states > options_.brownout_max_states)) {
+    options.max_states = options_.brownout_max_states;
+  }
+  // Checkpoints are scoped by the cluster entry so hardware never aliases
+  // (the cluster bits are part of the key too, so re-registration can
+  // never resume from stale state).
+  options.checkpoint_scope = entry.scope;
+  return effective;
+}
+
 EstimationService::CostClass EstimationService::ClassifyCost(
-    const EstimateRequest& request) const {
+    const EstimateRequest& request, const Result<Resolved>& resolved,
+    int level) const {
   if (request.is_sweep()) return CostClass::kExpensive;
-  Result<Resolved> resolved = Resolve(request);
   if (!resolved.ok()) return CostClass::kCheap;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    if (warm_keys_.count(WarmKey(resolved->cluster->scope, resolved->workflow,
-                                 request.nodes)) > 0) {
-      return CostClass::kWarm;
-    }
+  // Warm means the store holds the complete answer under the exact key the
+  // request would run with now: the estimate is then a copy.
+  const EffectiveInputs effective =
+      Effective(request, *resolved->cluster, level);
+  std::string global_fp;
+  PrefixCheckpointStore::AppendGlobalFingerprint(
+      effective.options.checkpoint_scope, effective.spec, options_.scheduler,
+      effective.options, &global_fp);
+  if (checkpoints_.HoldsCompleteResult(*resolved->flow, global_fp)) {
+    return CostClass::kWarm;
   }
   return resolved->flow->num_jobs() >= options_.expensive_job_threshold
              ? CostClass::kExpensive
              : CostClass::kCheap;
-}
-
-std::string EstimationService::WarmKey(const std::string& scope,
-                                       const std::string& workflow,
-                                       int nodes) {
-  return scope + '|' + workflow + '|' + std::to_string(nodes);
-}
-
-void EstimationService::MarkWarm(const std::string& key) {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  warm_keys_.insert(key);
 }
 
 double EstimationService::RetryAfterHintMs() const {
@@ -358,7 +366,8 @@ double EstimationService::RetryAfterHintMs() const {
   return 25.0 * (1.0 + std::clamp(fullness, 0.0, 1.0));
 }
 
-Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
+Status EstimationService::Admit(const Call& call,
+                                const EstimateRequest& request) {
   // Claim a slot optimistically; back out when the bound is exceeded. The
   // transient overshoot is invisible (competing claimants also back out).
   const int depth = queue_depth_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -366,7 +375,7 @@ Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
     queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
     shed_.fetch_add(1, std::memory_order_relaxed);
     Metrics().shed.Add(1);
-    tenants_->OnShed(tenant);
+    tenants_->OnShed(call.tenant);
     return Status::ResourceExhausted(
                "admission queue full (" +
                std::to_string(options_.max_queue_depth) +
@@ -380,15 +389,19 @@ Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
     return injected;
   }
   // Cost-aware overload shedding: the controller drops expensive cold work
-  // first and warm work never (brownout exists to keep serving it).
-  if (overload_ != nullptr &&
-      overload_->ShouldShed(cost == CostClass::kWarm,
-                            cost == CostClass::kExpensive)) {
+  // first and warm work never (brownout exists to keep serving it). Level 0
+  // sheds nothing, so only a raised level pays for the classification.
+  const int level = overload_ != nullptr ? overload_->level() : 0;
+  const CostClass cost = level >= 1
+                             ? ClassifyCost(request, call.resolved, level)
+                             : CostClass::kCheap;
+  if (level >= 1 && overload_->ShouldShed(cost == CostClass::kWarm,
+                                          cost == CostClass::kExpensive)) {
     queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
     shed_.fetch_add(1, std::memory_order_relaxed);
     Metrics().shed.Add(1);
     overload_->RecordShed();
-    tenants_->OnShed(tenant);
+    tenants_->OnShed(call.tenant);
     return Status::ResourceExhausted(
                "overloaded (brownout level " +
                std::to_string(overload_->level()) + "): shedding " +
@@ -398,7 +411,7 @@ Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
   }
   // Tenant fair share (DRF) last, so a lone tenant sees exactly the global
   // queue-bound behaviour and only contended multi-tenant load diverges.
-  if (Status fair = tenants_->Admit(tenant); !fair.ok()) {
+  if (Status fair = tenants_->Admit(call.tenant); !fair.ok()) {
     queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
     shed_.fetch_add(1, std::memory_order_relaxed);
     Metrics().shed.Add(1);
@@ -431,14 +444,10 @@ Result<EstimateResponse> EstimationService::Execute(
     return MapCancelCause(status, call.caller_cancel, record);
   }
 
-  Result<Resolved> resolved = Resolve(request);
-  if (!resolved.ok()) return resolved.status();
-  const std::string& workflow_name = resolved->workflow;
-  const ClusterEntry& entry = *resolved->cluster;
-  if (record != nullptr) {
-    record->set_workflow(workflow_name);
-    record->set_cluster(entry.name);
-  }
+  if (!call.resolved.ok()) return call.resolved.status();
+  const Resolved& resolved = *call.resolved;
+  const std::string& workflow_name = resolved.workflow;
+  const ClusterEntry& entry = *resolved.cluster;
 
   // The breaker gates the estimation path only — resolution failures above
   // are client errors and never open it. Every Allow() below is matched by
@@ -465,31 +474,14 @@ Result<EstimateResponse> EstimationService::Execute(
       }
     }
 
-    ClusterSpec spec = entry.spec;
-    if (request.nodes > 0) spec.num_nodes = request.nodes;
-
-    EstimatorOptions estimator_options = options_.estimator;
-    estimator_options.budget = request.budget;
-    estimator_options.attribute_bottlenecks =
-        request.explain || estimator_options.attribute_bottlenecks;
-    // Brownout overlay (the resilience/overload.h ladder): level >= 1 drops
-    // bottleneck attribution, level >= 2 additionally caps the state budget.
-    // The answer is tagged degraded below so clients can re-query later.
-    if (brownout >= 1) estimator_options.attribute_bottlenecks = false;
-    if (brownout >= 2) {
-      estimator_options.max_states =
-          estimator_options.max_states > 0
-              ? std::min(estimator_options.max_states,
-                         options_.brownout_max_states)
-              : options_.brownout_max_states;
-    }
-
+    // The level read here, not at submission: checkpoints this run stores
+    // are keyed by the options it runs with. Degraded answers are tagged
+    // below so clients can re-query later.
+    EffectiveInputs effective = Effective(request, entry, brownout);
+    effective.options.budget = request.budget;
     // The warm path: the estimator resumes recurring workflows from the
-    // service-lifetime checkpoint store, scoped by the cluster entry so
-    // hardware never aliases (the cluster bits are part of the checkpoint
-    // key, so re-registration can never resume from stale state).
-    estimator_options.checkpoints = &checkpoints_;
-    estimator_options.checkpoint_scope = entry.scope;
+    // service-lifetime checkpoint store.
+    effective.options.checkpoints = &checkpoints_;
     // A coalesce leader computes for every attached caller: its execution
     // token observes the group's abandon signal instead of its own caller's
     // cancel, and this decorator is what eventually fires that signal once
@@ -506,9 +498,9 @@ Result<EstimateResponse> EstimationService::Execute(
       });
       source = &*polled;
     }
-    const StateBasedEstimator estimator(spec, options_.scheduler,
-                                        estimator_options);
-    Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, *source);
+    const StateBasedEstimator estimator(effective.spec, options_.scheduler,
+                                        effective.options);
+    Result<DagEstimate> estimate = estimator.Estimate(*resolved.flow, *source);
     if (!estimate.ok()) {
       Status status = estimate.status();
       // A brownout state cap is the server's doing, not the workflow's:
@@ -531,14 +523,11 @@ Result<EstimateResponse> EstimationService::Execute(
     if (request.explain && brownout < 1) {
       served.critical_path = CriticalPath(served.estimate);
     }
-    served.flow = resolved->flow;
+    served.flow = resolved.flow;
     served.workflow = workflow_name;
     served.cluster = entry.name;
     served.degraded = brownout >= 1;
     served.degrade_level = brownout;
-    // This triple now answers from warm state: cost classification stops
-    // shedding it and brownout level 3 keeps serving it.
-    MarkWarm(WarmKey(entry.scope, served.workflow, request.nodes));
     const double end_us = obs::MonotonicUs();
     served.queue_wait_ms = (start_us - call.submit_us) * 1e-3;
     served.service_ms = (end_us - start_us) * 1e-3;
@@ -572,18 +561,17 @@ Result<EstimateResponse> EstimationService::Execute(
 }
 
 Result<EstimateResponse> EstimationService::ExecuteSweep(
-    const EstimateRequest& request, double start_us,
-    obs::RequestRecord* record) {
-  Result<Resolved> resolved = Resolve(request);
-  if (!resolved.ok()) return resolved.status();
-  const ClusterEntry& entry = *resolved->cluster;
+    const EstimateRequest& request, Call& call, double start_us) {
+  if (!call.resolved.ok()) return call.resolved.status();
+  const Resolved& resolved = *call.resolved;
+  const ClusterEntry& entry = *resolved.cluster;
   std::vector<SweepCandidate> candidates;
   candidates.reserve(request.nodes_list.size());
   for (int nodes : request.nodes_list) {
     ClusterSpec spec = entry.spec;
     spec.num_nodes = nodes;
-    candidates.push_back({resolved->flow.get(), spec,
-                          resolved->workflow + "@" + std::to_string(nodes)});
+    candidates.push_back({resolved.flow.get(), spec,
+                          resolved.workflow + "@" + std::to_string(nodes)});
   }
   // The candidates share a batch-local memo (SweepOptions::memo stays null)
   // and resume from the service-lifetime checkpoint store.
@@ -601,14 +589,15 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
   result.sweep =
       EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
   result.nodes_list = request.nodes_list;
-  result.workflow = resolved->workflow;
+  result.workflow = resolved.workflow;
   result.cluster = entry.name;
   result.service_ms = (obs::MonotonicUs() - start_us) * 1e-3;
-  if (record != nullptr) {
+  if (call.observe) {
     const SweepStats& stats = result.sweep.stats;
-    record->resumed_states = static_cast<std::uint32_t>(stats.resumed_states);
-    record->path = stats.resumed_states > 0 ? obs::RequestPath::kIncremental
-                                            : obs::RequestPath::kFullReplay;
+    obs::RequestRecord& record = call.record;
+    record.resumed_states = static_cast<std::uint32_t>(stats.resumed_states);
+    record.path = stats.resumed_states > 0 ? obs::RequestPath::kIncremental
+                                           : obs::RequestPath::kFullReplay;
   }
   return response;
 }
@@ -669,20 +658,14 @@ Status EstimationService::MapCancelCause(const Status& status,
 }
 
 std::string EstimationService::CoalesceKey(
-    const EstimateRequest& request) const {
-  if (request.is_sweep()) return std::string();
-  Result<Resolved> resolved = Resolve(request);
-  if (!resolved.ok()) return std::string();
+    const EstimateRequest& request, const Result<Resolved>& resolved) const {
+  if (request.is_sweep() || !resolved.ok()) return std::string();
   const ClusterEntry& entry = *resolved->cluster;
 
-  // The same effective inputs Execute derives: node override folded into the
-  // spec, explain folded into attribution. Two requests with equal keys run
-  // the estimator over identical inputs and produce identical bits.
-  ClusterSpec spec = entry.spec;
-  if (request.nodes > 0) spec.num_nodes = request.nodes;
-  EstimatorOptions estimator_options = options_.estimator;
-  estimator_options.attribute_bottlenecks =
-      request.explain || estimator_options.attribute_bottlenecks;
+  // The inputs Execute derives at level 0 (requests coalesce only there):
+  // two requests with equal keys run the estimator over identical inputs
+  // and produce identical bits.
+  const EffectiveInputs effective = Effective(request, entry, 0);
 
   std::string key;
   key.reserve(256);
@@ -695,7 +678,8 @@ std::string EstimationService::CoalesceKey(
   key += '\x1f';
   key += request.explain ? '\1' : '\0';
   PrefixCheckpointStore::AppendGlobalFingerprint(
-      entry.scope, spec, options_.scheduler, estimator_options, &key);
+      effective.options.checkpoint_scope, effective.spec, options_.scheduler,
+      effective.options, &key);
   const DagWorkflow& dag = *resolved->flow;
   for (JobId id = 0; id < dag.num_jobs(); ++id) {
     PrefixCheckpointStore::AppendJobFingerprint(dag, id, &key);
@@ -724,8 +708,9 @@ void EstimationService::FulfillWaiters(
       // The waiter's own budget first: its cancel/deadline outcome is its
       // own regardless of how the leader fared.
       if (waiter.budget.exhausted()) {
-        return MapCancelCause(waiter.budget.Check("serve " + waiter.workflow),
-                              call.caller_cancel, record);
+        return MapCancelCause(
+            waiter.budget.Check("serve " + call.resolved->workflow),
+            call.caller_cancel, record);
       }
       if (leader_result.ok()) {
         EstimateResponse copy = leader_result.value();
@@ -743,7 +728,7 @@ void EstimationService::FulfillWaiters(
         // about the value itself. The waiter's own run would have carried
         // on, so resolve it retryable instead of inheriting the cancel.
         return Status::Unavailable(
-                   "coalesced computation for " + waiter.workflow +
+                   "coalesced computation for " + call.resolved->workflow +
                    " was cancelled before completing: retry")
             .WithRetryAfterMs(RetryAfterHintMs());
       }
@@ -758,11 +743,7 @@ void EstimationService::FulfillWaiters(
     if (result.ok()) Metrics().path_coalesced.Add(1);
     if (record != nullptr) {
       record->start_us = now_us;
-      if (result.ok()) {
-        record->path = obs::RequestPath::kCoalesced;
-        record->set_workflow(result.value().estimate->workflow);
-        record->set_cluster(result.value().estimate->cluster);
-      }
+      if (result.ok()) record->path = obs::RequestPath::kCoalesced;
     }
     Finish(call, std::move(result), 0.0);
   }
@@ -841,8 +822,12 @@ void EstimationService::SubmitImpl(
     return;
   }
   call.tenant = TenantRegistry::Canonical(request.tenant);
-  if (Status admitted = Admit(call.tenant, ClassifyCost(request));
-      !admitted.ok()) {
+  call.resolved = Resolve(request);
+  if (call.observe && call.resolved.ok()) {
+    call.record.set_workflow(call.resolved->workflow);
+    call.record.set_cluster(call.resolved->cluster->name);
+  }
+  if (Status admitted = Admit(call, request); !admitted.ok()) {
     Finish(call, std::move(admitted), 0.0);
     return;
   }
@@ -862,9 +847,8 @@ void EstimationService::SubmitImpl(
   // ladder level at execution time, which identical requests submitted at
   // different moments need not share. A sweep has no coalesce key.
   std::shared_ptr<CoalesceGroup> group;
-  if (options_.coalescing && request.coalesce &&
-      (overload_ == nullptr || overload_->level() == 0)) {
-    std::string key = CoalesceKey(request);
+  if (request.coalesce && (overload_ == nullptr || overload_->level() == 0)) {
+    std::string key = CoalesceKey(request, call.resolved);
     if (!key.empty()) {
       std::lock_guard<std::mutex> lock(coalesce_mutex_);
       auto it = coalesce_.find(key);
@@ -873,9 +857,6 @@ void EstimationService::SubmitImpl(
         waiter.budget.cancel =
             CancelToken::LinkedTo({call.caller_cancel, shutdown_cancel_});
         waiter.budget.deadline = request.budget.deadline;
-        waiter.workflow = request.workflow.empty() && request.flow != nullptr
-                              ? request.flow->name()
-                              : request.workflow;
         call.submit_us = obs::MonotonicUs();
         it->second->member_cancels.push_back(call.caller_cancel);
         waiter.call = std::move(call);
@@ -914,8 +895,7 @@ void EstimationService::SubmitImpl(
                  watch_id, group]() mutable {
     tenants_->OnExecuteStart(call.tenant);
     const double start_us = obs::MonotonicUs();
-    obs::RequestRecord* record = call.observe ? &call.record : nullptr;
-    if (record != nullptr) record->start_us = start_us;
+    if (call.observe) call.record.start_us = start_us;
     // Feed the overload controller the queue sojourn every dequeued request
     // observed — including ones about to expire; their wait is exactly the
     // signal the controller exists to see.
@@ -923,7 +903,7 @@ void EstimationService::SubmitImpl(
       overload_->ObserveSojourn((start_us - call.submit_us) * 1e-3, start_us);
     }
     Result<EstimateResponse> result =
-        request.is_sweep() ? ExecuteSweep(request, start_us, record)
+        request.is_sweep() ? ExecuteSweep(request, call, start_us)
                            : Execute(request, call, start_us, group);
     const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
     if (watch_id != 0) watchdog_->Unwatch(watch_id);
@@ -943,12 +923,6 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
 
 void EstimationService::ResetWarmState() {
   checkpoints_.Clear();
-  {
-    // The warm-work set mirrors the caches: cleared state is cold state,
-    // and cost classification must see it that way.
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    warm_keys_.clear();
-  }
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reset_epoch.Add(1);
   // Re-set the queue-depth gauge: drain-path sheds can leave it at a stale
@@ -983,8 +957,6 @@ Status EstimationService::LoadSnapshot(const std::string& path) {
     flight_.AddEvent("snapshot",
                      "restored " + std::to_string(snapshot_stats.checkpoints) +
                          " checkpoints");
-    // Restored triples are warm again the first time they are served;
-    // nothing to pre-seed in warm_keys_ — classification heals per serve.
   } else {
     flight_.AddEvent("snapshot", "restore rejected: " + status.message());
   }
@@ -995,14 +967,10 @@ Status EstimationService::LoadSnapshotForScope(const std::string& path,
                                                const std::string& scope) {
   {
     std::shared_lock lock(registry_mutex_);
-    bool registered = false;
-    for (const auto& [name, entry] : clusters_) {
-      if (entry->scope == scope) {
-        registered = true;
-        break;
-      }
-    }
-    if (!registered) {
+    if (std::none_of(clusters_.begin(), clusters_.end(),
+                     [&scope](const auto& named) {
+                       return named.second->scope == scope;
+                     })) {
       // A shard must not warm up state it cannot serve: keys for an
       // unregistered scope would sit dead in the store forever.
       const Status status = Status::NotFound(

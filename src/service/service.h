@@ -11,7 +11,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster_spec.h"
@@ -125,19 +124,6 @@ struct ServiceOptions {
   /// fan-out can attribute responses. "" outside shard mode. `dagperf serve
   /// --shard-id` maps here.
   std::string shard_id;
-
-  /// In-flight estimate coalescing (singleflight). Concurrent requests for
-  /// the same value — same workflow bytes, cluster bits, node override, and
-  /// explain flag, the exact fingerprint the prefix-checkpoint store keys
-  /// on — attach to the one computation already running instead of queueing
-  /// their own; every attached request receives a copy of the identical
-  /// WorkflowEstimate, tagged `coalesced`. Leader failures propagate
-  /// per-waiter: a cancelled/expired leader resolves live waiters with
-  /// retryable UNAVAILABLE, deterministic errors propagate as-is, and a
-  /// waiter whose own budget fired gets its own status. Disabled here it is
-  /// off for every request; per-request opt-out via
-  /// EstimateRequest::WithoutCoalescing.
-  bool coalescing = true;
 };
 
 /// Monotonic service counters plus the checkpoint store's cumulative
@@ -195,7 +181,8 @@ class EstimationService {
   /// Registers a workflow under `name` after running it through the
   /// validation firewall (dag/validate.h) — the service never holds a flow
   /// a request could fail validation on. Re-registering a name replaces it
-  /// for future requests; in-flight requests keep the version they resolved.
+  /// for future requests; submitted requests keep the version they
+  /// resolved.
   Status RegisterWorkflow(const std::string& name, DagWorkflow flow);
 
   /// Registers a cluster under `name` (validated). Each cluster owns its
@@ -211,17 +198,16 @@ class EstimationService {
   Status RegisterSource(const std::string& cluster, const TaskTimeSource* source,
                         const std::string& scope);
 
-  std::vector<std::string> WorkflowNames() const;
-
   /// The entry point: submits one EstimateRequest — a single estimate or,
   /// when the request carries a SweepNodes list, a sweep — and resolves to
   /// the matching half of EstimateResponse. Never blocks on estimation: the
-  /// returned future is either already failed (shed / draining /
-  /// unresolvable name) or will be fulfilled by a worker. Safe from any
-  /// thread. Identical concurrent single-estimate requests are coalesced
-  /// onto one computation (ServiceOptions::coalescing). A sweep holds one
-  /// admission slot; its candidates fan out across the same pool and share
-  /// a batch-local memo and the persistent checkpoint store.
+  /// returned future is either already failed (shed / draining) or will be
+  /// fulfilled by a worker. Safe from any thread. Names resolve here, once.
+  /// Identical concurrent single estimates coalesce onto one computation
+  /// (bit-exact; semantics in docs/performance.md) unless the request opts
+  /// out (EstimateRequest::WithoutCoalescing). A sweep holds one admission
+  /// slot; its candidates fan out across the same pool and share a
+  /// batch-local memo and the persistent checkpoint store.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
@@ -253,12 +239,6 @@ class EstimationService {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   ServiceStats Stats() const;
-
-  /// The cross-request prefix-checkpoint store (exposed for
-  /// benchmarks/tests). Entries are scoped per cluster entry and keyed on
-  /// the cluster bits themselves, so re-registering a cluster under the
-  /// same name can never resume from stale state.
-  PrefixCheckpointStore& checkpoints() { return checkpoints_; }
 
   /// The last-N-requests ring + pinned exemplars + breaker/watchdog events.
   /// Dump it via obs::FlightRecorder::ToJson (the protocol's
@@ -326,7 +306,7 @@ class EstimationService {
   void Finish(Call& call, Result<EstimateResponse> result, double exec_ms,
               const std::shared_ptr<CoalesceGroup>& group = nullptr);
 
-  /// A request's workflow and cluster as the registries hold them now.
+  /// A request's workflow and cluster as resolved at submission.
   struct Resolved {
     std::shared_ptr<const DagWorkflow> flow;
     /// The registered name, or the inline flow's own name.
@@ -334,8 +314,19 @@ class EstimationService {
     std::shared_ptr<const ClusterEntry> cluster;
   };
 
-  /// Resolves the request's workflow and cluster under the registry lock.
+  /// Resolves the request's workflow and cluster under the registry lock;
+  /// SubmitImpl calls it once and carries the result on the Call.
   Result<Resolved> Resolve(const EstimateRequest& request) const;
+
+  /// The spec and estimator options a single estimate runs with at brownout
+  /// `level` (node override, explain, brownout overlay, checkpoint scope).
+  /// Execute, CoalesceKey and ClassifyCost all derive from it.
+  struct EffectiveInputs {
+    ClusterSpec spec;
+    EstimatorOptions options;
+  };
+  EffectiveInputs Effective(const EstimateRequest& request,
+                            const ClusterEntry& entry, int level) const;
 
   /// Cost classes the fast pre-estimate sorts requests into for overload
   /// shedding: warm work (checkpoint-backed, never shed), cheap cold
@@ -343,35 +334,31 @@ class EstimationService {
   /// to go).
   enum class CostClass { kWarm, kCheap, kExpensive };
 
-  /// Fast pre-classification: a sweep is always expensive (many estimates
-  /// on one slot, so brownout sheds batch capacity planning first); an
-  /// estimate is warm if the (scope, workflow, nodes) triple completed
-  /// successfully since the last warm-state reset, expensive if cold with
-  /// >= expensive_job_threshold jobs. Resolution failures come out kCheap —
-  /// the real error surfaces downstream with full context.
-  CostClass ClassifyCost(const EstimateRequest& request) const;
+  /// Fast pre-classification at brownout `level` >= 1: a sweep is always
+  /// expensive (many estimates on one slot, so brownout sheds batch
+  /// capacity planning first); an estimate is warm if the checkpoint store
+  /// holds its complete result under the key it would run with at `level`,
+  /// expensive if cold with >= expensive_job_threshold jobs. Resolution
+  /// failures come out kCheap — the real error surfaces downstream.
+  CostClass ClassifyCost(const EstimateRequest& request,
+                         const Result<Resolved>& resolved, int level) const;
 
   /// Admission control; on success the caller owns one global queue slot
-  /// AND one queued slot of `tenant` (released together). Rejections carry
-  /// retry_after_ms. Order: global queue bound, chaos seam, overload
+  /// AND one queued slot of `call.tenant` (released together). Rejections
+  /// carry retry_after_ms. Order: global queue bound, chaos seam, overload
   /// controller, tenant fair share.
-  Status Admit(const std::string& tenant, CostClass cost);
+  Status Admit(const Call& call, const EstimateRequest& request);
   void ReleaseSlot();
 
   /// retry_after_ms hint for shed responses: the controller's ladder-scaled
   /// hint when overload control is on, else a queue-fullness-scaled base.
   double RetryAfterHintMs() const;
 
-  /// Marks a (scope, workflow, nodes) triple warm after a successful serve.
-  void MarkWarm(const std::string& key);
-  static std::string WarmKey(const std::string& scope,
-                             const std::string& workflow, int nodes);
-
   /// Runs one single estimate on a worker thread (slot already held),
   /// dequeued at `start_us`; a failure carries its cancel cause
   /// (MapCancelCause). The call's record (when observability is armed)
-  /// accumulates the request's attribution: resolved names, states
-  /// executed, path class, breaker interaction. `group`
+  /// accumulates the request's attribution: states executed, path class,
+  /// breaker interaction. `group`
   /// (null when the request is not a coalesce leader) arms the group-abandon
   /// poll: the execution unwinds once every attached caller has cancelled.
   Result<EstimateResponse> Execute(const EstimateRequest& request, Call& call,
@@ -383,16 +370,16 @@ class EstimationService {
   /// the persistent checkpoint store. Cancelled candidates surface per
   /// candidate inside the result.
   Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
-                                        double start_us,
-                                        obs::RequestRecord* record);
+                                        Call& call, double start_us);
 
   /// The coalesce key of a single-estimate request: the same value
   /// fingerprint the prefix-checkpoint store keys on (scope + cluster bits +
-  /// scheduler + effective estimator options + per-job workflow bytes) plus
-  /// the resolved names and the explain flag. Empty when the request cannot
-  /// be keyed: a sweep, or unresolvable names (the leader path surfaces the
-  /// error).
-  std::string CoalesceKey(const EstimateRequest& request) const;
+  /// scheduler + level-0 effective estimator options + per-job workflow
+  /// bytes) plus the resolved names and the explain flag. Empty when the
+  /// request cannot be keyed: a sweep, or unresolvable names (the leader
+  /// path surfaces the error).
+  std::string CoalesceKey(const EstimateRequest& request,
+                          const Result<Resolved>& resolved) const;
 
   /// Resolves every waiter of a finished leader: each gets its own status
   /// (own budget first, then the leader outcome mapped per-waiter) and its
@@ -421,11 +408,6 @@ class EstimationService {
 
   /// CoDel-style overload controller; null when disabled.
   std::unique_ptr<resilience::OverloadController> overload_;
-
-  /// (scope, workflow, nodes) triples that completed successfully since the
-  /// last warm-state reset — the "warm work" set brownout never sheds.
-  mutable std::mutex warm_mutex_;
-  std::unordered_set<std::string> warm_keys_;
 
   /// Guards registries (shared: request resolution; unique: registration).
   mutable std::shared_mutex registry_mutex_;

@@ -38,7 +38,10 @@ const std::string& TenantRegistry::Canonical(const std::string& tenant) {
 }
 
 TenantRegistry::Entry& TenantRegistry::Find(const std::string& tenant) {
-  auto [it, inserted] = tenants_.try_emplace(tenant);
+  auto found = tenants_.find(tenant);
+  if (found != tenants_.end()) return found->second;
+  auto [it, inserted] = tenants_.try_emplace(
+      tenants_.size() < kMaxTenants ? tenant : std::string("overflow"));
   if (inserted) {
     it->second.ema_cost_ms = options_.initial_cost_ms;
     TenantCountGauge().Set(static_cast<double>(tenants_.size()));

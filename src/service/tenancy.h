@@ -1,6 +1,7 @@
 #ifndef DAGPERF_SERVICE_TENANCY_H_
 #define DAGPERF_SERVICE_TENANCY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -31,8 +32,14 @@ namespace dagperf {
 /// share. A tenant issuing expensive requests (high EMA cost) has cpu-ms as
 /// its dominant resource and receives proportionally fewer slots than a
 /// cheap-request tenant, without any hand-tuned per-tenant quota.
+///
+/// Bounded: names first seen once kMaxTenants entries exist are accounted
+/// under one "overflow" entry. Entries are never removed, so every call
+/// maps a name to the same entry.
 class TenantRegistry {
  public:
+  static constexpr std::size_t kMaxTenants = 1024;
+
   struct Options {
     /// Queue slots the synthetic DRF cluster advertises — the service's
     /// max_queue_depth.
@@ -83,7 +90,7 @@ class TenantRegistry {
   /// means arrivals: submitted == completed + failed + shed_total + held.
   void OnShed(const std::string& tenant);
 
-  /// Snapshot of every tenant ever seen, name-ordered.
+  /// Snapshot of every tenant entry, name-ordered.
   std::vector<TenantStats> Stats() const;
 
   /// Canonical tenant name for a wire field (empty -> "default").

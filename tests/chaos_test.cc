@@ -154,6 +154,15 @@ std::string UncoalescedEstimateLine(int id) {
          std::to_string(id) + "}\n";
 }
 
+/// A sweep over three node counts of its own: sweeps are what still cross a
+/// task-time memo (a batch-local one), so they reach the memo.insert seam.
+std::string SweepLine(int client, int id) {
+  const int base = 2 + 3 * client;
+  return R"({"op":"sweep","workflow":"q6","nodes_list":[)" +
+         std::to_string(base) + "," + std::to_string(base + 1) + "," +
+         std::to_string(base + 2) + R"(],"id":)" + std::to_string(id) + "}\n";
+}
+
 std::string TenantEstimateLine(const std::string& tenant, int id) {
   return R"({"op":"estimate","workflow":"q6","tenant":")" + tenant +
          R"(","id":)" + std::to_string(id) + "}\n";
@@ -248,8 +257,10 @@ TEST(ChaosTest, FaultScheduleOverLoopbackAnswersEveryRequest) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
   TestTcpServer server(service);
 
+  // Each client sends kEstimates estimates and then one sweep.
   constexpr int kClients = 4;
-  constexpr int kRequests = 10;
+  constexpr int kEstimates = 10;
+  constexpr int kRequests = kEstimates + 1;
   std::atomic<int> answered{0};
   std::atomic<int> ok_count{0};
   std::vector<std::thread> clients;
@@ -257,9 +268,10 @@ TEST(ChaosTest, FaultScheduleOverLoopbackAnswersEveryRequest) {
     clients.emplace_back([&, c] {
       ChaosClient client(server.port());
       ASSERT_TRUE(client.connected());
-      for (int r = 0; r < kRequests; ++r) {
+      for (int r = 0; r < kEstimates; ++r) {
         ASSERT_TRUE(client.Send(EstimateLine(c * 100 + r)));
       }
+      ASSERT_TRUE(client.Send(SweepLine(c, c * 100 + kEstimates)));
       for (int r = 0; r < kRequests; ++r) {
         const ChaosClient::LineOrClose got = client.ReadLineOrClose();
         ASSERT_FALSE(got.closed)
@@ -277,6 +289,9 @@ TEST(ChaosTest, FaultScheduleOverLoopbackAnswersEveryRequest) {
   injector.Disarm();
 
   EXPECT_EQ(answered.load(), kClients * kRequests);
+  EXPECT_GT(injector.GetPoint("memo.insert").fires(), 0u)
+      << "the sweeps must reach the memo.insert seam (seed " << ChaosSeed()
+      << ")";
 
   // Conservation: every admitted slot was released, and every submission is
   // accounted for by exactly one terminal counter or an injected rejection.

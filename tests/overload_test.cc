@@ -7,6 +7,8 @@
 
 #include "resilience/overload.h"
 
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -350,14 +352,17 @@ TEST(ServiceBrownoutTest, WarmWorkIsServedDegradedWithoutAttribution) {
   OverloadController* controller = service.overload_controller();
   ASSERT_NE(controller, nullptr);
 
-  // Serve once healthy: warms the (workflow, nodes) key and proves explain
-  // normally fills the critical path.
+  // Serve once healthy: proves explain normally fills the critical path.
   controller->ForceLevelForTest(0);
   Result<EstimateResponse> healthy =
       service.Submit(EstimateRequest::For("q6").WithExplain()).get();
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy.value().estimate->degraded);
   EXPECT_FALSE(healthy.value().estimate->critical_path.empty());
+  // Warm the key level 1 runs the explain request with: attribution is part
+  // of the key, and level 1 drops it, so the healthy explain above stored
+  // its answer under a different key.
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 
   // Under pressure the same request is warm: served, but degraded — no
   // attribution work is spent on it.
@@ -402,6 +407,109 @@ TEST(ServiceBrownoutTest, StateCapFailuresAreRewrittenRetryable) {
   EXPECT_GT(capped.status().retry_after_ms(), 0.0);
   EXPECT_NE(capped.status().message().find("brownout"), std::string::npos)
       << capped.status().message();
+}
+
+TEST(ServiceBrownoutTest, SnapshotRestoredKeyIsServedAtFullBrownout) {
+  const std::string path = "overload_test_restored_key.snap";
+  {
+    EstimationService warm;
+    ASSERT_TRUE(warm.RegisterWorkflow("q6", TestFlow()).ok());
+    ASSERT_TRUE(warm.Submit(EstimateRequest::For("q6")).get().ok());
+    ASSERT_TRUE(warm.SaveSnapshot(path).ok());
+  }
+  EstimationService restarted(ArmedOptions());
+  ASSERT_TRUE(restarted.RegisterWorkflow("q6", TestFlow()).ok());
+  const Status loaded = restarted.LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  restarted.overload_controller()->ForceLevelForTest(3);
+
+  // The restored store holds the complete answer: warm, served, a copy.
+  Result<EstimateResponse> served =
+      restarted.Submit(EstimateRequest::For("q6")).get();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const WorkflowEstimate& estimate = *served.value().estimate;
+  EXPECT_TRUE(estimate.degraded);
+  EXPECT_EQ(estimate.degrade_level, 3);
+  EXPECT_EQ(static_cast<std::size_t>(estimate.estimate.resumed_states),
+            estimate.estimate.states.size());
+
+  // A key the snapshot does not hold is cold and shed.
+  Result<EstimateResponse> cold =
+      restarted.Submit(EstimateRequest::For("q6").WithNodes(7)).get();
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(cold.status().code(), ErrorCode::kResourceExhausted);
+}
+
+TEST(ServiceBrownoutTest, WarmthFollowsContentNotNames) {
+  ServiceOptions options = ArmedOptions();
+  options.expensive_job_threshold = 1000;  // Only level 3 sheds cold work.
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  OverloadController* controller = service.overload_controller();
+  auto inline_flow = [](double scale) {
+    Result<NamedFlow> named = TableThreeFlow("TS-Q6", scale);
+    EXPECT_TRUE(named.ok());
+    return std::make_shared<const DagWorkflow>(std::move(named).value().flow);
+  };
+  const std::shared_ptr<const DagWorkflow> served_inline = inline_flow(0.01);
+  const std::shared_ptr<const DagWorkflow> renamed_other = inline_flow(0.02);
+  ASSERT_EQ(served_inline->name(), renamed_other->name());
+
+  controller->ForceLevelForTest(0);
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+  ASSERT_TRUE(service.Submit(EstimateRequest::For(served_inline)).get().ok());
+  controller->ForceLevelForTest(3);
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok())
+      << "the served key is warm";
+  EXPECT_TRUE(
+      service.Submit(EstimateRequest::For(inline_flow(0.01))).get().ok())
+      << "an inline copy with the served content is warm";
+
+  // Same name, other content: nothing computed it, so level 3 sheds it.
+  Result<EstimateResponse> other_inline =
+      service.Submit(EstimateRequest::For(renamed_other)).get();
+  ASSERT_FALSE(other_inline.ok());
+  EXPECT_EQ(other_inline.status().code(), ErrorCode::kResourceExhausted);
+
+  ASSERT_TRUE(service.RegisterWorkflow("q6", *renamed_other).ok());
+  Result<EstimateResponse> reregistered =
+      service.Submit(EstimateRequest::For("q6")).get();
+  ASSERT_FALSE(reregistered.ok());
+  EXPECT_EQ(reregistered.status().code(), ErrorCode::kResourceExhausted);
+}
+
+TEST(ServiceBrownoutTest, TenantNamesAreBoundedAndConserved) {
+  EstimationService service;
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  constexpr int kNames = 5000;
+  for (int i = 0; i < kNames; ++i) {
+    ASSERT_TRUE(service
+                    .Submit(EstimateRequest::For("q6").AsTenant(
+                        "tenant-" + std::to_string(i)))
+                    .get()
+                    .ok());
+  }
+
+  const std::vector<TenantRegistry::TenantStats> tenants =
+      service.Stats().tenants;
+  EXPECT_LE(tenants.size(), TenantRegistry::kMaxTenants + 1);
+  std::uint64_t submitted = 0;
+  std::uint64_t accounted = 0;
+  bool has_overflow = false;
+  for (const TenantRegistry::TenantStats& tenant : tenants) {
+    has_overflow = has_overflow || tenant.name == "overflow";
+    const std::uint64_t held =
+        static_cast<std::uint64_t>(tenant.inflight + tenant.queued);
+    EXPECT_EQ(tenant.submitted, tenant.completed + tenant.failed +
+                                    tenant.shed_total + held)
+        << tenant.name;
+    submitted += tenant.submitted;
+    accounted += tenant.completed + tenant.failed + tenant.shed_total + held;
+  }
+  EXPECT_TRUE(has_overflow);
+  EXPECT_EQ(submitted, static_cast<std::uint64_t>(kNames));
+  EXPECT_EQ(accounted, submitted);
 }
 
 TEST(ServiceBrownoutTest, PerTenantStatsFlowThroughService) {

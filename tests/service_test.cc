@@ -633,6 +633,78 @@ TEST(ServiceTest, CoalescesIdenticalInflightRequests) {
   EXPECT_EQ(stats.coalesce_attached, 3u);
 }
 
+TEST(ServiceTest, CoalescedWaitersKeepTheVersionResolvedAtSubmission) {
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  auto flow_at = [](double scale) {
+    Result<NamedFlow> named = TableThreeFlow("TS-Q6", scale);
+    EXPECT_TRUE(named.ok());
+    return std::move(named).value().flow;
+  };
+  // v2 differs from v1 in its TS job, which a 1 s source still prices
+  // differently (more map tasks, so more waves on the paper cluster).
+  const DagWorkflow v1 = flow_at(0.01);
+  const DagWorkflow v2 = flow_at(10.0);
+  ASSERT_TRUE(service.RegisterWorkflow("blocker", flow_at(0.5)).ok());
+  ASSERT_TRUE(service.RegisterWorkflow("w", v1).ok());
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+
+  // The blocker holds the only worker, so the leader for "w" is still
+  // queued when the name is re-registered.
+  std::future<Result<EstimateResponse>> blocker =
+      service.Submit(EstimateRequest::For("blocker"));
+  gate.WaitUntilEntered();
+  std::future<Result<EstimateResponse>> leader =
+      service.Submit(EstimateRequest::For("w"));
+  std::future<Result<EstimateResponse>> waiter =
+      service.Submit(EstimateRequest::For("w"));
+  ASSERT_EQ(service.Stats().coalesce_attached, 1u);
+  ASSERT_TRUE(service.RegisterWorkflow("w", v2).ok());
+  std::future<Result<EstimateResponse>> after =
+      service.Submit(EstimateRequest::For("w"));
+  EXPECT_EQ(service.Stats().coalesce_attached, 1u)
+      << "a request resolving the new version must not join the old group";
+  gate.Open();
+  ASSERT_TRUE(blocker.get().ok());
+
+  auto direct = [&gate](const DagWorkflow& flow) {
+    const StateBasedEstimator estimator(ClusterSpec::PaperCluster(),
+                                        SchedulerConfig{}, EstimatorOptions{});
+    Result<DagEstimate> estimate = estimator.Estimate(flow, gate);
+    EXPECT_TRUE(estimate.ok());
+    return std::move(estimate).value();
+  };
+  auto expect_bits = [](const DagEstimate& got, const DagEstimate& want) {
+    EXPECT_EQ(got.makespan.seconds(), want.makespan.seconds());
+    ASSERT_EQ(got.states.size(), want.states.size());
+    for (std::size_t i = 0; i < got.states.size(); ++i) {
+      EXPECT_EQ(got.states[i].start, want.states[i].start) << i;
+      EXPECT_EQ(got.states[i].duration, want.states[i].duration) << i;
+    }
+    ASSERT_EQ(got.stages.size(), want.stages.size());
+    for (std::size_t i = 0; i < got.stages.size(); ++i) {
+      EXPECT_EQ(got.stages[i].start, want.stages[i].start) << i;
+      EXPECT_EQ(got.stages[i].end, want.stages[i].end) << i;
+    }
+  };
+  const DagEstimate want_v1 = direct(v1);
+  const DagEstimate want_v2 = direct(v2);
+  ASSERT_NE(want_v1.makespan.seconds(), want_v2.makespan.seconds());
+
+  Result<EstimateResponse> lead = leader.get();
+  Result<EstimateResponse> attached = waiter.get();
+  Result<EstimateResponse> later = after.get();
+  ASSERT_TRUE(lead.ok()) << lead.status().ToString();
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_TRUE(attached.value().estimate->coalesced);
+  expect_bits(lead.value().estimate->estimate, want_v1);
+  expect_bits(attached.value().estimate->estimate, want_v1);
+  expect_bits(later.value().estimate->estimate, want_v2);
+}
+
 TEST(ServiceTest, CancellingOneWaiterDoesNotCancelTheLeader) {
   ServiceOptions options;
   options.threads = 1;

@@ -4,7 +4,8 @@
 // one resuming from the original), plus corruption rejection — truncation
 // at every prefix length, single-bit flips at every byte, stale formats
 // (including the memo-bearing v2 layout) and trailing bytes must fail
-// cleanly with the store untouched.
+// cleanly with the store untouched. The decoder behind LoadWarmSnapshot
+// reads the same bytes from memory.
 
 #include "model/snapshot.h"
 
@@ -262,6 +263,28 @@ TEST(SnapshotTest, RestoredCheckpointsResumeBitIdentically) {
       resumed_estimator.Estimate(ChainFlow(16), source).value();
   EXPECT_GT(restored.stats().resumed_states, 0u);
   ExpectIdentical(warm, resumed);
+}
+
+TEST(SnapshotTest, DecoderReadsWhatSaveWritesWithoutAFile) {
+  TempPath file("decode");
+  PrefixCheckpointStore store;
+  FillSynthetic(&store);
+  FillWithRealCheckpoints(&store);
+  ASSERT_TRUE(SaveWarmSnapshot(file.path, store, nullptr).ok());
+  const std::string bytes = ReadFile(file.path);
+
+  auto decoded = DecodeWarmSnapshot(bytes, "in-memory bytes");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().size(), store.stats().entries);
+
+  // Its diagnostics name the origin it was given.
+  auto truncated =
+      DecodeWarmSnapshot(bytes.substr(0, bytes.size() - 1), "in-memory bytes");
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(truncated.status().message().find("in-memory bytes"),
+            std::string::npos)
+      << truncated.status().message();
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {

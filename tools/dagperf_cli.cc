@@ -817,8 +817,8 @@ int CmdServe(const Args& args) {
       !st.ok()) {
     return Fail(st);
   }
-  std::fprintf(stderr, "dagperf serve: %zu workflows registered (scale %g)\n",
-               service.WorkflowNames().size(), scale);
+  std::fprintf(stderr, "dagperf serve: %d workflows registered (scale %g)\n",
+               service.Stats().workflows, scale);
 
   // Restore warmth from the previous run before the first request lands. A
   // missing file is a normal first boot; a corrupt or stale one is rejected
