@@ -21,12 +21,13 @@
 //          restored checkpoint) must reach >= 80% of the live pre-restart
 //          service's rate (a cold control service is probed for contrast).
 //
-// The coalesce section exercises in-flight coalescing:
+// The burst section exercises identical concurrent requests:
 //
-//   coalesce — 64 clients burst the *same* request at a cold workflow;
-//          the first submission computes, the rest attach to the in-flight
-//          leader. Gate: actual computations (completed minus attached)
-//          stay within 10% of requests.
+//   burst — 64 clients burst the *same* request at a cold workflow whose
+//          first solve is stalled 60 ms; a request dequeued before any
+//          computation stored its checkpoints computes, every later one
+//          resumes from them. Gate: computations (answers not fully
+//          resumed) stay within 10% of requests.
 //
 // Reports requests/sec, p50/p99 latency and checkpoint resumes to stdout and
 // BENCH_serve.json. The warm stack must beat cold on throughput — that gap
@@ -384,18 +385,16 @@ int Main(int argc, char** argv) {
   const double snapshot_ratio =
       pre_warm_rate > 0 ? restored_warm_rate / pre_warm_rate : 0.0;
 
-  // --- Coalescing: a 64-client burst of identical in-flight requests. ---
+  // --- Burst: 64 clients send one identical request at once. -------------
   //
   // The dashboard-refresh pattern: every client asks for the same workflow
-  // at the same moment. The first submission becomes the in-flight leader
-  // and actually computes; the rest attach to it and are fulfilled from the
-  // leader's bits. Each round bursts the clients at a workflow this service
-  // has never estimated, with the leader's first BOE solve stalled 60 ms
-  // through the chaos seam — on a one-core CI host the burst threads
-  // are still being spawned while the leader runs, and the stall keeps the
-  // in-flight window open until every submission has attached. The gate is
-  // the point of coalescing: actual computations (completed minus attached)
-  // stay within 10% of requests.
+  // at the same moment. Each round bursts the clients at a workflow this
+  // service has never estimated, with the first BOE solve stalled 60 ms
+  // through the chaos seam. While that one computation holds a worker, the
+  // other worker computes the next request; the rest queue, and once a
+  // computation has stored its checkpoints every later request resumes
+  // from them. A request counts as a computation when its answer was not
+  // fully resumed; the gate holds computations within 10% of requests.
   ServiceOptions burst_options;
   burst_options.threads = 2;
   EstimationService burst_service(burst_options);
@@ -404,6 +403,7 @@ int Main(int argc, char** argv) {
   const int burst_rounds = static_cast<int>(names.size());
   std::vector<double> burst_ms;
   burst_ms.reserve(static_cast<std::size_t>(burst_clients * burst_rounds));
+  std::atomic<int> burst_computed{0};
   resilience::FaultInjector& injector = resilience::FaultInjector::Default();
   for (int round = 0; round < burst_rounds; ++round) {
     resilience::FaultPlan stall;
@@ -422,11 +422,18 @@ int Main(int argc, char** argv) {
     for (int c = 0; c < burst_clients; ++c) {
       burst.emplace_back([&, c] {
         const double begin = Now();
-        if (!burst_service.Submit(EstimateRequest::For(name)).get().ok()) {
+        Result<EstimateResponse> response =
+            burst_service.Submit(EstimateRequest::For(name)).get();
+        round_ms[c] = (Now() - begin) * 1e3;
+        if (!response.ok()) {
           std::fprintf(stderr, "burst request for %s failed\n", name.c_str());
           std::exit(1);
         }
-        round_ms[c] = (Now() - begin) * 1e3;
+        const DagEstimate& estimate = response->estimate->estimate;
+        if (estimate.resumed_states <
+            static_cast<int>(estimate.states.size())) {
+          burst_computed.fetch_add(1, std::memory_order_relaxed);
+        }
       });
     }
     for (std::thread& t : burst) t.join();
@@ -434,11 +441,9 @@ int Main(int argc, char** argv) {
     burst_ms.insert(burst_ms.end(), round_ms.begin(), round_ms.end());
   }
   injector.ResetAll();
-  const ServiceStats burst_stats = burst_service.Stats();
   const double burst_requests =
       static_cast<double>(burst_clients) * burst_rounds;
-  const double burst_computations = static_cast<double>(
-      burst_stats.completed - burst_stats.coalesce_attached);
+  const double burst_computations = burst_computed.load();
   const double computation_fraction = burst_computations / burst_requests;
   const double burst_p50 = QuantileOfMs(burst_ms, 0.50);
   const double burst_p99 = QuantileOfMs(burst_ms, 0.99);
@@ -771,10 +776,8 @@ int Main(int argc, char** argv) {
               cold_rps, cold_p50, cold_p99);
   std::printf("warm (service + store):   %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms\n",
               warm_rps, warm_p50, warm_p99);
-  std::printf("speedup %.2fx, %llu checkpoint resumes, %llu coalesced\n",
-              speedup,
-              static_cast<unsigned long long>(warm_stats.incremental.hits),
-              static_cast<unsigned long long>(warm_stats.coalesce_attached));
+  std::printf("speedup %.2fx, %llu checkpoint resumes\n", speedup,
+              static_cast<unsigned long long>(warm_stats.incremental.hits));
   std::printf(
       "multi-tenant (%d flooders, zipf over 4 tenants + 1 light):\n"
       "  light p99 isolated %6.2f ms, contended %6.2f ms (ratio %.2fx, "
@@ -797,14 +800,10 @@ int Main(int argc, char** argv) {
       probe_requests, 100.0 * pre_warm_rate, 100.0 * restored_warm_rate,
       snapshot_ratio, 100.0 * cold_warm_rate);
   std::printf(
-      "coalesce (%d identical clients x %d rounds): %.0f requests, "
-      "%.0f computations (%.1f%%), %llu attached, %llu leaders, "
-      "p50 %6.2f ms  p99 %6.2f ms\n",
+      "burst (%d identical clients x %d rounds): %.0f requests, "
+      "%.0f computations (%.1f%%), p50 %6.2f ms  p99 %6.2f ms\n",
       burst_clients, burst_rounds, burst_requests, burst_computations,
-      100.0 * computation_fraction,
-      static_cast<unsigned long long>(burst_stats.coalesce_attached),
-      static_cast<unsigned long long>(burst_stats.coalesce_leaders), burst_p50,
-      burst_p99);
+      100.0 * computation_fraction, burst_p50, burst_p99);
   std::printf(
       "fleet (%d shards, %d clients, %d sweeps paired direct+router over "
       "TCP):\n"
@@ -837,14 +836,9 @@ int Main(int argc, char** argv) {
   warm_json.Set("p99_ms", Json::MakeNumber(warm_p99));
   doc.Set("warm", std::move(warm_json));
   doc.Set("warm_vs_cold_speedup", Json::MakeNumber(speedup));
-  // Prefix-checkpoint resumes: exact repeats short-circuit here. Since 0.8,
-  // an exact repeat that is still *in flight* attaches to the leader
-  // instead and runs zero estimator states — warmth gates must consider
-  // both counters.
+  // Prefix-checkpoint resumes: exact repeats short-circuit here.
   doc.Set("checkpoint_hits",
           Json::MakeNumber(static_cast<double>(warm_stats.incremental.hits)));
-  doc.Set("warm_coalesced",
-          Json::MakeNumber(static_cast<double>(warm_stats.coalesce_attached)));
   Json mt_json = Json::MakeObject();
   mt_json.Set("flood_clients", Json::MakeNumber(clients));
   mt_json.Set("zipf_tenants", Json::MakeNumber(4));
@@ -877,22 +871,15 @@ int Main(int argc, char** argv) {
   snap_json.Set("restored_vs_pre_ratio", Json::MakeNumber(snapshot_ratio));
   snap_json.Set("cold_start_warm_rate", Json::MakeNumber(cold_warm_rate));
   doc.Set("snapshot", std::move(snap_json));
-  Json coalesce_json = Json::MakeObject();
-  coalesce_json.Set("burst_clients", Json::MakeNumber(burst_clients));
-  coalesce_json.Set("burst_rounds", Json::MakeNumber(burst_rounds));
-  coalesce_json.Set("requests", Json::MakeNumber(burst_requests));
-  coalesce_json.Set("computations", Json::MakeNumber(burst_computations));
-  coalesce_json.Set("computation_fraction",
-                    Json::MakeNumber(computation_fraction));
-  coalesce_json.Set(
-      "coalesce_attached",
-      Json::MakeNumber(static_cast<double>(burst_stats.coalesce_attached)));
-  coalesce_json.Set(
-      "coalesce_leaders",
-      Json::MakeNumber(static_cast<double>(burst_stats.coalesce_leaders)));
-  coalesce_json.Set("p50_ms", Json::MakeNumber(burst_p50));
-  coalesce_json.Set("p99_ms", Json::MakeNumber(burst_p99));
-  doc.Set("coalesce", std::move(coalesce_json));
+  Json burst_json = Json::MakeObject();
+  burst_json.Set("burst_clients", Json::MakeNumber(burst_clients));
+  burst_json.Set("burst_rounds", Json::MakeNumber(burst_rounds));
+  burst_json.Set("requests", Json::MakeNumber(burst_requests));
+  burst_json.Set("computations", Json::MakeNumber(burst_computations));
+  burst_json.Set("computation_fraction", Json::MakeNumber(computation_fraction));
+  burst_json.Set("p50_ms", Json::MakeNumber(burst_p50));
+  burst_json.Set("p99_ms", Json::MakeNumber(burst_p99));
+  doc.Set("burst", std::move(burst_json));
   Json fleet_json = Json::MakeObject();
   fleet_json.Set("shards", Json::MakeNumber(kFleetShards));
   fleet_json.Set("clients", Json::MakeNumber(kFleetClients));

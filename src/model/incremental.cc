@@ -106,14 +106,6 @@ void PrefixCheckpointStore::AppendGlobalFingerprint(
   *out += '#';
 }
 
-void PrefixCheckpointStore::AppendJobFingerprint(const DagWorkflow& flow,
-                                                 JobId id, std::string* out) {
-  // The bytes are precomputed at DagBuilder::Build() time (the flow is
-  // immutable, the hot paths read them on every estimate) — see
-  // DagWorkflow::job_fingerprint for the layout.
-  out->append(flow.job_fingerprint(id));
-}
-
 struct PrefixCheckpointStore::KeyParts {
   const std::string* global_fp = nullptr;
   const DagWorkflow* flow = nullptr;

@@ -200,11 +200,6 @@ class PrefixCheckpointStore {
                                       const EstimatorOptions& options,
                                       std::string* out);
 
-  /// Appends one job's structural fingerprint: stage profiles (exact bytes,
-  /// the same serialisation TaskTimeMemo keys on) plus parent ids.
-  static void AppendJobFingerprint(const DagWorkflow& flow, JobId id,
-                                   std::string* out);
-
   /// Builds the full key for the boundary `done` (sorted ascending) of
   /// `flow`, computing the activated set internally. Returns false when the
   /// done set cannot belong to this flow (an id out of range), in which

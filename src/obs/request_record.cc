@@ -61,7 +61,6 @@ const char* RequestPathName(RequestPath path) {
   switch (path) {
     case RequestPath::kFullReplay: return "full_replay";
     case RequestPath::kIncremental: return "incremental";
-    case RequestPath::kCoalesced: return "coalesced";
     case RequestPath::kUnknown: break;
   }
   return "unknown";

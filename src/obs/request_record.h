@@ -29,9 +29,6 @@ enum class RequestPath : std::uint8_t {
   kFullReplay = 1,
   /// Resumed from a prefix checkpoint (incremental re-estimation).
   kIncremental = 3,
-  /// Served by attaching to another request's in-flight computation
-  /// (singleflight coalescing) — this request ran zero estimator states.
-  kCoalesced = 4,
 };
 
 const char* RequestPathName(RequestPath path);

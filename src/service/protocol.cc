@@ -85,9 +85,6 @@ void WriteStageSpans(JsonWriter& w, const DagWorkflow& flow,
 void WriteEstimate(JsonWriter& w, const WorkflowEstimate& served, bool explain) {
   w.BeginObject();
   w.Key("cluster").String(served.cluster);
-  // Coalesce tag (emit-only-when-set, like "degraded"): this answer was a
-  // copy of an identical in-flight computation's result.
-  if (served.coalesced) w.Key("coalesced").Bool(true);
   if (explain) {
     w.Key("critical_path").BeginArray();
     for (const CriticalSegment& segment : served.critical_path) {
@@ -189,12 +186,6 @@ Json StatsToJson(const ServiceStats& stats) {
              Json::MakeNumber(static_cast<double>(stats.stats_epoch)));
   result.Set("workflows", Json::MakeNumber(stats.workflows));
   result.Set("clusters", Json::MakeNumber(stats.clusters));
-  Json coalesce = Json::MakeObject();
-  coalesce.Set("leaders",
-               Json::MakeNumber(static_cast<double>(stats.coalesce_leaders)));
-  coalesce.Set("attached",
-               Json::MakeNumber(static_cast<double>(stats.coalesce_attached)));
-  result.Set("coalesce", std::move(coalesce));
   Json incremental = Json::MakeObject();
   incremental.Set("hits",
                   Json::MakeNumber(static_cast<double>(stats.incremental.hits)));
@@ -435,9 +426,8 @@ std::string Protocol::HandleRequest(const Json& request) {
       }
       estimate.nodes = static_cast<int>(nodes);
       estimate.explain = op == "explain";
-      // Wire "coalesce": false opts this request out of in-flight
-      // coalescing.
-      estimate.coalesce = request.GetBool("coalesce", true);
+      // "coalesce" (in-flight coalescing, retired in 5.0) is accepted and
+      // ignored, like "hedge" since 2.0.
     }
     Result<EstimateResponse> served = service_->Submit(std::move(estimate)).get();
     if (!served.ok()) return ErrorResponse(id, served.status());

@@ -39,11 +39,6 @@ struct WorkflowEstimate {
   bool degraded = false;
   /// Brownout ladder level the request executed at (0 = healthy).
   int degrade_level = 0;
-  /// True when this request never ran the estimator: it attached to an
-  /// identical in-flight computation (singleflight coalescing) and received
-  /// a copy of the leader's answer — bit-identical to what its own run
-  /// would have produced. Wire field "coalesced" (emitted only when true).
-  bool coalesced = false;
 };
 
 /// A served cluster-size sweep (capacity planning): one estimate per
@@ -117,11 +112,6 @@ struct EstimateRequest {
     return *this;
   }
 
-  EstimateRequest& WithoutCoalescing() {
-    coalesce = false;
-    return *this;
-  }
-
   /// Whether SweepNodes was given candidates: decides which half of the
   /// response the service fills.
   bool is_sweep() const { return !nodes_list.empty(); }
@@ -151,12 +141,6 @@ struct EstimateRequest {
 
   /// Attribute bottlenecks and derive the critical path (explain verb).
   bool explain = false;
-
-  /// In-flight coalescing: when false the request always runs its own
-  /// computation, even when an identical request is already executing.
-  /// Coalescing is value-keyed and bit-exact, so the only reason to opt out
-  /// is wanting this request's *timing* to be its own (benchmarks, probes).
-  bool coalesce = true;
 };
 
 /// What Submit resolves to: exactly one of the two members is

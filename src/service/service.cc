@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -28,11 +27,9 @@ struct ServiceMetrics {
   obs::Counter& shed;
   obs::Counter& expired_in_queue;
   /// Per-request cost-class attribution: how each served request got its
-  /// answer — full replay, checkpoint resume, or by attaching to another
-  /// request's in-flight computation.
+  /// answer — full replay or checkpoint resume.
   obs::Counter& path_full_replay;
   obs::Counter& path_incremental;
-  obs::Counter& path_coalesced;
   /// Warm-state reset epochs (drain/shutdown); rates exported next to this
   /// counter are always computed within one epoch.
   obs::Counter& reset_epoch;
@@ -51,8 +48,6 @@ struct ServiceMetrics {
             "service.path.full_replay")),
         path_incremental(obs::MetricsRegistry::Default().GetCounter(
             "service.path.incremental")),
-        path_coalesced(obs::MetricsRegistry::Default().GetCounter(
-            "service.path.coalesced")),
         reset_epoch(
             obs::MetricsRegistry::Default().GetCounter("stats.reset_epoch")),
         queue_depth(obs::MetricsRegistry::Default().GetGauge("service.queue_depth")),
@@ -83,52 +78,6 @@ resilience::FaultPoint& ExecuteFault() {
   return point;
 }
 
-/// TaskTimeSource decorator arming coalesce-group abandonment: every 64th
-/// compute query (a batched TaskTimes() counts one per stage it prices)
-/// runs `poll` (which fires the group's abandon token once every attached
-/// caller has cancelled). CancelToken carries no callbacks,
-/// so abandonment has to be discovered by polling — and the task-time path
-/// is the only place a leader reliably visits often, with a period that
-/// keeps the poll off the hot path. Only compute-bound executions poll:
-/// checkpoint-resumed ones finish before abandonment could matter.
-class AbandonPollSource : public TaskTimeSource {
- public:
-  AbandonPollSource(const TaskTimeSource& inner, std::function<void()> poll)
-      : inner_(inner), poll_(std::move(poll)) {}
-
-  Duration TaskTime(const EstimationContext& context) const override {
-    MaybePoll();
-    return inner_.TaskTime(context);
-  }
-
-  void TaskTimes(const EstimationContext& context,
-                 std::vector<Duration>* out) const override {
-    MaybePoll(context.running.size());
-    inner_.TaskTimes(context, out);
-  }
-
-  NormalParams TaskTimeDist(const EstimationContext& context) const override {
-    MaybePoll();
-    return inner_.TaskTimeDist(context);
-  }
-
-  std::optional<TaskAttribution> Attribution(
-      const EstimationContext& context) const override {
-    return inner_.Attribution(context);
-  }
-
- private:
-  void MaybePoll(std::uint64_t queries = 1) const {
-    const std::uint64_t before =
-        queries_.fetch_add(queries, std::memory_order_relaxed);
-    if ((before >> 6) != ((before + queries) >> 6)) poll_();
-  }
-
-  const TaskTimeSource& inner_;
-  std::function<void()> poll_;
-  mutable std::atomic<std::uint64_t> queries_{0};
-};
-
 }  // namespace
 
 /// One submitted request's bookkeeping, from submission to its answer.
@@ -137,7 +86,7 @@ struct EstimationService::Call {
   /// Canonical tenant name (TenantRegistry::Canonical).
   std::string tenant;
   /// Resolved once at submission; every later step reads this.
-  Result<Resolved> resolved = Status::Internal("unresolved");
+  Resolved resolved;
   /// The caller's raw token, so completion can tell a caller cancel from
   /// the shutdown signal (MapCancelCause).
   CancelToken caller_cancel;
@@ -147,28 +96,6 @@ struct EstimationService::Call {
   /// Holds an admission slot (global + tenant) until Finish releases it.
   bool admitted = false;
   double submit_us = 0.0;
-};
-
-/// One in-flight singleflight computation: the leader's abandon signal, the
-/// caller tokens of every member, and the requests parked on the result.
-/// Mutable state is guarded by EstimationService::coalesce_mutex_.
-struct EstimationService::CoalesceGroup {
-  /// One attached request, parked until the leader resolves.
-  struct Waiter {
-    Call call;
-    /// The waiter's own signals (caller cancel + shutdown link + deadline)
-    /// — what fulfilment checks before handing over the leader's answer.
-    Budget budget;
-  };
-
-  std::string key;
-  /// Fired once every member (leader + waiters) has cancelled — the only
-  /// signal that aborts the shared computation short of shutdown. Cancelling
-  /// one waiter never cancels the leader unless it is the last live caller.
-  CancelToken abandon = CancelToken::Cancellable();
-  /// Caller tokens of every member, leader first.
-  std::vector<CancelToken> member_cancels;
-  std::vector<Waiter> waiters;
 };
 
 /// One registered cluster: its spec, its BOE model, and the task-time
@@ -336,22 +263,20 @@ EstimationService::EffectiveInputs EstimationService::Effective(
 }
 
 EstimationService::CostClass EstimationService::ClassifyCost(
-    const EstimateRequest& request, const Result<Resolved>& resolved,
+    const EstimateRequest& request, const Resolved& resolved,
     int level) const {
   if (request.is_sweep()) return CostClass::kExpensive;
-  if (!resolved.ok()) return CostClass::kCheap;
   // Warm means the store holds the complete answer under the exact key the
   // request would run with now: the estimate is then a copy.
-  const EffectiveInputs effective =
-      Effective(request, *resolved->cluster, level);
+  const EffectiveInputs effective = Effective(request, *resolved.cluster, level);
   std::string global_fp;
   PrefixCheckpointStore::AppendGlobalFingerprint(
       effective.options.checkpoint_scope, effective.spec, options_.scheduler,
       effective.options, &global_fp);
-  if (checkpoints_.HoldsCompleteResult(*resolved->flow, global_fp)) {
+  if (checkpoints_.HoldsCompleteResult(*resolved.flow, global_fp)) {
     return CostClass::kWarm;
   }
-  return resolved->flow->num_jobs() >= options_.expensive_job_threshold
+  return resolved.flow->num_jobs() >= options_.expensive_job_threshold
              ? CostClass::kExpensive
              : CostClass::kCheap;
 }
@@ -428,8 +353,7 @@ void EstimationService::ReleaseSlot() {
 }
 
 Result<EstimateResponse> EstimationService::Execute(
-    const EstimateRequest& request, Call& call, double start_us,
-    const std::shared_ptr<CoalesceGroup>& group) {
+    const EstimateRequest& request, Call& call, double start_us) {
   obs::RequestRecord* record = call.observe ? &call.record : nullptr;
   const int brownout = overload_ != nullptr ? overload_->level() : 0;
   // A request can spend its whole budget waiting in the queue; detect that
@@ -444,14 +368,13 @@ Result<EstimateResponse> EstimationService::Execute(
     return MapCancelCause(status, call.caller_cancel, record);
   }
 
-  if (!call.resolved.ok()) return call.resolved.status();
-  const Resolved& resolved = *call.resolved;
+  const Resolved& resolved = call.resolved;
   const std::string& workflow_name = resolved.workflow;
   const ClusterEntry& entry = *resolved.cluster;
 
-  // The breaker gates the estimation path only — resolution failures above
-  // are client errors and never open it. Every Allow() below is matched by
-  // exactly one Record() on the way out.
+  // The breaker gates the estimation path only (resolution failures are
+  // answered at submission and never reach it). Every Allow() below is
+  // matched by exactly one Record() on the way out.
   resilience::CircuitBreaker* breaker = BreakerFor(entry.name);
   if (breaker != nullptr) {
     if (Status allowed = breaker->Allow(); !allowed.ok()) {
@@ -482,25 +405,10 @@ Result<EstimateResponse> EstimationService::Execute(
     // The warm path: the estimator resumes recurring workflows from the
     // service-lifetime checkpoint store.
     effective.options.checkpoints = &checkpoints_;
-    // A coalesce leader computes for every attached caller: its execution
-    // token observes the group's abandon signal instead of its own caller's
-    // cancel, and this decorator is what eventually fires that signal once
-    // every member has walked away.
-    std::optional<AbandonPollSource> polled;
-    const TaskTimeSource* source = entry.source;
-    if (group != nullptr) {
-      polled.emplace(*entry.source, [this, group] {
-        std::lock_guard<std::mutex> lock(coalesce_mutex_);
-        for (const CancelToken& member : group->member_cancels) {
-          if (!member.cancelled()) return;
-        }
-        group->abandon.Cancel();
-      });
-      source = &*polled;
-    }
     const StateBasedEstimator estimator(effective.spec, options_.scheduler,
                                         effective.options);
-    Result<DagEstimate> estimate = estimator.Estimate(*resolved.flow, *source);
+    Result<DagEstimate> estimate =
+        estimator.Estimate(*resolved.flow, *entry.source);
     if (!estimate.ok()) {
       Status status = estimate.status();
       // A brownout state cap is the server's doing, not the workflow's:
@@ -562,8 +470,7 @@ Result<EstimateResponse> EstimationService::Execute(
 
 Result<EstimateResponse> EstimationService::ExecuteSweep(
     const EstimateRequest& request, Call& call, double start_us) {
-  if (!call.resolved.ok()) return call.resolved.status();
-  const Resolved& resolved = *call.resolved;
+  const Resolved& resolved = call.resolved;
   const ClusterEntry& entry = *resolved.cluster;
   std::vector<SweepCandidate> candidates;
   candidates.reserve(request.nodes_list.size());
@@ -657,101 +564,8 @@ Status EstimationService::MapCancelCause(const Status& status,
   return status;
 }
 
-std::string EstimationService::CoalesceKey(
-    const EstimateRequest& request, const Result<Resolved>& resolved) const {
-  if (request.is_sweep() || !resolved.ok()) return std::string();
-  const ClusterEntry& entry = *resolved->cluster;
-
-  // The inputs Execute derives at level 0 (requests coalesce only there):
-  // two requests with equal keys run the estimator over identical inputs
-  // and produce identical bits.
-  const EffectiveInputs effective = Effective(request, entry, 0);
-
-  std::string key;
-  key.reserve(256);
-  // Resolved names are part of the served answer (WorkflowEstimate carries
-  // them), so structurally identical flows under different names never
-  // coalesce into a response naming the wrong one.
-  key += entry.name;
-  key += '\x1f';
-  key += resolved->workflow;
-  key += '\x1f';
-  key += request.explain ? '\1' : '\0';
-  PrefixCheckpointStore::AppendGlobalFingerprint(
-      effective.options.checkpoint_scope, effective.spec, options_.scheduler,
-      effective.options, &key);
-  const DagWorkflow& dag = *resolved->flow;
-  for (JobId id = 0; id < dag.num_jobs(); ++id) {
-    PrefixCheckpointStore::AppendJobFingerprint(dag, id, &key);
-  }
-  return key;
-}
-
-void EstimationService::FulfillWaiters(
-    const std::shared_ptr<CoalesceGroup>& group,
-    const Result<EstimateResponse>& leader_result) {
-  std::vector<CoalesceGroup::Waiter> waiters;
-  {
-    // Erase before fulfilling: a request that finds the entry always
-    // attaches to a computation that will still resolve it.
-    std::lock_guard<std::mutex> lock(coalesce_mutex_);
-    coalesce_.erase(group->key);
-    waiters = std::move(group->waiters);
-  }
-  if (waiters.empty()) return;
-  coalesce_leaders_.fetch_add(1, std::memory_order_relaxed);
-  const double now_us = obs::MonotonicUs();
-  for (CoalesceGroup::Waiter& waiter : waiters) {
-    Call& call = waiter.call;
-    obs::RequestRecord* record = call.observe ? &call.record : nullptr;
-    Result<EstimateResponse> result = [&]() -> Result<EstimateResponse> {
-      // The waiter's own budget first: its cancel/deadline outcome is its
-      // own regardless of how the leader fared.
-      if (waiter.budget.exhausted()) {
-        return MapCancelCause(
-            waiter.budget.Check("serve " + call.resolved->workflow),
-            call.caller_cancel, record);
-      }
-      if (leader_result.ok()) {
-        EstimateResponse copy = leader_result.value();
-        copy.estimate->coalesced = true;
-        // The waiter's timing is its own: it waited from its submission to
-        // this fulfilment and ran zero estimator states.
-        copy.estimate->queue_wait_ms = (now_us - call.submit_us) * 1e-3;
-        copy.estimate->service_ms = 0.0;
-        return copy;
-      }
-      const ErrorCode code = leader_result.status().code();
-      if (code == ErrorCode::kCancelled ||
-          code == ErrorCode::kDeadlineExceeded) {
-        // The leader died of its own budget (or the watchdog) — nothing
-        // about the value itself. The waiter's own run would have carried
-        // on, so resolve it retryable instead of inheriting the cancel.
-        return Status::Unavailable(
-                   "coalesced computation for " + call.resolved->workflow +
-                   " was cancelled before completing: retry")
-            .WithRetryAfterMs(RetryAfterHintMs());
-      }
-      // Deterministic failures (invalid input, state limits, breaker) would
-      // be bit-identical on a re-run: propagate as-is.
-      return leader_result.status();
-    }();
-
-    // A waiter is accounted like a normal request with zero execution: the
-    // tenant EMA sees free work and its records carry its own wait.
-    tenants_->OnExecuteStart(call.tenant);
-    if (result.ok()) Metrics().path_coalesced.Add(1);
-    if (record != nullptr) {
-      record->start_us = now_us;
-      if (result.ok()) record->path = obs::RequestPath::kCoalesced;
-    }
-    Finish(call, std::move(result), 0.0);
-  }
-}
-
 void EstimationService::Finish(Call& call, Result<EstimateResponse> result,
-                               double exec_ms,
-                               const std::shared_ptr<CoalesceGroup>& group) {
+                               double exec_ms) {
   if (call.admitted) {
     // Execution time only (not queue wait): the EMA this feeds prices the
     // tenant's future admissions, and waiting is not the tenant's cost.
@@ -769,9 +583,9 @@ void EstimationService::Finish(Call& call, Result<EstimateResponse> result,
     record.end_us = obs::MonotonicUs();
     const ErrorCode code = result.status().code();
     if (!call.admitted) {
-      // Synchronous rejections (draining / shed) still leave a record:
-      // error rates and the flight recorder must see the requests that
-      // never ran.
+      // Synchronous rejections (draining / unresolvable / shed) still leave
+      // a record: error rates and the flight recorder must see the requests
+      // that never ran.
       record.start_us = record.end_us;
       record.shed = code == ErrorCode::kResourceExhausted;
     }
@@ -784,10 +598,6 @@ void EstimationService::Finish(Call& call, Result<EstimateResponse> result,
                        record.ok, record.had_deadline, record.deadline_met);
   }
   if (call.admitted) ReleaseSlot();
-  // Waiters resolve before the leader's own callback: attached requests
-  // were submitted earlier and should not queue behind the leader's
-  // continuation.
-  if (group != nullptr) FulfillWaiters(group, result);
   call.done(std::move(result));
 }
 
@@ -822,10 +632,20 @@ void EstimationService::SubmitImpl(
     return;
   }
   call.tenant = TenantRegistry::Canonical(request.tenant);
-  call.resolved = Resolve(request);
-  if (call.observe && call.resolved.ok()) {
-    call.record.set_workflow(call.resolved->workflow);
-    call.record.set_cluster(call.resolved->cluster->name);
+  // An unresolvable name is the client's error and costs a registry probe:
+  // it is answered here, before admission, so it holds no slot, takes no
+  // pool task and feeds no tenant accounting. It still counts as failed.
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().failed.Add(1);
+    Finish(call, resolved.status(), 0.0);
+    return;
+  }
+  call.resolved = std::move(resolved).value();
+  if (call.observe) {
+    call.record.set_workflow(call.resolved.workflow);
+    call.record.set_cluster(call.resolved.cluster->name);
   }
   if (Status admitted = Admit(call, request); !admitted.ok()) {
     Finish(call, std::move(admitted), 0.0);
@@ -840,46 +660,12 @@ void EstimationService::SubmitImpl(
   call.record.had_deadline = !request.budget.deadline.never();
   call.caller_cancel = request.budget.cancel;
 
-  // Singleflight: attach to an identical in-flight computation instead of
-  // queueing a duplicate. The waiter keeps its admission slot (it is real
-  // load until answered) but never takes a pool task — the leader's worker
-  // resolves it. Skipped under brownout: degraded answers are shaped by the
-  // ladder level at execution time, which identical requests submitted at
-  // different moments need not share. A sweep has no coalesce key.
-  std::shared_ptr<CoalesceGroup> group;
-  if (request.coalesce && (overload_ == nullptr || overload_->level() == 0)) {
-    std::string key = CoalesceKey(request, call.resolved);
-    if (!key.empty()) {
-      std::lock_guard<std::mutex> lock(coalesce_mutex_);
-      auto it = coalesce_.find(key);
-      if (it != coalesce_.end()) {
-        CoalesceGroup::Waiter waiter;
-        waiter.budget.cancel =
-            CancelToken::LinkedTo({call.caller_cancel, shutdown_cancel_});
-        waiter.budget.deadline = request.budget.deadline;
-        call.submit_us = obs::MonotonicUs();
-        it->second->member_cancels.push_back(call.caller_cancel);
-        waiter.call = std::move(call);
-        it->second->waiters.push_back(std::move(waiter));
-        coalesce_attached_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      group = std::make_shared<CoalesceGroup>();
-      group->key = std::move(key);
-      group->member_cancels.push_back(call.caller_cancel);
-      coalesce_.emplace(group->key, group);
-    }
-  }
-
   // Request-scoped token: what the watchdog fires and the execution polls.
-  // An uncoalesced request observes its caller's cancel and the service-wide
-  // shutdown signal; a coalesce leader computes for the whole group, so it
-  // observes the group-abandon signal (all members cancelled) instead of its
-  // own caller alone. Cancelling the execution token never propagates to
-  // the caller's token, so MapCancelCause can still tell the signals apart.
-  request.budget.cancel = CancelToken::LinkedTo(
-      {group != nullptr ? group->abandon : call.caller_cancel,
-       shutdown_cancel_});
+  // It observes the caller's cancel and the service-wide shutdown signal;
+  // firing it never propagates to the caller's token, so MapCancelCause can
+  // still tell the signals apart.
+  request.budget.cancel =
+      CancelToken::LinkedTo({call.caller_cancel, shutdown_cancel_});
   // Only single estimates are watched: a sweep is many estimates, each
   // already bounded by the shared budget.
   std::uint64_t watch_id = 0;
@@ -892,7 +678,7 @@ void EstimationService::SubmitImpl(
 
   call.submit_us = obs::MonotonicUs();
   pool_->Submit([this, request = std::move(request), call = std::move(call),
-                 watch_id, group]() mutable {
+                 watch_id]() mutable {
     tenants_->OnExecuteStart(call.tenant);
     const double start_us = obs::MonotonicUs();
     if (call.observe) call.record.start_us = start_us;
@@ -904,10 +690,10 @@ void EstimationService::SubmitImpl(
     }
     Result<EstimateResponse> result =
         request.is_sweep() ? ExecuteSweep(request, call, start_us)
-                           : Execute(request, call, start_us, group);
+                           : Execute(request, call, start_us);
     const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
     if (watch_id != 0) watchdog_->Unwatch(watch_id);
-    Finish(call, std::move(result), exec_ms, group);
+    Finish(call, std::move(result), exec_ms);
   });
 }
 
@@ -1070,8 +856,6 @@ ServiceStats EstimationService::Stats() const {
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
   stats.watchdog_fired = watchdog_fired_.load(std::memory_order_relaxed);
   stats.stats_epoch = stats_epoch_.load(std::memory_order_relaxed);
-  stats.coalesce_leaders = coalesce_leaders_.load(std::memory_order_relaxed);
-  stats.coalesce_attached = coalesce_attached_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   stats.draining = draining_.load(std::memory_order_relaxed);
   stats.ready = !stats.draining;

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_spec.h"
@@ -160,13 +159,6 @@ struct ServiceStats {
   int overload_level = 0;
   /// Requests the overload controller shed (subset of `shed`).
   std::uint64_t overload_shed = 0;
-  /// Singleflight coalescing: computations whose answer was fanned out to
-  /// at least one attached waiter, and requests served by attaching
-  /// (`coalesce_attached` requests ran zero estimator states). Completed
-  /// work this epoch that actually computed =
-  /// completed - coalesce_attached.
-  std::uint64_t coalesce_leaders = 0;
-  std::uint64_t coalesce_attached = 0;
 };
 
 class EstimationService {
@@ -201,13 +193,12 @@ class EstimationService {
   /// The entry point: submits one EstimateRequest — a single estimate or,
   /// when the request carries a SweepNodes list, a sweep — and resolves to
   /// the matching half of EstimateResponse. Never blocks on estimation: the
-  /// returned future is either already failed (shed / draining) or will be
-  /// fulfilled by a worker. Safe from any thread. Names resolve here, once.
-  /// Identical concurrent single estimates coalesce onto one computation
-  /// (bit-exact; semantics in docs/performance.md) unless the request opts
-  /// out (EstimateRequest::WithoutCoalescing). A sweep holds one admission
-  /// slot; its candidates fan out across the same pool and share a
-  /// batch-local memo and the persistent checkpoint store.
+  /// returned future is either already failed (draining / unresolvable
+  /// names / shed) or will be fulfilled by a worker. Safe from any thread.
+  /// Names resolve here, once. A repeat of an earlier estimate resumes from
+  /// the checkpoint store. A sweep holds one admission slot; its candidates
+  /// fan out across the same pool and share a batch-local memo and the
+  /// persistent checkpoint store.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
@@ -289,22 +280,18 @@ class EstimationService {
 
  private:
   struct ClusterEntry;
-  struct CoalesceGroup;
   struct Call;
 
   /// The submission path behind Submit. `done` is invoked exactly once —
-  /// synchronously for rejected requests, from a worker (or a coalesced
-  /// leader's worker) otherwise.
+  /// synchronously for rejected requests, from a worker otherwise.
   void SubmitImpl(EstimateRequest request,
                   std::function<void(Result<EstimateResponse>)> done);
 
-  /// The one place a request's outcome is accounted and delivered: for an
-  /// admitted request the tenant's completion, the completed/failed
-  /// counters and the slot release; for every request the flight and SLO
-  /// records; then `call.done`. A coalesce leader passes its `group`, whose
-  /// waiters resolve (through Finish each) before the leader's own callback.
-  void Finish(Call& call, Result<EstimateResponse> result, double exec_ms,
-              const std::shared_ptr<CoalesceGroup>& group = nullptr);
+  /// The one place a request's outcome is delivered: for an admitted
+  /// request the tenant's completion, the completed/failed counters and the
+  /// slot release; for every request the flight and SLO records; then
+  /// `call.done`. (SubmitImpl counts an unresolvable request as failed.)
+  void Finish(Call& call, Result<EstimateResponse> result, double exec_ms);
 
   /// A request's workflow and cluster as resolved at submission.
   struct Resolved {
@@ -315,12 +302,13 @@ class EstimationService {
   };
 
   /// Resolves the request's workflow and cluster under the registry lock;
-  /// SubmitImpl calls it once and carries the result on the Call.
+  /// SubmitImpl calls it once, answers a failure at once, and carries the
+  /// resolution on the Call.
   Result<Resolved> Resolve(const EstimateRequest& request) const;
 
   /// The spec and estimator options a single estimate runs with at brownout
   /// `level` (node override, explain, brownout overlay, checkpoint scope).
-  /// Execute, CoalesceKey and ClassifyCost all derive from it.
+  /// Execute and ClassifyCost both derive from it.
   struct EffectiveInputs {
     ClusterSpec spec;
     EstimatorOptions options;
@@ -338,10 +326,9 @@ class EstimationService {
   /// expensive (many estimates on one slot, so brownout sheds batch
   /// capacity planning first); an estimate is warm if the checkpoint store
   /// holds its complete result under the key it would run with at `level`,
-  /// expensive if cold with >= expensive_job_threshold jobs. Resolution
-  /// failures come out kCheap — the real error surfaces downstream.
+  /// expensive if cold with >= expensive_job_threshold jobs.
   CostClass ClassifyCost(const EstimateRequest& request,
-                         const Result<Resolved>& resolved, int level) const;
+                         const Resolved& resolved, int level) const;
 
   /// Admission control; on success the caller owns one global queue slot
   /// AND one queued slot of `call.tenant` (released together). Rejections
@@ -358,12 +345,9 @@ class EstimationService {
   /// dequeued at `start_us`; a failure carries its cancel cause
   /// (MapCancelCause). The call's record (when observability is armed)
   /// accumulates the request's attribution: states executed, path class,
-  /// breaker interaction. `group`
-  /// (null when the request is not a coalesce leader) arms the group-abandon
-  /// poll: the execution unwinds once every attached caller has cancelled.
+  /// breaker interaction.
   Result<EstimateResponse> Execute(const EstimateRequest& request, Call& call,
-                                   double start_us,
-                                   const std::shared_ptr<CoalesceGroup>& group);
+                                   double start_us);
 
   /// Runs one sweep on a worker thread (slot already held): candidates fan
   /// out across the service pool, share a batch-local memo and resume from
@@ -371,21 +355,6 @@ class EstimationService {
   /// candidate inside the result.
   Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
                                         Call& call, double start_us);
-
-  /// The coalesce key of a single-estimate request: the same value
-  /// fingerprint the prefix-checkpoint store keys on (scope + cluster bits +
-  /// scheduler + level-0 effective estimator options + per-job workflow
-  /// bytes) plus the resolved names and the explain flag. Empty when the
-  /// request cannot be keyed: a sweep, or unresolvable names (the leader
-  /// path surfaces the error).
-  std::string CoalesceKey(const EstimateRequest& request,
-                          const Result<Resolved>& resolved) const;
-
-  /// Resolves every waiter of a finished leader: each gets its own status
-  /// (own budget first, then the leader outcome mapped per-waiter) and its
-  /// own accounting; runs on the leader's worker, outside the coalesce lock.
-  void FulfillWaiters(const std::shared_ptr<CoalesceGroup>& group,
-                      const Result<EstimateResponse>& leader_result);
 
   /// The per-cluster breaker (created lazily); nullptr when breakers are
   /// disabled. Entries are never destroyed while the service lives.
@@ -419,14 +388,6 @@ class EstimationService {
   mutable std::shared_mutex admission_mutex_;
   std::atomic<bool> draining_{false};
 
-  /// Singleflight table: key -> the in-flight computation for that value.
-  /// A group is inserted by its leader before the pool enqueue and erased
-  /// by the leader's worker before waiters are fulfilled, so a request
-  /// observing the entry always attaches to a computation that will still
-  /// resolve it. All group state is guarded by this mutex.
-  mutable std::mutex coalesce_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<CoalesceGroup>> coalesce_;
-
   /// Fired by Shutdown once the grace period expires; linked (never merged)
   /// into every request's token so a caller's own cancel stays a distinct
   /// signal.
@@ -456,8 +417,6 @@ class EstimationService {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> expired_in_queue_{0};
   std::atomic<std::uint64_t> watchdog_fired_{0};
-  std::atomic<std::uint64_t> coalesce_leaders_{0};
-  std::atomic<std::uint64_t> coalesce_attached_{0};
 };
 
 }  // namespace dagperf

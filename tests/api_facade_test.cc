@@ -38,8 +38,8 @@
 #error "multi-tenant serving requires dagperf >= 0.7"
 #endif
 
-// The unified submission API (EstimateRequest builder, EstimateResponse,
-// in-flight coalescing) arrived in 0.8.
+// The unified submission API (EstimateRequest builder, EstimateResponse)
+// arrived in 0.8.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 8
 #error "unified submission API requires dagperf >= 0.8"
 #endif
@@ -62,6 +62,13 @@
 // the snapshot functions); the snapshot call checked below is the 3.0 one.
 #if DAGPERF_VERSION_MAJOR < 3
 #error "the checkpoint-only snapshot API checked here requires dagperf >= 3.0"
+#endif
+
+// 5.0 retired in-flight coalescing (EstimateRequest::coalesce and
+// WithoutCoalescing, WorkflowEstimate::coalesced); the chainers checked
+// below are the 5.0 set.
+#if DAGPERF_VERSION_MAJOR < 5
+#error "the request chainers checked here require dagperf >= 5.0"
 #endif
 
 namespace dagperf {
@@ -200,8 +207,7 @@ TEST(ApiFacadeTest, ChainersSetTheFieldsSubmitReads) {
                                       .WithNodes(32)
                                       .WithDeadline(60.0)
                                       .WithCancel(cancel)
-                                      .WithExplain()
-                                      .WithoutCoalescing();
+                                      .WithExplain();
   EXPECT_FALSE(request.is_sweep());
   EXPECT_EQ(request.workflow, "daily-etl");
   EXPECT_EQ(request.cluster, "prod");
@@ -212,7 +218,6 @@ TEST(ApiFacadeTest, ChainersSetTheFieldsSubmitReads) {
   cancel.Cancel();
   EXPECT_TRUE(request.budget.cancel.cancelled());
   EXPECT_TRUE(request.explain);
-  EXPECT_FALSE(request.coalesce);
 
   const EstimateRequest sweep =
       EstimateRequest::For("daily-etl").SweepNodes({8, 16});

@@ -146,14 +146,6 @@ std::string EstimateLine(int id) {
          "}\n";
 }
 
-/// An estimate opted out of in-flight coalescing: tests that need N
-/// *independent* computations in flight (one per worker) must not let
-/// identical requests attach to one leader.
-std::string UncoalescedEstimateLine(int id) {
-  return R"({"op":"estimate","workflow":"q6","coalesce":false,"id":)" +
-         std::to_string(id) + "}\n";
-}
-
 /// A sweep over three node counts of its own: sweeps are what still cross a
 /// task-time memo (a batch-local one), so they reach the memo.insert seam.
 std::string SweepLine(int client, int id) {
@@ -584,7 +576,7 @@ TEST(ChaosTest, ShutdownUnderLoadAnswersEveryInflightRequest) {
     clients.emplace_back([&, c] {
       ChaosClient client(server.port());
       ASSERT_TRUE(client.connected());
-      ASSERT_TRUE(client.Send(UncoalescedEstimateLine(c)));
+      ASSERT_TRUE(client.Send(EstimateLine(c)));
       const ChaosClient::LineOrClose got = client.ReadLineOrClose();
       // Shutdown still answers: the in-flight request resolves (ok or
       // UNAVAILABLE{retryable}) and the response is written before the

@@ -525,11 +525,7 @@ TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
 
   std::vector<std::future<Result<EstimateResponse>>> futures;
   for (int i = 0; i < 8; ++i) {
-    // The eight requests are value-identical; since 0.8 they would coalesce
-    // onto one leader and only one worker would ever enter the gate. This
-    // test needs eight independent in-flight computations to park.
-    futures.push_back(
-        service.Submit(EstimateRequest::For("q6").WithoutCoalescing()));
+    futures.push_back(service.Submit(EstimateRequest::For("q6")));
   }
   gate.WaitUntilEntered(4);  // All workers parked, 4 more requests queued.
 

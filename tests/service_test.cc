@@ -117,6 +117,59 @@ TEST(ServiceTest, UnknownNamesFailFast) {
   EXPECT_FALSE(cluster.ok());
 }
 
+TEST(ServiceTest, UnresolvableNamesAreAnsweredBeforeAdmission) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.max_queue_depth = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+  const auto default_tenant = [&service] {
+    for (const TenantRegistry::TenantStats& tenant : service.Stats().tenants) {
+      if (tenant.name == "default") return tenant;
+    }
+    ADD_FAILURE() << "no default tenant";
+    return TenantRegistry::TenantStats{};
+  };
+  const TenantRegistry::TenantStats before = default_tenant();
+
+  // An unknown name answers at once with the resolution error: it takes no
+  // queue slot and no pool task, and the tenant's accounting (arrivals and
+  // the EMA cost that prices its admissions) never sees it.
+  std::future<Result<EstimateResponse>> unknown =
+      service.Submit(EstimateRequest::For("nope"));
+  EXPECT_EQ(unknown.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(unknown.get().status().code(), ErrorCode::kNotFound);
+  const TenantRegistry::TenantStats after = default_tenant();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.failed, before.failed);
+  EXPECT_EQ(after.ema_cost_ms, before.ema_cost_ms);
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.queue_depth, 0);
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+
+  // With the only slot held by a running estimate, an unknown name is still
+  // NOT_FOUND, never shed for a slot it does not need.
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
+  gate.WaitUntilEntered();
+  EXPECT_EQ(service.Submit(EstimateRequest::For("q6").OnCluster("none"))
+                .get()
+                .status()
+                .code(),
+            ErrorCode::kNotFound);
+  gate.Open();
+  ASSERT_TRUE(inflight.get().ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.failed, 2u);
+}
+
 TEST(ServiceTest, RegistrationRunsValidationFirewall) {
   EstimationService service;
   ClusterSpec bad = ClusterSpec::PaperCluster();
@@ -171,11 +224,9 @@ TEST(ServiceTest, DeadlineExpiresInQueue) {
   gate.WaitUntilEntered();
 
   // Queued behind the blocked worker with a deadline that expires while it
-  // waits: the worker must reject it at dequeue without estimating. Opted
-  // out of coalescing — attaching to the in-flight computation would serve
-  // it from the leader instead of letting it expire in the queue.
-  std::future<Result<EstimateResponse>> expired = service.Submit(
-      EstimateRequest::For("q6").WithoutCoalescing().WithDeadline(0.01));
+  // waits: the worker must reject it at dequeue without estimating.
+  std::future<Result<EstimateResponse>> expired =
+      service.Submit(EstimateRequest::For("q6").WithDeadline(0.01));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   gate.Open();
 
@@ -541,30 +592,23 @@ TEST(ProtocolGoldenTest, DegradedAndShedAnswersMatchGoldenBytes) {
       });
 }
 
-TEST(ProtocolGoldenTest, CoalescedAnswerMatchesGoldenBytes) {
-  ServiceOptions options;
-  options.threads = 1;
-  EstimationService service(options);
+TEST(ProtocolTest, EstimateIgnoresRetiredCoalesceField) {
+  // In-flight coalescing was removed in 5.0; old clients may still send
+  // "coalesce", which is ignored like any unknown key.
+  EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  GateSource gate;
-  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
   Protocol protocol(&service);
-
-  std::future<Result<EstimateResponse>> leader =
-      service.Submit(EstimateRequest::For("q6"));
-  gate.WaitUntilEntered();
-  std::string answer;
-  std::thread follower([&] {
-    answer = protocol.HandleLine(R"({"op":"estimate","workflow":"q6","id":8})");
-  });
-  while (service.Stats().coalesce_attached == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::string plain = R"({"op":"estimate","workflow":"q6","id":1})";
+  (void)protocol.HandleLine(plain);
+  const std::string want = MaskTimings(protocol.HandleLine(plain));
+  ASSERT_NE(want.find("\"ok\":true"), std::string::npos) << want;
+  for (const std::string line :
+       {R"({"op":"estimate","workflow":"q6","coalesce":false,"id":1})",
+        R"({"op":"estimate","workflow":"q6","coalesce":true,"id":1})"}) {
+    const std::string got = MaskTimings(protocol.HandleLine(line));
+    EXPECT_EQ(got, want) << line;
+    EXPECT_EQ(got.find("coalesced"), std::string::npos) << got;
   }
-  gate.Open();
-  follower.join();
-  ASSERT_TRUE(leader.get().ok());
-  EXPECT_EQ(MaskTimings(answer),
-            R"json({"id":8,"ok":true,"result":{"cluster":"default","coalesced":true,"makespan_s":4,"queue_wait_ms":#,"service_ms":#,"stages":[{"end_s":1,"job":"TS","kind":"map","start_s":0},{"end_s":1,"job":"Q6-filter-sum","kind":"map","start_s":0},{"end_s":2,"job":"TS","kind":"reduce","start_s":1},{"end_s":2,"job":"Q6-filter-sum","kind":"reduce","start_s":1},{"end_s":3,"job":"Q6-final","kind":"map","start_s":2},{"end_s":4,"job":"Q6-final","kind":"reduce","start_s":3}],"states":4,"workflow":"q6"}})json");
 }
 
 TEST(ServerTest, ServeLinesPumpsUntilDrain) {
@@ -586,7 +630,22 @@ TEST(ServerTest, ServeLinesPumpsUntilDrain) {
   EXPECT_EQ(lines, 3);
 }
 
-TEST(ServiceTest, CoalescesIdenticalInflightRequests) {
+/// Bit-identity of two estimates: makespan, every state and every stage.
+void ExpectSameBits(const DagEstimate& got, const DagEstimate& want) {
+  EXPECT_EQ(got.makespan.seconds(), want.makespan.seconds());
+  ASSERT_EQ(got.states.size(), want.states.size());
+  for (std::size_t i = 0; i < got.states.size(); ++i) {
+    EXPECT_EQ(got.states[i].start, want.states[i].start) << i;
+    EXPECT_EQ(got.states[i].duration, want.states[i].duration) << i;
+  }
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t i = 0; i < got.stages.size(); ++i) {
+    EXPECT_EQ(got.stages[i].start, want.stages[i].start) << i;
+    EXPECT_EQ(got.stages[i].end, want.stages[i].end) << i;
+  }
+}
+
+TEST(ServiceTest, IdenticalQueuedRequestsResumeFromTheFirstOnesCheckpoints) {
   ServiceOptions options;
   options.threads = 1;
   EstimationService service(options);
@@ -594,46 +653,40 @@ TEST(ServiceTest, CoalescesIdenticalInflightRequests) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  // Leader occupies the only worker, blocked inside the source with the
-  // coalesce group registered.
-  std::future<Result<EstimateResponse>> leader =
+  // The first request occupies the only worker, blocked inside the source;
+  // three identical ones queue behind it.
+  std::future<Result<EstimateResponse>> first =
       service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
-
-  // Identical submissions attach synchronously — Submit returns with the
-  // waiter registered, no pool task, no queue slot consumed.
-  std::vector<std::future<Result<EstimateResponse>>> followers;
+  std::vector<std::future<Result<EstimateResponse>>> queued;
   for (int i = 0; i < 3; ++i) {
-    followers.push_back(service.Submit(EstimateRequest::For("q6")));
+    queued.push_back(service.Submit(EstimateRequest::For("q6")));
   }
-  EXPECT_EQ(service.Stats().coalesce_attached, 3u);
+  EXPECT_EQ(service.Stats().queue_depth, 4);
 
   gate.Open();
-  Result<EstimateResponse> lead = leader.get();
-  ASSERT_TRUE(lead.ok()) << lead.status().ToString();
-  EXPECT_FALSE(lead.value().estimate->coalesced);
-  for (auto& follower : followers) {
-    Result<EstimateResponse> served = follower.get();
+  Result<EstimateResponse> computed = first.get();
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  EXPECT_EQ(computed.value().estimate->estimate.resumed_states, 0);
+  for (auto& future : queued) {
+    Result<EstimateResponse> served = future.get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
-    const WorkflowEstimate& estimate = *served.value().estimate;
-    // Bit-identical to the leader's computation, marked as attached, with
-    // zero service time (the waiter never ran the estimator).
-    EXPECT_TRUE(estimate.coalesced);
-    EXPECT_EQ(estimate.estimate.makespan.seconds(),
-              lead.value().estimate->estimate.makespan.seconds());
-    EXPECT_EQ(estimate.service_ms, 0.0);
-    EXPECT_EQ(estimate.workflow, "q6");
+    // Each repeat is a copy of the first one's stored states: every state
+    // resumed, bit-identical to the computation.
+    const DagEstimate& estimate = served.value().estimate->estimate;
+    EXPECT_EQ(estimate.resumed_states,
+              static_cast<int>(estimate.states.size()));
+    ExpectSameBits(estimate, computed.value().estimate->estimate);
+    EXPECT_EQ(served.value().estimate->workflow, "q6");
   }
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.coalesce_leaders, 1u);
-  EXPECT_EQ(stats.coalesce_attached, 3u);
 }
 
-TEST(ServiceTest, CoalescedWaitersKeepTheVersionResolvedAtSubmission) {
+TEST(ServiceTest, QueuedRequestsKeepTheVersionResolvedAtSubmission) {
   ServiceOptions options;
   options.threads = 1;
   EstimationService service(options);
@@ -651,21 +704,16 @@ TEST(ServiceTest, CoalescedWaitersKeepTheVersionResolvedAtSubmission) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  // The blocker holds the only worker, so the leader for "w" is still
+  // The blocker holds the only worker, so the request for "w" is still
   // queued when the name is re-registered.
   std::future<Result<EstimateResponse>> blocker =
       service.Submit(EstimateRequest::For("blocker"));
   gate.WaitUntilEntered();
-  std::future<Result<EstimateResponse>> leader =
+  std::future<Result<EstimateResponse>> before =
       service.Submit(EstimateRequest::For("w"));
-  std::future<Result<EstimateResponse>> waiter =
-      service.Submit(EstimateRequest::For("w"));
-  ASSERT_EQ(service.Stats().coalesce_attached, 1u);
   ASSERT_TRUE(service.RegisterWorkflow("w", v2).ok());
   std::future<Result<EstimateResponse>> after =
       service.Submit(EstimateRequest::For("w"));
-  EXPECT_EQ(service.Stats().coalesce_attached, 1u)
-      << "a request resolving the new version must not join the old group";
   gate.Open();
   ASSERT_TRUE(blocker.get().ok());
 
@@ -676,94 +724,16 @@ TEST(ServiceTest, CoalescedWaitersKeepTheVersionResolvedAtSubmission) {
     EXPECT_TRUE(estimate.ok());
     return std::move(estimate).value();
   };
-  auto expect_bits = [](const DagEstimate& got, const DagEstimate& want) {
-    EXPECT_EQ(got.makespan.seconds(), want.makespan.seconds());
-    ASSERT_EQ(got.states.size(), want.states.size());
-    for (std::size_t i = 0; i < got.states.size(); ++i) {
-      EXPECT_EQ(got.states[i].start, want.states[i].start) << i;
-      EXPECT_EQ(got.states[i].duration, want.states[i].duration) << i;
-    }
-    ASSERT_EQ(got.stages.size(), want.stages.size());
-    for (std::size_t i = 0; i < got.stages.size(); ++i) {
-      EXPECT_EQ(got.stages[i].start, want.stages[i].start) << i;
-      EXPECT_EQ(got.stages[i].end, want.stages[i].end) << i;
-    }
-  };
   const DagEstimate want_v1 = direct(v1);
   const DagEstimate want_v2 = direct(v2);
   ASSERT_NE(want_v1.makespan.seconds(), want_v2.makespan.seconds());
 
-  Result<EstimateResponse> lead = leader.get();
-  Result<EstimateResponse> attached = waiter.get();
-  Result<EstimateResponse> later = after.get();
-  ASSERT_TRUE(lead.ok()) << lead.status().ToString();
-  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-  ASSERT_TRUE(later.ok()) << later.status().ToString();
-  EXPECT_TRUE(attached.value().estimate->coalesced);
-  expect_bits(lead.value().estimate->estimate, want_v1);
-  expect_bits(attached.value().estimate->estimate, want_v1);
-  expect_bits(later.value().estimate->estimate, want_v2);
-}
-
-TEST(ServiceTest, CancellingOneWaiterDoesNotCancelTheLeader) {
-  ServiceOptions options;
-  options.threads = 1;
-  EstimationService service(options);
-  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  GateSource gate;
-  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
-
-  std::future<Result<EstimateResponse>> leader =
-      service.Submit(EstimateRequest::For("q6"));
-  gate.WaitUntilEntered();
-
-  CancelToken waiter_cancel = CancelToken::Cancellable();
-  std::future<Result<EstimateResponse>> waiter =
-      service.Submit(EstimateRequest::For("q6").WithCancel(waiter_cancel));
-  ASSERT_EQ(service.Stats().coalesce_attached, 1u);
-
-  // The waiter gives up; the leader (whose caller never cancelled) must
-  // keep computing — group abandonment requires every member to cancel.
-  waiter_cancel.Cancel();
-  gate.Open();
-
-  Result<EstimateResponse> lead = leader.get();
-  ASSERT_TRUE(lead.ok()) << lead.status().ToString();
-  Result<EstimateResponse> cancelled = waiter.get();
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_EQ(cancelled.status().code(), ErrorCode::kCancelled);
-}
-
-TEST(ServiceTest, CoalescingOptOutRunsItsOwnComputation) {
-  ServiceOptions options;
-  options.threads = 1;
-  EstimationService service(options);
-  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  GateSource gate;
-  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
-
-  std::future<Result<EstimateResponse>> first =
-      service.Submit(EstimateRequest::For("q6"));
-  gate.WaitUntilEntered();
-
-  // Opted out: queues behind the worker instead of attaching.
-  std::future<Result<EstimateResponse>> second =
-      service.Submit(EstimateRequest::For("q6").WithoutCoalescing());
-  EXPECT_EQ(service.Stats().coalesce_attached, 0u);
-
-  gate.Open();
-  Result<EstimateResponse> a = first.get();
-  Result<EstimateResponse> b = second.get();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(a.value().estimate->coalesced);
-  EXPECT_FALSE(b.value().estimate->coalesced);
-
-  const ServiceStats stats = service.Stats();
-  // A leader with no attached waiters is not a coalesce leader.
-  EXPECT_EQ(stats.coalesce_leaders, 0u);
-  EXPECT_EQ(stats.coalesce_attached, 0u);
-  EXPECT_EQ(stats.completed, 2u);
+  Result<EstimateResponse> old_version = before.get();
+  Result<EstimateResponse> new_version = after.get();
+  ASSERT_TRUE(old_version.ok()) << old_version.status().ToString();
+  ASSERT_TRUE(new_version.ok()) << new_version.status().ToString();
+  ExpectSameBits(old_version.value().estimate->estimate, want_v1);
+  ExpectSameBits(new_version.value().estimate->estimate, want_v2);
 }
 
 TEST(ServiceTest, DrainResetsCheckpointCounters) {
