@@ -11,9 +11,9 @@
 ///     // protocol::LineClient, scoped snapshot import (warm handoff)
 ///   #endif
 #define DAGPERF_VERSION_MAJOR 5
-#define DAGPERF_VERSION_MINOR 0
+#define DAGPERF_VERSION_MINOR 1
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "5.0"
+#define DAGPERF_VERSION_STRING "5.1"
 
 #endif  // DAGPERF_VERSION_H_

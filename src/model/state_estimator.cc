@@ -172,6 +172,7 @@ struct Workspace {
   std::vector<size_t> context_slot;
   std::vector<NormalParams> dists;
   std::vector<Duration> task_times;  // Indexed like context.running.
+  std::vector<NormalParams> task_dists;  // Ditto, skew-aware.
   std::vector<std::optional<TaskAttribution>> attributions;
   EstimationContext context;
   std::vector<WaveState> rest_waves;  // RestTime's non-mutating copy.
@@ -530,12 +531,16 @@ Status StateBasedEstimator::EstimateInto(const DagWorkflow& flow,
     } else {
       ws.attributions.clear();
     }
-    // Skew-unaware, the point estimate alone drives the wave model. The
-    // running set and Δ are fixed for the whole state, so one batched query
-    // prices every running stage (for BOE, one contention solve).
-    if (!options_.skew_aware && !ws.context.running.empty()) {
+    // The running set and Δ are fixed for the whole state, so one batched
+    // query prices every running stage (for BOE, one contention solve):
+    // point estimates skew-unaware, distributions skew-aware.
+    if (!ws.context.running.empty()) {
       const double query_start = metrics_on ? obs::MonotonicUs() : 0.0;
-      source.TaskTimes(ws.context, &ws.task_times);
+      if (options_.skew_aware) {
+        source.TaskTimeDists(ws.context, &ws.task_dists);
+      } else {
+        source.TaskTimes(ws.context, &ws.task_times);
+      }
       if (metrics_on) {
         Metrics().task_time_query_us.Record(obs::MonotonicUs() - query_start);
       }
@@ -544,11 +549,7 @@ Status StateBasedEstimator::EstimateInto(const DagWorkflow& flow,
       if (ws.context_slot[i] == SIZE_MAX) continue;
       ws.context.query = ws.context_slot[i];
       if (options_.skew_aware) {
-        const double query_start = metrics_on ? obs::MonotonicUs() : 0.0;
-        ws.dists[i] = source.TaskTimeDist(ws.context);
-        if (metrics_on) {
-          Metrics().task_time_query_us.Record(obs::MonotonicUs() - query_start);
-        }
+        ws.dists[i] = ws.task_dists[ws.context_slot[i]];
       } else {
         ws.dists[i] = {ws.task_times[ws.context_slot[i]].seconds(), 0.0};
       }

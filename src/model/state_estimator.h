@@ -75,8 +75,9 @@ struct EstimatorOptions {
   /// Advanced: the precomputed global checkpoint fingerprint — exactly the
   /// bytes AppendGlobalFingerprint would produce for (checkpoint_scope, the
   /// cluster, the scheduler, these options). The sweep engine computes it
-  /// once per candidate for evaluation ordering and passes it here so the
-  /// estimator skips re-serialising it on every call. (Per-job fingerprints
+  /// once per candidate for evaluation ordering, and the service once per
+  /// request for its warm probe, and each passes it here so the estimator
+  /// skips re-serialising it. (Per-job fingerprints
   /// are precomputed on the immutable DagWorkflow itself.) A mismatched
   /// fingerprint breaks resume correctness; leave null to have the
   /// estimator compute its own. Must outlive the call.

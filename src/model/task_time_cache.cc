@@ -129,8 +129,12 @@ Duration MemoizedTaskTimeSource::TaskTime(const EstimationContext& context) cons
   return times[query];
 }
 
-void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
-                                       std::vector<Duration>* out) const {
+template <typename T>
+void MemoizedTaskTimeSource::Batched(
+    const EstimationContext& context, std::vector<T>* out,
+    bool TaskTimeMemo::Entry::*has, T TaskTimeMemo::Entry::*value,
+    void (TaskTimeSource::*solve)(const EstimationContext&, std::vector<T>*)
+        const) const {
   // The k per-query keys share every byte but the trailing query index, so
   // the context is serialised once and each probe rewrites only the tail.
   static thread_local std::string key;
@@ -145,9 +149,9 @@ void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
     TaskTimeMemo::Shard& shard = memo_->ShardFor(key);
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
     auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.has_time) {
+    if (it != shard.entries.end() && it->second.*has) {
       CountHit(shard);
-      (*out)[q] = it->second.time;
+      (*out)[q] = it->second.*value;
     } else {
       CountMiss(shard);
       missing.push_back(q);
@@ -158,8 +162,8 @@ void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
   // One solve prices the whole state; every missing key is filled from it.
   // The solve lands in a private buffer: `*out` may be a per-thread buffer
   // that a memoised source further down reuses.
-  std::vector<Duration> computed;
-  base_.TaskTimes(context, &computed);
+  std::vector<T> computed;
+  (base_.*solve)(context, &computed);
   (void)MemoInsertFault().Evaluate();
   out->assign(computed.begin(), computed.end());
   // The wrapped source may itself be memoised and reuse this thread's key
@@ -174,13 +178,25 @@ void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
     TaskTimeMemo::Entry& entry = shard.entries[key];
     // A racing thread may have stored first; the source is deterministic, so
     // both computed the same bits and either store is correct.
-    if (entry.has_time) {
+    if (entry.*has) {
       shard.insert_races.fetch_add(1, std::memory_order_relaxed);
       Metrics().insert_races.Add(1);
     }
-    entry.time = computed[q];
-    entry.has_time = true;
+    entry.*value = computed[q];
+    entry.*has = true;
   }
+}
+
+void MemoizedTaskTimeSource::TaskTimes(const EstimationContext& context,
+                                       std::vector<Duration>* out) const {
+  Batched(context, out, &TaskTimeMemo::Entry::has_time,
+          &TaskTimeMemo::Entry::time, &TaskTimeSource::TaskTimes);
+}
+
+void MemoizedTaskTimeSource::TaskTimeDists(
+    const EstimationContext& context, std::vector<NormalParams>* out) const {
+  Batched(context, out, &TaskTimeMemo::Entry::has_dist,
+          &TaskTimeMemo::Entry::dist, &TaskTimeSource::TaskTimeDists);
 }
 
 NormalParams MemoizedTaskTimeSource::TaskTimeDist(

@@ -129,6 +129,11 @@ class MemoizedTaskTimeSource : public TaskTimeSource {
   void TaskTimes(const EstimationContext& context,
                  std::vector<Duration>* out) const override;
 
+  /// The skew-aware twin of TaskTimes(): one probe per running stage and, on
+  /// any miss, one wrapped TaskTimeDists() call fills every missing key.
+  void TaskTimeDists(const EstimationContext& context,
+                     std::vector<NormalParams>* out) const override;
+
   /// Attribution passes through uncached: it is queried only by explain
   /// reports (one-off, off the sweep hot path), and caching it would double
   /// every memo entry for data the sweeps never read.
@@ -138,6 +143,15 @@ class MemoizedTaskTimeSource : public TaskTimeSource {
  private:
   static void CountHit(TaskTimeMemo::Shard& shard);
   static void CountMiss(TaskTimeMemo::Shard& shard);
+
+  /// TaskTimes and TaskTimeDists: probes the `has`/`value` half of each
+  /// running stage's entry and, on any miss, fills every missing one from a
+  /// single wrapped `solve` call.
+  template <typename T>
+  void Batched(const EstimationContext& context, std::vector<T>* out,
+               bool TaskTimeMemo::Entry::*has, T TaskTimeMemo::Entry::*value,
+               void (TaskTimeSource::*solve)(const EstimationContext&,
+                                             std::vector<T>*) const) const;
 
   const TaskTimeSource& base_;
   TaskTimeMemo* memo_;

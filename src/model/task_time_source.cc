@@ -31,6 +31,17 @@ NormalParams TaskTimeSource::TaskTimeDist(const EstimationContext& context) cons
   return {mean, mean * cv};
 }
 
+void TaskTimeSource::TaskTimeDists(const EstimationContext& context,
+                                   std::vector<NormalParams>* out) const {
+  static thread_local EstimationContext query;
+  query.running = context.running;
+  out->resize(context.running.size());
+  for (size_t q = 0; q < context.running.size(); ++q) {
+    query.query = q;
+    (*out)[q] = TaskTimeDist(query);
+  }
+}
+
 void TaskTimeSource::TaskTimes(const EstimationContext& context,
                                std::vector<Duration>* out) const {
   // Per-thread query context, so a warm call copies the running set into
@@ -65,6 +76,17 @@ void BoeTaskTimeSource::TaskTimes(const EstimationContext& context,
   out->resize(durations.size());
   for (size_t q = 0; q < durations.size(); ++q) {
     (*out)[q] = Duration(durations[q]) + fixed_overhead_;
+  }
+}
+
+void BoeTaskTimeSource::TaskTimeDists(const EstimationContext& context,
+                                      std::vector<NormalParams>* out) const {
+  static thread_local std::vector<Duration> times;
+  TaskTimes(context, &times);
+  out->resize(times.size());
+  for (size_t q = 0; q < times.size(); ++q) {
+    const double mean = times[q].seconds();
+    (*out)[q] = {mean, mean * context.running[q].stage->task_size_cv};
   }
 }
 

@@ -90,6 +90,15 @@ class TaskTimeSource {
   /// derives the spread from the stage's task-size CV around TaskTime().
   virtual NormalParams TaskTimeDist(const EstimationContext& context) const;
 
+  /// Distribution estimates for every running stage at once, the skew-aware
+  /// twin of TaskTimes(): `(*out)[q]` equals TaskTimeDist() with
+  /// `context.query = q`, bit for bit; `context.query` is ignored and
+  /// `*out` is resized to `context.running.size()`. The estimator prices
+  /// each skew-aware state with one call. The default loops over
+  /// TaskTimeDist() on one per-thread context copy.
+  virtual void TaskTimeDists(const EstimationContext& context,
+                             std::vector<NormalParams>* out) const;
+
   /// Resource attribution of the queried task: which resource bottlenecks
   /// it and how busy each resource is. nullopt when the source has no
   /// resource-level model (profiled durations carry no attribution).
@@ -103,9 +112,9 @@ class TaskTimeSource {
 };
 
 /// Task times computed by the BOE model from stage profiles and the current
-/// contention context. TaskTime() and the default TaskTimeDist() answer
-/// through TaskTimes(), so every solve crosses the `model.task_time` chaos
-/// seam (docs/robustness.md) exactly once.
+/// contention context. TaskTime(), the default TaskTimeDist() and
+/// TaskTimeDists() answer through TaskTimes(), so every solve crosses the
+/// `model.task_time` chaos seam (docs/robustness.md) exactly once.
 class BoeTaskTimeSource : public TaskTimeSource {
  public:
   /// `fixed_overhead` is added to every task (container startup cost — a
@@ -118,6 +127,11 @@ class BoeTaskTimeSource : public TaskTimeSource {
   /// One BOE solve for all running stages of the state.
   void TaskTimes(const EstimationContext& context,
                  std::vector<Duration>* out) const override;
+
+  /// One BOE solve too: each stage's spread is its task-size CV around the
+  /// solved point estimate, as in the default TaskTimeDist().
+  void TaskTimeDists(const EstimationContext& context,
+                     std::vector<NormalParams>* out) const override;
 
   /// Full BOE attribution: bottleneck = the model's arg-max for the queried
   /// stage; busy seconds = per-resource operation times summed across the

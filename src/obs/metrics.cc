@@ -17,16 +17,6 @@ void SetMetricsEnabled(bool enabled) {
 
 bool MetricsEnabled() { return internal::Enabled(); }
 
-int Histogram::BucketIndex(double value) {
-  if (!(value > 0.0)) return 0;
-  // ilogb(v) = floor(log2 v) for finite positive v.
-  const int exp = std::ilogb(value);
-  const int bucket = exp + kZeroBucket;
-  if (bucket < 0) return 0;
-  if (bucket >= kBuckets) return kBuckets - 1;
-  return bucket;
-}
-
 double Histogram::BucketLowerBound(int i) {
   return std::ldexp(1.0, i - kZeroBucket);
 }

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -76,7 +77,19 @@ class Histogram {
   /// Lower bound of bucket i in recorded units.
   static double BucketLowerBound(int i);
   /// Bucket a value would land in (exposed for tests).
-  static int BucketIndex(double value);
+  static int BucketIndex(double value) {
+    if (!(value > 0.0)) return 0;
+    // The biased exponent field: floor(log2 v) for normal v (what ilogb
+    // returns, without the libm call); subnormals read -1023 and infinity
+    // 1024, which the clamps below map to the first and last bucket.
+    const int exp =
+        static_cast<int>((std::bit_cast<std::uint64_t>(value) >> 52) & 0x7ff) -
+        1023;
+    const int bucket = exp + kZeroBucket;
+    if (bucket < 0) return 0;
+    if (bucket >= kBuckets) return kBuckets - 1;
+    return bucket;
+  }
 
   struct Snapshot {
     std::uint64_t count = 0;

@@ -1,9 +1,11 @@
 #include "obs/request_record.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 namespace dagperf {
 namespace obs {
@@ -52,7 +54,21 @@ void AppendRecordJson(std::ostringstream& out, const RequestRecord& r) {
       << ",\"breaker_rejected\":" << (r.breaker_rejected ? "true" : "false")
       << ",\"shed\":" << (r.shed ? "true" : "false")
       << ",\"expired_in_queue\":" << (r.expired_in_queue ? "true" : "false")
+      << ",\"served_inline\":" << (r.served_inline ? "true" : "false")
       << "}";
+}
+
+/// Stores `bytes` into `words`, one relaxed store per word, unrolled: the
+/// copy is most of a Record, and a loop costs about half again as much.
+template <std::size_t N, std::size_t... I>
+void StoreWords(std::array<std::atomic<std::uint64_t>, N>& words,
+                const char* bytes, std::index_sequence<I...>) {
+  const auto store = [bytes, &words](std::size_t i) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes + i * sizeof(word), sizeof(word));
+    words[i].store(word, std::memory_order_relaxed);
+  };
+  (store(I), ...);
 }
 
 }  // namespace
@@ -79,38 +95,50 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   options_.slowest_exemplars = std::max(0, options_.slowest_exemplars);
   options_.error_exemplars = std::max(0, options_.error_exemplars);
   options_.event_capacity = std::max(1, options_.event_capacity);
-  slots_ = std::vector<Slot>(static_cast<std::size_t>(options_.capacity));
+  mask_ = std::bit_ceil(static_cast<std::uint64_t>(options_.capacity)) - 1;
   slowest_.reserve(static_cast<std::size_t>(options_.slowest_exemplars));
   errors_.reserve(static_cast<std::size_t>(options_.error_exemplars));
   events_.resize(static_cast<std::size_t>(options_.event_capacity));
 }
 
+FlightRecorder::~FlightRecorder() {
+  for (Lane& lane : lanes_) delete[] lane.slots.load(std::memory_order_relaxed);
+}
+
+void FlightRecorder::Append(Lane& lane, const RequestRecord& record) {
+  static_assert(std::is_trivially_copyable<RequestRecord>::value &&
+                    sizeof(RequestRecord) == sizeof(Slot::words),
+                "the seqlock copies RequestRecord as raw words");
+  // Only this lane's writer allocates its ring or stores its head, so
+  // relaxed loads read its own writes (a slot number changes holder with
+  // release/acquire, the shared lane under its mutex).
+  Slot* slots = lane.slots.load(std::memory_order_relaxed);
+  if (slots == nullptr) {
+    slots = new Slot[mask_ + 1];
+    lane.slots.store(slots, std::memory_order_release);
+  }
+  const std::uint64_t head = lane.head.load(std::memory_order_relaxed);
+  Slot& slot = slots[head & mask_];
+  // Seqlock publish: mark the slot odd, copy, publish it even, then count
+  // the record.
+  const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  slot.seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  StoreWords(slot.words, reinterpret_cast<const char*>(&record),
+             std::make_index_sequence<Slot::kWords>());
+  slot.seq.store(seq + 2, std::memory_order_release);
+  lane.head.store(head + 1, std::memory_order_release);
+}
+
 void FlightRecorder::Record(const RequestRecord& record) {
   if (!internal::Enabled()) return;
-  static_assert(std::is_trivially_copyable<RequestRecord>::value,
-                "the seqlock copies RequestRecord as raw words");
-  std::uint64_t staged[Slot::kWords] = {};
-  std::memcpy(staged, &record, sizeof(record));
-
-  const std::uint64_t index =
-      head_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<std::uint64_t>(options_.capacity);
-  Slot& slot = slots_[static_cast<std::size_t>(index)];
-  // Seqlock publish: claim the slot by CAS (even -> odd), copy, release as
-  // even. A failed CAS means another writer wrapped onto this slot; its
-  // copy is a bounded handful of relaxed stores, so spin.
-  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  while ((seq & 1) != 0 ||
-         !slot.seq.compare_exchange_weak(seq, seq + 1,
-                                         std::memory_order_relaxed)) {
-    if (seq & 1) seq = slot.seq.load(std::memory_order_relaxed);
+  const int writer = WriterSlot();
+  if (writer == kWriterSlots) {
+    std::lock_guard<std::mutex> lock(shared_mutex_);
+    Append(lanes_[kWriterSlots], record);
+  } else {
+    Append(lanes_[static_cast<std::size_t>(writer)], record);
   }
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < Slot::kWords; ++i) {
-    slot.words[i].store(staged[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(seq + 2, std::memory_order_release);
-  total_recorded_.fetch_add(1, std::memory_order_relaxed);
 
   // Exemplar pinning — only errors and window-topping latencies take the
   // mutex. The lock-free pre-check reads the admission floor (slowest pinned
@@ -128,10 +156,18 @@ void FlightRecorder::Record(const RequestRecord& record) {
       !(is_error && options_.error_exemplars > 0)) {
     return;
   }
+  Pin(record);
+}
+
+void FlightRecorder::Pin(const RequestRecord& record) {
+  const bool is_error = !record.ok;
   std::lock_guard<std::mutex> lock(exemplar_mutex_);
   if (options_.slowest_exemplars > 0) {
     const double window_us = options_.exemplar_window_seconds * 1e6;
-    if (record.end_us - exemplar_window_start_us_ > window_us) {
+    // The first record opens the first window; until then the deadline is
+    // 0, which every record fails in the pre-check above.
+    if (exemplar_deadline_us_.load(std::memory_order_relaxed) == 0.0 ||
+        record.end_us - exemplar_window_start_us_ > window_us) {
       slowest_.clear();
       exemplar_window_start_us_ = record.end_us;
       exemplar_deadline_us_.store(record.end_us + window_us,
@@ -178,31 +214,59 @@ void FlightRecorder::AddEvent(const std::string& kind,
   ++events_total_;
 }
 
+std::uint64_t FlightRecorder::total_recorded() const {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) {
+    total += lane.head.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+int FlightRecorder::rings() const {
+  int rings = 0;
+  for (const Lane& lane : lanes_) {
+    if (lane.slots.load(std::memory_order_relaxed) != nullptr) ++rings;
+  }
+  return rings;
+}
+
 FlightRecorder::Dump FlightRecorder::Snapshot() const {
   Dump dump;
-  dump.total_recorded = total_recorded_.load(std::memory_order_acquire);
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
   const std::uint64_t cap = static_cast<std::uint64_t>(options_.capacity);
-  const std::uint64_t count = std::min(head, cap);
-  dump.records.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = head - count; i < head; ++i) {
-    const Slot& slot = slots_[static_cast<std::size_t>(i % cap)];
-    // Seqlock read: retry while a writer holds the slot; give up after a
-    // few attempts (the slot is being overwritten faster than we can read).
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
-      if (before & 1) continue;
-      std::uint64_t staged[Slot::kWords];
-      for (std::size_t w = 0; w < Slot::kWords; ++w) {
-        staged[w] = slot.words[w].load(std::memory_order_relaxed);
+  for (const Lane& lane : lanes_) {
+    const Slot* slots = lane.slots.load(std::memory_order_acquire);
+    if (slots == nullptr) continue;
+    const std::uint64_t head = lane.head.load(std::memory_order_acquire);
+    dump.total_recorded += head;
+    for (std::uint64_t i = head - std::min(head, cap); i < head; ++i) {
+      const Slot& slot = slots[static_cast<std::size_t>(i & mask_)];
+      // Seqlock read: retry while the writer holds the slot; give up after
+      // a few attempts (it is being overwritten faster than we can read).
+      for (int attempt = 0; attempt < 4; ++attempt) {
+        const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
+        if (before & 1) continue;
+        std::uint64_t staged[Slot::kWords];
+        for (std::size_t w = 0; w < Slot::kWords; ++w) {
+          staged[w] = slot.words[w].load(std::memory_order_relaxed);
+        }
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (slot.seq.load(std::memory_order_relaxed) != before) continue;
+        RequestRecord copy;
+        std::memcpy(&copy, staged, sizeof(copy));
+        if (copy.end_us > 0.0 || copy.id != 0) dump.records.push_back(copy);
+        break;
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != before) continue;
-      RequestRecord copy;
-      std::memcpy(&copy, staged, sizeof(copy));
-      if (copy.end_us > 0.0 || copy.id != 0) dump.records.push_back(copy);
-      break;
     }
+  }
+  // Each lane is in record order; across lanes the last N are the N that
+  // completed last.
+  std::stable_sort(dump.records.begin(), dump.records.end(),
+                   [](const RequestRecord& a, const RequestRecord& b) {
+                     return a.end_us < b.end_us;
+                   });
+  if (dump.records.size() > cap) {
+    dump.records.erase(dump.records.begin(),
+                       dump.records.end() - static_cast<std::ptrdiff_t>(cap));
   }
   std::lock_guard<std::mutex> lock(exemplar_mutex_);
   dump.slowest = slowest_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/writer_slot.h"
 
 namespace dagperf {
 namespace obs {
@@ -65,6 +66,9 @@ struct RequestRecord {
   bool breaker_rejected = false;
   bool shed = false;
   bool expired_in_queue = false;
+  /// Answered on the submitting thread without queueing: the checkpoint
+  /// store held the complete result, so the estimate was a copy.
+  bool served_inline = false;
 
   double queue_wait_us() const { return start_us - submit_us; }
   double exec_us() const { return end_us - start_us; }
@@ -90,7 +94,8 @@ struct FlightEvent {
 };
 
 struct FlightRecorderOptions {
-  /// Request ring capacity (last N requests survive).
+  /// Request ring capacity (last N requests survive). Each writer slot's
+  /// lane holds the next power of two, allocated on its first record.
   int capacity = 256;
   /// Exemplar slots: the slowest requests of the current pin window and the
   /// most recent error requests are pinned outside the ring, so one slow
@@ -104,17 +109,25 @@ struct FlightRecorderOptions {
   int event_capacity = 64;
 };
 
-/// Lock-minimal ring of the last N RequestRecords plus pinned exemplars.
+/// Lock-minimal rings of the last N RequestRecords plus pinned exemplars.
 ///
-/// The hot path (Record) is: one relaxed enabled-load (disarmed exit), a
-/// fetch_add to claim a slot, a struct copy, and a seqlock-style publish —
-/// no mutex, no allocation. Exemplar pinning takes a small mutex but only
-/// when a record is an error or beats the current slowest set (rare by
-/// construction). Dump() walks the ring under the same publish protocol and
-/// skips slots that are mid-write.
+/// Each writer slot (obs/writer_slot.h) has its own ring, so the hot path
+/// (Record) is: one relaxed enabled-load (disarmed exit), the thread's slot
+/// number, a struct copy and a seqlock-style publish by the ring's only
+/// writer — no atomic read-modify-write, no mutex, no allocation after a
+/// ring's first record. Threads on the shared slot number take a mutex.
+/// Memory is at most kWriterSlots + 1 rings. Exemplar pinning takes a small
+/// mutex but only when a record is an error or beats the current slowest
+/// set (rare by construction). Snapshot() reads the rings under the same
+/// publish protocol, skips slots that are mid-write, and keeps the last N
+/// records by completion time (`end_us`).
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderOptions options = {});
+  ~FlightRecorder();
+
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Appends `record` to the ring; pins it if it is an error or among the
   /// slowest of the window. Disarmed cost: one relaxed load.
@@ -140,9 +153,11 @@ class FlightRecorder {
   /// MetricsRegistry::ToJson — obs does not depend on common/json).
   std::string ToJson() const;
 
-  std::uint64_t total_recorded() const {
-    return total_recorded_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t total_recorded() const;
+
+  /// Rings allocated so far, one per writer slot that recorded: at most
+  /// kWriterSlots + 1, whatever the number of threads that recorded.
+  int rings() const;
 
  private:
   struct Slot {
@@ -150,9 +165,8 @@ class FlightRecorder {
         (sizeof(RequestRecord) + sizeof(std::uint64_t) - 1) /
         sizeof(std::uint64_t);
 
-    /// Even = published generation; odd = write in progress. Writers claim
-    /// the slot by CAS (even -> odd), so two writers wrapping onto the same
-    /// slot serialise instead of racing.
+    /// Even = published; odd = write in progress. Only the lane's writer
+    /// stores it.
     std::atomic<std::uint64_t> seq{0};
     /// The record payload as atomic words: both sides of the seqlock copy
     /// through relaxed atomic loads/stores, so a torn read is detected by
@@ -160,10 +174,24 @@ class FlightRecorder {
     std::array<std::atomic<std::uint64_t>, kWords> words{};
   };
 
+  /// One writer slot's ring of `mask_ + 1` slots.
+  struct Lane {
+    /// Allocated by the lane's first writer; null until then.
+    std::atomic<Slot*> slots{nullptr};
+    /// Records taken; record `i` sits in slots[i & mask_].
+    std::atomic<std::uint64_t> head{0};
+  };
+
+  /// Copies `record` into `lane`'s ring; the caller is its writer.
+  void Append(Lane& lane, const RequestRecord& record);
+  /// The exemplar section of Record, under exemplar_mutex_.
+  void Pin(const RequestRecord& record);
+
   FlightRecorderOptions options_;
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> total_recorded_{0};
+  std::uint64_t mask_ = 0;
+  std::array<Lane, kWriterSlots + 1> lanes_;
+  /// Serialises the writers of the shared lane (lanes_[kWriterSlots]).
+  std::mutex shared_mutex_;
 
   /// Lock-free admission pre-check: a record only takes the exemplar mutex
   /// if it beats this floor (slowest pinned latency; 0 while the set fills)

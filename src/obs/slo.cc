@@ -72,14 +72,14 @@ void SloTracker::RecordOutcome(OpClass op, double latency_ms, bool ok,
                                double now_us) {
   if (!internal::Enabled()) return;
   PerClass& c = classes_[static_cast<std::size_t>(op)];
-  // The latency histogram's windowed count doubles as the request count —
-  // one fewer windowed counter on the per-request hot path.
-  c.latency_ms.Record(latency_ms, now_us);
   if (!ok) c.errors.Add(1, now_us);
   if (had_deadline) {
     c.deadline_total.Add(1, now_us);
     if (deadline_met) c.deadline_met.Add(1, now_us);
   }
+  // The latency histogram's windowed count doubles as the request count —
+  // one fewer windowed counter on the per-request hot path.
+  c.latency_ms.Record(latency_ms, now_us);
 }
 
 namespace {

@@ -20,8 +20,9 @@ namespace obs {
 /// error budget is being consumed relative to the objective (1.0 = burning
 /// exactly at budget; >1 = the objective will be missed if this keeps up).
 ///
-/// Recording shares the WindowedHistogram discipline: lock-free, gated on
-/// the process-wide metrics flag, one relaxed load when disarmed.
+/// Recording shares the WindowedHistogram discipline: writer-slot lanes
+/// (obs/writer_slot.h), gated on the process-wide metrics flag, one relaxed
+/// load when disarmed.
 
 /// Operation classes tracked separately — the protocol ops with distinct
 /// latency profiles. kOther absorbs everything else.

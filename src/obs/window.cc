@@ -23,64 +23,77 @@ int EpochSpan(double window_seconds, double epoch_seconds) {
 
 }  // namespace
 
+template <typename Counts>
+std::unique_lock<std::mutex> internal::EpochLanes<Counts>::Prepare(
+    Epoch& lane, int writer, std::uint64_t epoch) {
+  std::unique_lock<std::mutex> shared(shared_mutex_, std::defer_lock);
+  if (writer == kWriterSlots) shared.lock();
+  const std::uint64_t held =
+      lane.epoch_plus_one.load(std::memory_order_relaxed);
+  if (held == epoch + 1) return shared;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (held != 0) {
+    Epoch& slot = ring_[static_cast<std::size_t>((held - 1) % kWindowEpochs)];
+    const std::uint64_t slot_held =
+        slot.epoch_plus_one.load(std::memory_order_relaxed);
+    if (slot_held < held) {
+      slot.counts.Clear();
+      slot.epoch_plus_one.store(held, std::memory_order_relaxed);
+    }
+    // A newer epoch in the slot means the lane's epoch left the ring.
+    if (slot_held <= held) lane.counts.AddTo(slot.counts);
+    lane.counts.Clear();
+  }
+  lane.epoch_plus_one.store(epoch + 1, std::memory_order_relaxed);
+  return shared;
+}
+
+// The windowed types below are EpochLanes' only users.
+template class internal::EpochLanes<WindowedHistogram::Counts>;
+template class internal::EpochLanes<WindowedCounter::Counts>;
+
 WindowedHistogram::WindowedHistogram(WindowOptions options) : options_(options) {
   options_.epoch_seconds = std::max(1e-6, options_.epoch_seconds);
 }
 
-WindowedHistogram::Slot* WindowedHistogram::LiveSlot(std::uint64_t epoch) {
-  Slot& slot = slots_[static_cast<std::size_t>(epoch % kWindowEpochs)];
-  const std::uint64_t live = epoch << 1;
-  std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-  if (tag == live) return &slot;
-  if (tag > live) return nullptr;  // A newer epoch claimed the slot already.
-  if (tag & internal::kResettingBit) return nullptr;  // Mid-reset elsewhere.
-  // Claim: tag -> resetting, zero the slot, publish the live tag. Writers
-  // that lose the CAS re-read and either see the live tag or spin out.
-  if (!slot.tag.compare_exchange_strong(tag, live | internal::kResettingBit,
-                                        std::memory_order_acq_rel)) {
-    return nullptr;
+void WindowedHistogram::Counts::AddTo(Counts& into) const {
+  internal::Bump(into.sum, sum.load(std::memory_order_relaxed));
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    internal::Bump(into.buckets[b], buckets[b].load(std::memory_order_relaxed));
   }
-  slot.count.store(0, std::memory_order_relaxed);
-  slot.sum.store(0.0, std::memory_order_relaxed);
-  for (auto& bucket : slot.buckets) bucket.store(0, std::memory_order_relaxed);
-  slot.tag.store(live, std::memory_order_release);
-  return &slot;
+}
+
+void WindowedHistogram::Counts::Clear() {
+  sum.store(0.0, std::memory_order_relaxed);
+  for (auto& bucket : buckets) bucket.store(0, std::memory_order_relaxed);
 }
 
 void WindowedHistogram::Record(double value, double now_us) {
   if (!internal::Enabled()) return;
-  const std::uint64_t epoch = EpochOf(now_us, options_.epoch_seconds);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    Slot* slot = LiveSlot(epoch);
-    if (slot == nullptr) continue;  // Reset in flight; retry.
-    slot->count.fetch_add(1, std::memory_order_relaxed);
-    slot->sum.fetch_add(value, std::memory_order_relaxed);
-    slot->buckets[static_cast<std::size_t>(Histogram::BucketIndex(value))]
-        .fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Pathological contention on a resetting slot: drop the sample rather than
-  // spin unboundedly on an observability path.
+  const std::size_t bucket =
+      static_cast<std::size_t>(Histogram::BucketIndex(value));
+  lanes_.Record(EpochOf(now_us, options_.epoch_seconds),
+                [bucket, value](Counts& counts) {
+                  internal::Bump(counts.buckets[bucket], std::uint64_t{1});
+                  internal::Bump(counts.sum, value);
+                });
 }
 
 Histogram::Snapshot WindowedHistogram::Snap(double window_seconds,
                                             double now_us) const {
   Histogram::Snapshot snapshot;
-  const std::uint64_t now_epoch = EpochOf(now_us, options_.epoch_seconds);
-  const int span = EpochSpan(window_seconds, options_.epoch_seconds);
-  for (int back = 0; back < span; ++back) {
-    if (static_cast<std::uint64_t>(back) > now_epoch) break;
-    const std::uint64_t epoch = now_epoch - static_cast<std::uint64_t>(back);
-    const Slot& slot = slots_[static_cast<std::size_t>(epoch % kWindowEpochs)];
-    if (slot.tag.load(std::memory_order_acquire) != (epoch << 1)) continue;
-    snapshot.count += slot.count.load(std::memory_order_relaxed);
-    snapshot.sum += slot.sum.load(std::memory_order_relaxed);
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      snapshot.buckets[static_cast<std::size_t>(b)] +=
-          slot.buckets[static_cast<std::size_t>(b)].load(
-              std::memory_order_relaxed);
-    }
-  }
+  lanes_.Visit(EpochOf(now_us, options_.epoch_seconds),
+               EpochSpan(window_seconds, options_.epoch_seconds),
+               [&snapshot](const Counts& counts) {
+                 snapshot.sum += counts.sum.load(std::memory_order_relaxed);
+                 for (int b = 0; b < Histogram::kBuckets; ++b) {
+                   const std::uint64_t n =
+                       counts.buckets[static_cast<std::size_t>(b)].load(
+                           std::memory_order_relaxed);
+                   snapshot.buckets[static_cast<std::size_t>(b)] += n;
+                   snapshot.count += n;
+                 }
+               });
   return snapshot;
 }
 
@@ -88,44 +101,27 @@ WindowedCounter::WindowedCounter(WindowOptions options) : options_(options) {
   options_.epoch_seconds = std::max(1e-6, options_.epoch_seconds);
 }
 
-WindowedCounter::Slot* WindowedCounter::LiveSlot(std::uint64_t epoch) {
-  Slot& slot = slots_[static_cast<std::size_t>(epoch % kWindowEpochs)];
-  const std::uint64_t live = epoch << 1;
-  std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-  if (tag == live) return &slot;
-  if (tag > live) return nullptr;
-  if (tag & internal::kResettingBit) return nullptr;
-  if (!slot.tag.compare_exchange_strong(tag, live | internal::kResettingBit,
-                                        std::memory_order_acq_rel)) {
-    return nullptr;
-  }
-  slot.value.store(0, std::memory_order_relaxed);
-  slot.tag.store(live, std::memory_order_release);
-  return &slot;
+void WindowedCounter::Counts::AddTo(Counts& into) const {
+  internal::Bump(into.value, value.load(std::memory_order_relaxed));
+}
+
+void WindowedCounter::Counts::Clear() {
+  value.store(0, std::memory_order_relaxed);
 }
 
 void WindowedCounter::Add(std::uint64_t n, double now_us) {
   if (!internal::Enabled()) return;
-  const std::uint64_t epoch = EpochOf(now_us, options_.epoch_seconds);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    Slot* slot = LiveSlot(epoch);
-    if (slot == nullptr) continue;
-    slot->value.fetch_add(n, std::memory_order_relaxed);
-    return;
-  }
+  lanes_.Record(EpochOf(now_us, options_.epoch_seconds),
+                [n](Counts& counts) { internal::Bump(counts.value, n); });
 }
 
 std::uint64_t WindowedCounter::Sum(double window_seconds, double now_us) const {
   std::uint64_t total = 0;
-  const std::uint64_t now_epoch = EpochOf(now_us, options_.epoch_seconds);
-  const int span = EpochSpan(window_seconds, options_.epoch_seconds);
-  for (int back = 0; back < span; ++back) {
-    if (static_cast<std::uint64_t>(back) > now_epoch) break;
-    const std::uint64_t epoch = now_epoch - static_cast<std::uint64_t>(back);
-    const Slot& slot = slots_[static_cast<std::size_t>(epoch % kWindowEpochs)];
-    if (slot.tag.load(std::memory_order_acquire) != (epoch << 1)) continue;
-    total += slot.value.load(std::memory_order_relaxed);
-  }
+  lanes_.Visit(EpochOf(now_us, options_.epoch_seconds),
+               EpochSpan(window_seconds, options_.epoch_seconds),
+               [&total](const Counts& counts) {
+                 total += counts.value.load(std::memory_order_relaxed);
+               });
   return total;
 }
 

@@ -423,7 +423,7 @@ std::string Router::StatsFanout(const Json* id) {
 
   Json shards = Json::MakeArray();
   double submitted = 0, completed = 0, failed = 0, shed = 0;
-  double expired = 0, queue_depth = 0;
+  double expired = 0, served_inline = 0, queue_depth = 0;
   int up = 0;
   for (const Row& row : rows) {
     Json entry = Json::MakeObject();
@@ -448,6 +448,7 @@ std::string Router::StatsFanout(const Json* id) {
               failed += result->GetNumber("failed", 0);
               shed += result->GetNumber("shed", 0);
               expired += result->GetNumber("expired_in_queue", 0);
+              served_inline += result->GetNumber("served_inline", 0);
               queue_depth += result->GetNumber("queue_depth", 0);
               entry.Set("stats", *result);
             }
@@ -466,6 +467,7 @@ std::string Router::StatsFanout(const Json* id) {
   fleet.Set("failed", Json::MakeNumber(failed));
   fleet.Set("shed", Json::MakeNumber(shed));
   fleet.Set("expired_in_queue", Json::MakeNumber(expired));
+  fleet.Set("served_inline", Json::MakeNumber(served_inline));
   fleet.Set("queue_depth", Json::MakeNumber(queue_depth));
 
   Json router_stats = Json::MakeObject();

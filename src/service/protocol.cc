@@ -170,6 +170,8 @@ Json StatsToJson(const ServiceStats& stats) {
   result.Set("shed", Json::MakeNumber(static_cast<double>(stats.shed)));
   result.Set("expired_in_queue",
              Json::MakeNumber(static_cast<double>(stats.expired_in_queue)));
+  result.Set("served_inline",
+             Json::MakeNumber(static_cast<double>(stats.served_inline)));
   result.Set("queue_depth", Json::MakeNumber(stats.queue_depth));
   result.Set("draining", Json::MakeBool(stats.draining));
   // Shard-mode fields: the router's health probes key readmission off

@@ -26,6 +26,7 @@ struct ServiceMetrics {
   obs::Counter& failed;
   obs::Counter& shed;
   obs::Counter& expired_in_queue;
+  obs::Counter& served_inline;
   /// Per-request cost-class attribution: how each served request got its
   /// answer — full replay or checkpoint resume.
   obs::Counter& path_full_replay;
@@ -44,6 +45,8 @@ struct ServiceMetrics {
         shed(obs::MetricsRegistry::Default().GetCounter("service.shed")),
         expired_in_queue(obs::MetricsRegistry::Default().GetCounter(
             "service.expired_in_queue")),
+        served_inline(obs::MetricsRegistry::Default().GetCounter(
+            "service.served_inline")),
         path_full_replay(obs::MetricsRegistry::Default().GetCounter(
             "service.path.full_replay")),
         path_incremental(obs::MetricsRegistry::Default().GetCounter(
@@ -95,6 +98,15 @@ struct EstimationService::Call {
   bool observe = false;
   /// Holds an admission slot (global + tenant) until Finish releases it.
   bool admitted = false;
+  /// The brownout level read once at submission: admission sheds at it,
+  /// `global_fp` is built at it, and a warm request runs at it.
+  int level = 0;
+  /// Single estimates only (ProbeWarm): the global checkpoint fingerprint
+  /// of the options the request runs with at `level`, and whether the store
+  /// held the complete result under it. A warm request is a copy, so it
+  /// runs on the submitting thread instead of the pool.
+  std::string global_fp;
+  bool warm = false;
   double submit_us = 0.0;
 };
 
@@ -262,21 +274,25 @@ EstimationService::EffectiveInputs EstimationService::Effective(
   return effective;
 }
 
-EstimationService::CostClass EstimationService::ClassifyCost(
-    const EstimateRequest& request, const Resolved& resolved,
-    int level) const {
-  if (request.is_sweep()) return CostClass::kExpensive;
+void EstimationService::ProbeWarm(const EstimateRequest& request,
+                                  Call& call) const {
+  if (request.is_sweep()) return;
   // Warm means the store holds the complete answer under the exact key the
   // request would run with now: the estimate is then a copy.
-  const EffectiveInputs effective = Effective(request, *resolved.cluster, level);
-  std::string global_fp;
+  const EffectiveInputs effective =
+      Effective(request, *call.resolved.cluster, call.level);
   PrefixCheckpointStore::AppendGlobalFingerprint(
       effective.options.checkpoint_scope, effective.spec, options_.scheduler,
-      effective.options, &global_fp);
-  if (checkpoints_.HoldsCompleteResult(*resolved.flow, global_fp)) {
-    return CostClass::kWarm;
-  }
-  return resolved.flow->num_jobs() >= options_.expensive_job_threshold
+      effective.options, &call.global_fp);
+  call.warm = checkpoints_.HoldsCompleteResult(*call.resolved.flow,
+                                               call.global_fp);
+}
+
+EstimationService::CostClass EstimationService::ClassifyCost(
+    const EstimateRequest& request, const Call& call) const {
+  if (request.is_sweep()) return CostClass::kExpensive;
+  if (call.warm) return CostClass::kWarm;
+  return call.resolved.flow->num_jobs() >= options_.expensive_job_threshold
              ? CostClass::kExpensive
              : CostClass::kCheap;
 }
@@ -315,13 +331,10 @@ Status EstimationService::Admit(const Call& call,
   }
   // Cost-aware overload shedding: the controller drops expensive cold work
   // first and warm work never (brownout exists to keep serving it). Level 0
-  // sheds nothing, so only a raised level pays for the classification.
-  const int level = overload_ != nullptr ? overload_->level() : 0;
-  const CostClass cost = level >= 1
-                             ? ClassifyCost(request, call.resolved, level)
-                             : CostClass::kCheap;
-  if (level >= 1 && overload_->ShouldShed(cost == CostClass::kWarm,
-                                          cost == CostClass::kExpensive)) {
+  // sheds nothing; the classification reuses the submission's warm probe.
+  const CostClass cost = ClassifyCost(request, call);
+  if (call.level >= 1 && overload_->ShouldShed(cost == CostClass::kWarm,
+                                               cost == CostClass::kExpensive)) {
     queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
     shed_.fetch_add(1, std::memory_order_relaxed);
     Metrics().shed.Add(1);
@@ -355,7 +368,12 @@ void EstimationService::ReleaseSlot() {
 Result<EstimateResponse> EstimationService::Execute(
     const EstimateRequest& request, Call& call, double start_us) {
   obs::RequestRecord* record = call.observe ? &call.record : nullptr;
-  const int brownout = overload_ != nullptr ? overload_->level() : 0;
+  // A queued request runs at the level current when it starts. An inline
+  // one runs at the level its warm probe used: the store holds its complete
+  // result under that key, and a level moved in between would turn the copy
+  // into a cold estimate on the submitting thread, outside the pool's bound.
+  int brownout = call.level;
+  if (!call.warm) brownout = overload_ != nullptr ? overload_->level() : 0;
   // A request can spend its whole budget waiting in the queue; detect that
   // here so an expired request costs a check, not an estimate.
   if (request.budget.exhausted()) {
@@ -397,11 +415,16 @@ Result<EstimateResponse> EstimationService::Execute(
       }
     }
 
-    // The level read here, not at submission: checkpoints this run stores
-    // are keyed by the options it runs with. Degraded answers are tagged
-    // below so clients can re-query later.
+    // Checkpoints this run stores are keyed by the options it runs with, at
+    // `brownout`. Degraded answers are tagged below so clients can re-query
+    // later.
     EffectiveInputs effective = Effective(request, entry, brownout);
     effective.options.budget = request.budget;
+    // Submission already fingerprinted these options for its warm probe;
+    // reuse the bytes unless the level moved in between.
+    if (brownout == call.level) {
+      effective.options.checkpoint_global_fp = &call.global_fp;
+    }
     // The warm path: the estimator resumes recurring workflows from the
     // service-lifetime checkpoint store.
     effective.options.checkpoints = &checkpoints_;
@@ -624,8 +647,8 @@ void EstimationService::SubmitImpl(
   }
 
   // Shared lock: many Submits run concurrently; Drain's unique lock ensures
-  // no Submit is between the draining check and the pool enqueue when the
-  // pool starts waiting.
+  // no Submit is between the draining check and the pool enqueue (or inside
+  // an inline run) when the pool starts waiting.
   std::shared_lock admission(admission_mutex_);
   if (draining_.load(std::memory_order_acquire)) {
     Finish(call, Status::FailedPrecondition("service is draining"), 0.0);
@@ -647,6 +670,8 @@ void EstimationService::SubmitImpl(
     call.record.set_workflow(call.resolved.workflow);
     call.record.set_cluster(call.resolved.cluster->name);
   }
+  call.level = overload_ != nullptr ? overload_->level() : 0;
+  ProbeWarm(request, call);
   if (Status admitted = Admit(call, request); !admitted.ok()) {
     Finish(call, std::move(admitted), 0.0);
     return;
@@ -677,24 +702,40 @@ void EstimationService::SubmitImpl(
   }
 
   call.submit_us = obs::MonotonicUs();
+  // Where the request runs, decided once: a warm estimate is a copy of a
+  // stored result, cheaper than the two thread hand-offs the pool would add
+  // around it, so it runs to completion here (still under the shared
+  // admission lock, which a drain waits out). Everything else queues.
+  if (call.warm) {
+    served_inline_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().served_inline.Add(1);
+    if (call.observe) call.record.served_inline = true;
+    Run(request, call, watch_id);
+    return;
+  }
   pool_->Submit([this, request = std::move(request), call = std::move(call),
-                 watch_id]() mutable {
-    tenants_->OnExecuteStart(call.tenant);
-    const double start_us = obs::MonotonicUs();
-    if (call.observe) call.record.start_us = start_us;
-    // Feed the overload controller the queue sojourn every dequeued request
-    // observed — including ones about to expire; their wait is exactly the
-    // signal the controller exists to see.
-    if (overload_ != nullptr) {
-      overload_->ObserveSojourn((start_us - call.submit_us) * 1e-3, start_us);
-    }
-    Result<EstimateResponse> result =
-        request.is_sweep() ? ExecuteSweep(request, call, start_us)
-                           : Execute(request, call, start_us);
-    const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
-    if (watch_id != 0) watchdog_->Unwatch(watch_id);
-    Finish(call, std::move(result), exec_ms);
-  });
+                 watch_id]() mutable { Run(request, call, watch_id); });
+}
+
+void EstimationService::Run(const EstimateRequest& request, Call& call,
+                            std::uint64_t watch_id) {
+  tenants_->OnExecuteStart(call.tenant);
+  const double start_us = obs::MonotonicUs();
+  if (call.observe) call.record.start_us = start_us;
+  // Feed the overload controller the queue sojourn every dequeued request
+  // observed — including ones about to expire; their wait is exactly the
+  // signal the controller exists to see. An inline answer never queued: its
+  // zero sojourns would pin each interval's minimum at 0 and hide a
+  // standing cold backlog, so it feeds nothing.
+  if (overload_ != nullptr && !call.warm) {
+    overload_->ObserveSojourn((start_us - call.submit_us) * 1e-3, start_us);
+  }
+  Result<EstimateResponse> result = request.is_sweep()
+                                        ? ExecuteSweep(request, call, start_us)
+                                        : Execute(request, call, start_us);
+  const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
+  if (watch_id != 0) watchdog_->Unwatch(watch_id);
+  Finish(call, std::move(result), exec_ms);
 }
 
 std::future<Result<EstimateResponse>> EstimationService::Submit(
@@ -855,6 +896,7 @@ ServiceStats EstimationService::Stats() const {
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
   stats.watchdog_fired = watchdog_fired_.load(std::memory_order_relaxed);
+  stats.served_inline = served_inline_.load(std::memory_order_relaxed);
   stats.stats_epoch = stats_epoch_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   stats.draining = draining_.load(std::memory_order_relaxed);

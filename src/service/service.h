@@ -137,6 +137,10 @@ struct ServiceStats {
   std::uint64_t expired_in_queue = 0;
   /// Requests the watchdog had to cancel (hard wall-clock bound).
   std::uint64_t watchdog_fired = 0;
+  /// Admitted requests answered on the submitting thread: single estimates
+  /// whose complete result the checkpoint store held (a copy), so they
+  /// skipped the pool queue.
+  std::uint64_t served_inline = 0;
   /// How many times the warm state (checkpoints) was reset — rates computed
   /// from the store stats below never span a reset: both are read inside
   /// the same epoch. Drain/Shutdown bump this once.
@@ -192,13 +196,16 @@ class EstimationService {
 
   /// The entry point: submits one EstimateRequest — a single estimate or,
   /// when the request carries a SweepNodes list, a sweep — and resolves to
-  /// the matching half of EstimateResponse. Never blocks on estimation: the
-  /// returned future is either already failed (draining / unresolvable
-  /// names / shed) or will be fulfilled by a worker. Safe from any thread.
-  /// Names resolve here, once. A repeat of an earlier estimate resumes from
-  /// the checkpoint store. A sweep holds one admission slot; its candidates
-  /// fan out across the same pool and share a batch-local memo and the
-  /// persistent checkpoint store.
+  /// the matching half of EstimateResponse. Safe from any thread. Names
+  /// resolve here, once. A single estimate whose complete result the
+  /// checkpoint store already holds is a copy: it runs on the calling
+  /// thread and the returned future is ready on return
+  /// (ServiceStats::served_inline). Everything else never blocks on
+  /// estimation: the future is either already failed (draining /
+  /// unresolvable names / shed) or will be fulfilled by a worker. A repeat
+  /// of an earlier estimate resumes from the checkpoint store. A sweep holds
+  /// one admission slot; its candidates fan out across the same pool and
+  /// share a batch-local memo and the persistent checkpoint store.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
@@ -283,9 +290,17 @@ class EstimationService {
   struct Call;
 
   /// The submission path behind Submit. `done` is invoked exactly once —
-  /// synchronously for rejected requests, from a worker otherwise.
+  /// synchronously for rejected requests and warm single estimates (Call::
+  /// warm), from a worker otherwise.
   void SubmitImpl(EstimateRequest request,
                   std::function<void(Result<EstimateResponse>)> done);
+
+  /// Runs one admitted request to its answer: tenant execute-start, the
+  /// overload sojourn sample (pooled requests only), Execute or
+  /// ExecuteSweep, the watchdog unwatch, Finish. SubmitImpl calls it on the
+  /// submitting thread for a warm request and hands it to the pool for
+  /// everything else.
+  void Run(const EstimateRequest& request, Call& call, std::uint64_t watch_id);
 
   /// The one place a request's outcome is delivered: for an admitted
   /// request the tenant's completion, the completed/failed counters and the
@@ -308,7 +323,7 @@ class EstimationService {
 
   /// The spec and estimator options a single estimate runs with at brownout
   /// `level` (node override, explain, brownout overlay, checkpoint scope).
-  /// Execute and ClassifyCost both derive from it.
+  /// ProbeWarm and Execute both derive from it.
   struct EffectiveInputs {
     ClusterSpec spec;
     EstimatorOptions options;
@@ -322,18 +337,25 @@ class EstimationService {
   /// to go).
   enum class CostClass { kWarm, kCheap, kExpensive };
 
-  /// Fast pre-classification at brownout `level` >= 1: a sweep is always
+  /// Fast pre-classification for brownout levels >= 1: a sweep is always
   /// expensive (many estimates on one slot, so brownout sheds batch
-  /// capacity planning first); an estimate is warm if the checkpoint store
-  /// holds its complete result under the key it would run with at `level`,
-  /// expensive if cold with >= expensive_job_threshold jobs.
+  /// capacity planning first); an estimate is warm when ProbeWarm found its
+  /// complete result, expensive if cold with >= expensive_job_threshold
+  /// jobs.
   CostClass ClassifyCost(const EstimateRequest& request,
-                         const Resolved& resolved, int level) const;
+                         const Call& call) const;
+
+  /// The one warm probe of a single estimate, at the brownout level read at
+  /// submission (Call::level): builds the global checkpoint fingerprint of
+  /// the options it would run with into Call::global_fp and sets Call::warm
+  /// when the store holds the complete result under it. Sweeps are never
+  /// probed.
+  void ProbeWarm(const EstimateRequest& request, Call& call) const;
 
   /// Admission control; on success the caller owns one global queue slot
   /// AND one queued slot of `call.tenant` (released together). Rejections
   /// carry retry_after_ms. Order: global queue bound, chaos seam, overload
-  /// controller, tenant fair share.
+  /// controller (at Call::level), tenant fair share.
   Status Admit(const Call& call, const EstimateRequest& request);
   void ReleaseSlot();
 
@@ -341,8 +363,11 @@ class EstimationService {
   /// hint when overload control is on, else a queue-fullness-scaled base.
   double RetryAfterHintMs() const;
 
-  /// Runs one single estimate on a worker thread (slot already held),
-  /// dequeued at `start_us`; a failure carries its cancel cause
+  /// Runs one single estimate (slot already held), started at `start_us`
+  /// on a worker or, when warm, on the submitting thread. A warm request
+  /// runs at Call::level, the level its probe used; a queued one reads the
+  /// level when it starts and reuses Call::global_fp when that level is
+  /// still Call::level. A failure carries its cancel cause
   /// (MapCancelCause). The call's record (when observability is armed)
   /// accumulates the request's attribution: states executed, path class,
   /// breaker interaction.
@@ -383,8 +408,9 @@ class EstimationService {
   std::map<std::string, std::shared_ptr<const DagWorkflow>> workflows_;
   std::map<std::string, std::shared_ptr<const ClusterEntry>> clusters_;
 
-  /// Taken shared around every Submit (admission + pool enqueue), unique by
-  /// Drain before it waits — so no Submit races ThreadPool::Wait.
+  /// Taken shared around every Submit (admission + pool enqueue, or the
+  /// whole run of a warm request), unique by Drain before it waits — so no
+  /// Submit races ThreadPool::Wait and a drain also waits out inline runs.
   mutable std::shared_mutex admission_mutex_;
   std::atomic<bool> draining_{false};
 
@@ -417,6 +443,7 @@ class EstimationService {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> expired_in_queue_{0};
   std::atomic<std::uint64_t> watchdog_fired_{0};
+  std::atomic<std::uint64_t> served_inline_{0};
 };
 
 }  // namespace dagperf

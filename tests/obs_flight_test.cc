@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
 #include "obs/metrics.h"
+#include "obs/writer_slot.h"
 
 namespace dagperf {
 namespace {
@@ -64,17 +67,20 @@ TEST(FlightRecorderTest, DisabledRecordingIsANoOp) {
 
 TEST(FlightRecorderTest, RingKeepsLastNOldestFirst) {
   ScopedMetrics on;
-  obs::FlightRecorderOptions options;
-  options.capacity = 4;
-  obs::FlightRecorder recorder(options);
-  for (std::uint64_t id = 1; id <= 10; ++id) {
-    recorder.Record(MakeRecord(id, 100.0));
+  // 5 is not a power of two: the ring rounds up, the dump still holds 5.
+  for (const int capacity : {4, 5}) {
+    obs::FlightRecorderOptions options;
+    options.capacity = capacity;
+    obs::FlightRecorder recorder(options);
+    for (std::uint64_t id = 1; id <= 10; ++id) {
+      recorder.Record(MakeRecord(id, 100.0));
+    }
+    const obs::FlightRecorder::Dump dump = recorder.Snapshot();
+    EXPECT_EQ(dump.total_recorded, 10u);
+    ASSERT_EQ(dump.records.size(), static_cast<std::size_t>(capacity));
+    EXPECT_EQ(dump.records.front().id, 11u - capacity);
+    EXPECT_EQ(dump.records.back().id, 10u);
   }
-  const obs::FlightRecorder::Dump dump = recorder.Snapshot();
-  EXPECT_EQ(dump.total_recorded, 10u);
-  ASSERT_EQ(dump.records.size(), 4u);
-  EXPECT_EQ(dump.records.front().id, 7u);
-  EXPECT_EQ(dump.records.back().id, 10u);
 }
 
 TEST(FlightRecorderTest, PinsSlowestAndErrorExemplarsPastRingWrap) {
@@ -114,6 +120,24 @@ TEST(FlightRecorderTest, SlowestSetRecyclesAfterExemplarWindow) {
   const obs::FlightRecorder::Dump dump = recorder.Snapshot();
   ASSERT_EQ(dump.slowest.size(), 1u);
   EXPECT_EQ(dump.slowest.front().id, 20u);
+}
+
+TEST(FlightRecorderTest, FirstRecordOpensTheExemplarWindow) {
+  ScopedMetrics on;
+  obs::FlightRecorderOptions options;
+  options.slowest_exemplars = 1;
+  options.exemplar_window_seconds = 0.05;  // 50 000 us.
+  obs::FlightRecorder recorder(options);
+  // The first record (end 10 000 us) opens a window until 60 000 us.
+  recorder.Record(MakeRecord(1, 9000.0));
+  // Faster, inside that window: the slowest stays pinned.
+  recorder.Record(MakeRecord(55, 50.0));  // Ends at 55 050 us.
+  ASSERT_EQ(recorder.Snapshot().slowest.size(), 1u);
+  EXPECT_EQ(recorder.Snapshot().slowest.front().id, 1u);
+  // Past the window: the set recycles.
+  recorder.Record(MakeRecord(70, 50.0));  // Ends at 70 050 us.
+  ASSERT_EQ(recorder.Snapshot().slowest.size(), 1u);
+  EXPECT_EQ(recorder.Snapshot().slowest.front().id, 70u);
 }
 
 TEST(FlightRecorderTest, EventRingKeepsLastN) {
@@ -187,6 +211,84 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshot) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(recorder.total_recorded(), 40000u);
+}
+
+// Every recording thread alive at once, three times as many as there are
+// writer slots: the threads beyond the slots share one lane under a mutex,
+// so the recorder's memory stays at kWriterSlots + 1 rings, and no record
+// is lost or torn.
+TEST(FlightRecorderTest, MoreThreadsThanWriterSlotsStayBounded) {
+  ScopedMetrics on;
+  obs::FlightRecorderOptions options;
+  options.capacity = 64;
+  obs::FlightRecorder recorder(options);
+  constexpr int kThreads = 3 * obs::kWriterSlots;
+  constexpr std::uint64_t kPerThread = 500;
+  std::atomic<int> arrived{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t id = 1 + t * kPerThread + i;
+        recorder.Record(MakeRecord(id, 100.0 + id));
+      }
+      // Hold the slot until every thread has recorded.
+      done.fetch_add(1);
+      while (done.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_LE(recorder.rings(), obs::kWriterSlots + 1);
+  EXPECT_EQ(recorder.total_recorded(), kThreads * kPerThread);
+  const obs::FlightRecorder::Dump dump = recorder.Snapshot();
+  EXPECT_EQ(dump.total_recorded, kThreads * kPerThread);
+  ASSERT_EQ(dump.records.size(), 64u);
+  for (std::size_t i = 0; i < dump.records.size(); ++i) {
+    const obs::RequestRecord& record = dump.records[i];
+    EXPECT_DOUBLE_EQ(record.total_us(), 100.0 + record.id);
+    if (i > 0) {
+      EXPECT_LE(dump.records[i - 1].end_us, record.end_us);
+    }
+  }
+}
+
+// A writer slot belongs to one live thread; the slot numbers past the
+// bound are shared, and an exiting thread gives its slot back.
+TEST(WriterSlotTest, SlotsAreExclusiveBoundedAndReturnedAtExit) {
+  constexpr int kThreads = 2 * obs::kWriterSlots;
+  std::vector<int> slots(kThreads, -1);
+  std::atomic<int> arrived{0};
+  std::atomic<int> read{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      slots[static_cast<std::size_t>(t)] = obs::WriterSlot();
+      EXPECT_EQ(obs::WriterSlot(), slots[static_cast<std::size_t>(t)]);
+      read.fetch_add(1);
+      while (read.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<int> owned;
+  for (const int slot : slots) {
+    ASSERT_GE(slot, 0);
+    ASSERT_LE(slot, obs::kWriterSlots);
+    if (slot < obs::kWriterSlots) owned.push_back(slot);
+  }
+  std::sort(owned.begin(), owned.end());
+  EXPECT_EQ(std::adjacent_find(owned.begin(), owned.end()), owned.end());
+  EXPECT_GE(kThreads - static_cast<int>(owned.size()), obs::kWriterSlots);
+
+  // Every thread above has exited: a new thread finds a slot of its own.
+  int fresh = -1;
+  std::thread([&fresh] { fresh = obs::WriterSlot(); }).join();
+  EXPECT_LT(fresh, obs::kWriterSlots);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/slo.h"
+#include "obs/writer_slot.h"
 
 namespace dagperf {
 namespace {
@@ -131,6 +132,41 @@ TEST(WindowedHistogramTest, ConcurrentWritersAcrossRotationConserveSamples) {
       histogram.Snap(300.0, base + 40e6);
   EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(snap.sum, static_cast<double>(kThreads) * kPerThread);
+}
+
+// Three times as many writers as there are writer slots, all alive at
+// once: those beyond the slots share one lane under a mutex, and every
+// sample still counts once.
+TEST(WindowedHistogramTest, MoreThreadsThanWriterSlotsConserveSamples) {
+  ScopedMetrics on;
+  obs::WindowedHistogram histogram;
+  obs::WindowedCounter counter;
+  constexpr int kThreads = 3 * obs::kWriterSlots;
+  constexpr int kPerThread = 2000;
+  const double base = 1e6;
+  std::atomic<int> arrived{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kPerThread; ++i) {
+        const double now =
+            base + (static_cast<double>(i) / kPerThread) * 20e6 + t * 1e3;
+        histogram.Record(2.0, now);
+        counter.Add(1, now);
+      }
+      done.fetch_add(1);
+      while (done.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const obs::Histogram::Snapshot snap = histogram.Snap(300.0, base + 20e6);
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(snap.sum, 2.0 * kThreads * kPerThread);
+  EXPECT_EQ(counter.Sum(300.0, base + 20e6),
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(SloTrackerTest, ReportsWindowedLatencyAndBurnRates) {

@@ -7,9 +7,12 @@
 
 #include "resilience/overload.h"
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -477,6 +480,74 @@ TEST(ServiceBrownoutTest, WarmthFollowsContentNotNames) {
       service.Submit(EstimateRequest::For("q6")).get();
   ASSERT_FALSE(reregistered.ok());
   EXPECT_EQ(reregistered.status().code(), ErrorCode::kResourceExhausted);
+}
+
+/// A task-time source whose every query takes `sleep_ms`: each estimate
+/// priced with it holds the worker for several milliseconds.
+class SlowSource : public TaskTimeSource {
+ public:
+  explicit SlowSource(double sleep_ms) : sleep_ms_(sleep_ms) {}
+  Duration TaskTime(const EstimationContext&) const override {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(sleep_ms_));
+    return Duration::Seconds(1);
+  }
+
+ private:
+  double sleep_ms_;
+};
+
+TEST(ServiceBrownoutTest, InlineWarmAnswersDoNotHideAColdBacklog) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.overload_target_sojourn_ms = 1.0;
+  options.overload.interval_ms = 3.0;
+  options.overload.escalate_after = 1;
+  options.overload.recover_after = 1000;
+  options.overload.max_level = 1;
+  options.expensive_job_threshold = 1000;  // Level 1 sheds none of it.
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(service.RegisterCluster("slow", ClusterSpec::PaperCluster()).ok());
+  SlowSource slow(1.0);
+  ASSERT_TRUE(service.RegisterSource("slow", &slow, "slow").ok());
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+  ASSERT_EQ(service.overload_controller()->level(), 0);
+
+  // A cold backlog: distinct node counts, so no request resumes from
+  // another and each one holds the only worker while the rest queue.
+  std::vector<std::future<Result<EstimateResponse>>> cold;
+  for (int nodes = 10; nodes < 16; ++nodes) {
+    cold.push_back(service.Submit(
+        EstimateRequest::For("q6").OnCluster("slow").WithNodes(nodes)));
+  }
+  // Meanwhile warm repeats stream in and are answered inline. They never
+  // queued, so they must not feed the controller a sojourn of zero that
+  // would pin every interval's minimum below the target.
+  int warm = 0;
+  int warm_not_ready = 0;
+  auto cold_done = [&cold] {
+    return cold.back().wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  };
+  while (!cold_done()) {
+    std::future<Result<EstimateResponse>> answer =
+        service.Submit(EstimateRequest::For("q6"));
+    if (answer.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      ++warm_not_ready;
+    }
+    EXPECT_TRUE(answer.get().ok());
+    ++warm;
+  }
+  for (auto& future : cold) EXPECT_TRUE(future.get().ok());
+
+  EXPECT_GT(warm, 0);
+  EXPECT_EQ(warm_not_ready, 0);
+  EXPECT_EQ(service.Stats().served_inline, static_cast<std::uint64_t>(warm));
+  EXPECT_GE(service.overload_controller()->stats().escalations, 1u)
+      << "the queued cold requests waited past the target, yet the level "
+         "never left 0";
 }
 
 TEST(ServiceBrownoutTest, TenantNamesAreBoundedAndConserved) {

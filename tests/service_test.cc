@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "boe/boe_model.h"
 #include "dag/spec_io.h"
 #include "obs/metrics.h"
+#include "resilience/fault.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "workloads/suite.h"
@@ -762,6 +764,252 @@ TEST(ServiceTest, DrainResetsCheckpointCounters) {
   EXPECT_EQ(cold.incremental.entries, 0u);
   EXPECT_EQ(cold.incremental.bytes, 0u);
   EXPECT_EQ(cold.stats_epoch, warm.stats_epoch + 1);
+}
+
+/// The direct library answer for `flow` on the paper cluster with the
+/// service's default BOE source.
+DagEstimate DirectEstimate(const DagWorkflow& flow) {
+  const ClusterSpec cluster = ClusterSpec::PaperCluster();
+  const BoeModel model(cluster.node);
+  const BoeTaskTimeSource source(model, Duration::Seconds(1));
+  const StateBasedEstimator estimator(cluster, SchedulerConfig{},
+                                      EstimatorOptions{});
+  Result<DagEstimate> estimate = estimator.Estimate(flow, source);
+  EXPECT_TRUE(estimate.ok()) << estimate.status().ToString();
+  return std::move(estimate).value();
+}
+
+/// Arms request observability for one test and restores the flag after.
+class ScopedMetrics {
+ public:
+  ScopedMetrics() : was_enabled_(obs::MetricsEnabled()) {
+    obs::SetMetricsEnabled(true);
+  }
+  ~ScopedMetrics() { obs::SetMetricsEnabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
+TEST(ServiceInlineTest, WarmRepeatIsAnsweredBeforeSubmitReturns) {
+  ScopedMetrics metrics;
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+
+  // The first request computes on the pool; its complete result is stored.
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+  EXPECT_EQ(service.Stats().served_inline, 0u);
+
+  // The repeat is a copy: it runs on this thread, so its future is ready
+  // the moment Submit returns.
+  std::future<Result<EstimateResponse>> repeat =
+      service.Submit(EstimateRequest::For("q6"));
+  ASSERT_EQ(repeat.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  Result<EstimateResponse> served = repeat.get();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const DagEstimate& estimate = served.value().estimate->estimate;
+  EXPECT_EQ(estimate.resumed_states, static_cast<int>(estimate.states.size()));
+  ExpectSameBits(estimate, DirectEstimate(TestFlow()));
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.served_inline, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.queue_depth, 0);
+  // The flight recorder tells the inline answer from the pooled one.
+  const obs::FlightRecorder::Dump dump = service.flight_recorder().Snapshot();
+  ASSERT_EQ(dump.records.size(), 2u);
+  EXPECT_FALSE(dump.records[0].served_inline);
+  EXPECT_TRUE(dump.records[1].served_inline);
+  EXPECT_NE(service.flight_recorder().ToJson().find("\"served_inline\":true"),
+            std::string::npos);
+}
+
+TEST(ServiceInlineTest, WarmRepeatIsAnsweredWhileTheOnlyWorkerIsBlocked) {
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(
+      service.RegisterCluster("warm", ClusterSpec::PaperCluster()).ok());
+  ASSERT_TRUE(
+      service.Submit(EstimateRequest::For("q6").OnCluster("warm")).get().ok());
+
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+  std::future<Result<EstimateResponse>> blocker =
+      service.Submit(EstimateRequest::For("q6"));
+  gate.WaitUntilEntered();
+
+  // The pool's only worker is held inside the gate, so a warm answer that
+  // is ready now was computed on this thread.
+  std::future<Result<EstimateResponse>> warm =
+      service.Submit(EstimateRequest::For("q6").OnCluster("warm"));
+  const std::future_status status = warm.wait_for(std::chrono::seconds(0));
+  gate.Open();
+  EXPECT_EQ(status, std::future_status::ready);
+  Result<EstimateResponse> served = warm.get();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectSameBits(served.value().estimate->estimate, DirectEstimate(TestFlow()));
+  ASSERT_TRUE(blocker.get().ok());
+  EXPECT_EQ(service.Stats().served_inline, 1u);
+}
+
+TEST(ServiceInlineTest, ColdRequestsAndSweepsStillRunOnThePool) {
+  ServiceOptions options;
+  options.threads = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(
+      service.RegisterCluster("warm", ClusterSpec::PaperCluster()).ok());
+  const int nodes = ClusterSpec::PaperCluster().num_nodes;
+  // Every key the sweep below prices is warm, so only its kind keeps it off
+  // the submitting thread.
+  ASSERT_TRUE(
+      service.Submit(EstimateRequest::For("q6").OnCluster("warm")).get().ok());
+  ASSERT_TRUE(service
+                  .Submit(EstimateRequest::For("q6").OnCluster("warm")
+                              .SweepNodes({nodes}))
+                  .get()
+                  .ok());
+  const std::uint64_t inline_before = service.Stats().served_inline;
+
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+  std::future<Result<EstimateResponse>> blocker =
+      service.Submit(EstimateRequest::For("q6"));
+  gate.WaitUntilEntered();
+  std::future<Result<EstimateResponse>> cold = service.Submit(
+      EstimateRequest::For("q6").OnCluster("warm").WithNodes(nodes + 1));
+  std::future<Result<EstimateResponse>> sweep = service.Submit(
+      EstimateRequest::For("q6").OnCluster("warm").SweepNodes({nodes}));
+  EXPECT_EQ(cold.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  EXPECT_EQ(sweep.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(service.Stats().queue_depth, 3);
+  EXPECT_EQ(service.Stats().served_inline, inline_before);
+
+  gate.Open();
+  ASSERT_TRUE(blocker.get().ok());
+  ASSERT_TRUE(cold.get().ok());
+  Result<EstimateResponse> swept = sweep.get();
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  EXPECT_TRUE(swept.value().is_sweep());
+  EXPECT_EQ(service.Stats().served_inline, inline_before);
+}
+
+/// submitted == completed + failed + shed + (in flight + queued), for the
+/// service and for every tenant.
+void ExpectConserved(const EstimationService& service) {
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.shed +
+                                 static_cast<std::uint64_t>(stats.queue_depth));
+  for (const TenantRegistry::TenantStats& tenant : stats.tenants) {
+    EXPECT_EQ(tenant.submitted,
+              tenant.completed + tenant.failed + tenant.shed_total +
+                  static_cast<std::uint64_t>(tenant.inflight + tenant.queued))
+        << tenant.name;
+  }
+}
+
+TEST(ServiceInlineTest, ConservationHoldsWithInlineAnswers) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.max_queue_depth = 3;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(
+      service.RegisterCluster("warm", ClusterSpec::PaperCluster()).ok());
+  ASSERT_TRUE(service
+                  .Submit(EstimateRequest::For("q6").OnCluster("warm").AsTenant(
+                      "b"))
+                  .get()
+                  .ok());
+
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+  std::vector<std::future<Result<EstimateResponse>>> pending;
+  pending.push_back(service.Submit(EstimateRequest::For("q6").AsTenant("a")));
+  gate.WaitUntilEntered();
+  pending.push_back(service.Submit(EstimateRequest::For("q6").AsTenant("b")));
+  // Inline answers, an unresolvable name and queue-bound sheds while the
+  // worker is held.
+  for (int i = 0; i < 3; ++i) {
+    std::future<Result<EstimateResponse>> warm = service.Submit(
+        EstimateRequest::For("q6").OnCluster("warm").AsTenant("b"));
+    ASSERT_EQ(warm.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(warm.get().ok());
+  }
+  EXPECT_FALSE(service.Submit(EstimateRequest::For("missing")).get().ok());
+  for (int i = 0; i < 3; ++i) {
+    pending.push_back(service.Submit(EstimateRequest::For("q6").AsTenant("c")));
+  }
+  ExpectConserved(service);
+  const ServiceStats held = service.Stats();
+  EXPECT_EQ(held.served_inline, 3u);
+  EXPECT_GT(held.shed, 0u);
+  EXPECT_GT(held.queue_depth, 0);
+
+  gate.Open();
+  for (auto& future : pending) (void)future.get();
+  ExpectConserved(service);
+  EXPECT_EQ(service.Stats().queue_depth, 0);
+}
+
+TEST(ServiceInlineTest, InjectedExecuteFaultOnAnInlineRequestReleasesItsSlot) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.max_queue_depth = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+
+  resilience::FaultInjector& injector = resilience::FaultInjector::Default();
+  ASSERT_TRUE(injector
+                  .Configure("service.execute",
+                             {.probability = 1.0, .error = ErrorCode::kInternal})
+                  .ok());
+  injector.Arm(3);
+  std::future<Result<EstimateResponse>> faulted =
+      service.Submit(EstimateRequest::For("q6"));
+  const std::future_status status = faulted.wait_for(std::chrono::seconds(0));
+  injector.Disarm();
+  injector.ResetAll();
+  EXPECT_EQ(status, std::future_status::ready);
+  Result<EstimateResponse> result = faulted.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kInternal);
+
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.served_inline, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.queue_depth, 0);
+  // The one slot is free again: the next warm repeat is admitted, not shed.
+  ASSERT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.served_inline, 2u);
+  EXPECT_EQ(stats.shed, 0u);
+}
+
+TEST(ProtocolTest, StatsVerbCountsInlineAnswers) {
+  EstimationService service;
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  Protocol protocol(&service);
+  for (int i = 0; i < 2; ++i) {
+    Result<Json> reply = Json::Parse(
+        protocol.HandleLine(R"({"op":"estimate","workflow":"q6"})"));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_TRUE(reply.value().GetBool("ok", false));
+  }
+  Result<Json> stats = Json::Parse(protocol.HandleLine(R"({"op":"stats"})"));
+  ASSERT_TRUE(stats.ok());
+  const Json* result = stats.value().Get("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->GetNumber("served_inline", -1), 1.0);
 }
 
 }  // namespace

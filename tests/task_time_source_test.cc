@@ -12,6 +12,10 @@
 #include <vector>
 
 #include "cluster/rate_solver.h"
+#include "dag/dag_workflow.h"
+#include "model/state_estimator.h"
+#include "model/task_time_cache.h"
+#include "resilience/fault.h"
 #include "sim/simulator.h"
 
 namespace dagperf {
@@ -439,6 +443,135 @@ TEST(TaskTimesContractTest, DefaultBatchLoopsOverTaskTime) {
   ASSERT_EQ(batched.size(), 2u);
   EXPECT_EQ(batched[0].seconds(), 10.0);
   EXPECT_EQ(batched[1].seconds(), 30.0);
+}
+
+TEST(TaskTimeDistsContractTest, BoeBatchEqualsPerQueryBitForBit) {
+  std::mt19937_64 rng(2104);
+  std::uniform_real_distribution<double> population(0.05, 12.0);
+  std::uniform_real_distribution<double> cv(0.0, 0.8);
+  const BoeModel model(TestNode());
+  const BoeTaskTimeSource source(model, Duration::Seconds(0.5));
+  TaskTimeMemo memo;
+  const MemoizedTaskTimeSource memoized(source, &memo);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int k = 1 + trial % 6;
+    std::vector<StageProfile> stages;
+    for (int i = 0; i < k; ++i) {
+      stages.push_back(RandomStage(rng, i));
+      stages.back().task_size_cv = cv(rng);
+    }
+    EstimationContext ctx;
+    for (const StageProfile& stage : stages) {
+      ctx.running.push_back({&stage, population(rng)});
+    }
+    std::vector<NormalParams> batched;
+    source.TaskTimeDists(ctx, &batched);
+    ASSERT_EQ(batched.size(), stages.size());
+    // The memo answers the same bits computed (first pass) and stored
+    // (second pass).
+    std::vector<NormalParams> computed;
+    std::vector<NormalParams> stored;
+    memoized.TaskTimeDists(ctx, &computed);
+    memoized.TaskTimeDists(ctx, &stored);
+    for (int q = 0; q < k; ++q) {
+      ctx.query = q;
+      const NormalParams want = source.TaskTimeDist(ctx);
+      for (const std::vector<NormalParams>* got : {&batched, &computed, &stored}) {
+        EXPECT_TRUE(SameBits((*got)[q].mean, want.mean)) << trial << " " << q;
+        EXPECT_TRUE(SameBits((*got)[q].stddev, want.stddev)) << trial << " " << q;
+      }
+    }
+  }
+  EXPECT_GT(memo.stats().hits, 0u);
+}
+
+TEST(TaskTimeDistsContractTest, DefaultBatchLoopsOverTaskTimeDist) {
+  StageProfile a = NetStage();
+  a.name = "a/map";
+  StageProfile b = NetStage();
+  b.name = "b/map";
+  ProfileTaskTimeSource source(ProfileStatistic::kMean);
+  source.AddProfile("a/map", {10, 14});
+  source.AddProfile("b/map", {20});
+  EstimationContext ctx;
+  ctx.running.push_back({&a, 1.0});
+  ctx.running.push_back({&b, 2.0});
+  std::vector<NormalParams> batched(3);
+  source.TaskTimeDists(ctx, &batched);
+  ASSERT_EQ(batched.size(), 2u);
+  for (size_t q = 0; q < 2; ++q) {
+    ctx.query = q;
+    const NormalParams want = source.TaskTimeDist(ctx);
+    EXPECT_EQ(batched[q].mean, want.mean);
+    EXPECT_EQ(batched[q].stddev, want.stddev);
+  }
+}
+
+/// Counts evaluations of the `model.task_time` seam: armed at probability 1
+/// with no latency and no error, every BOE solve fires it once and changes
+/// nothing else.
+class SolveCounter {
+ public:
+  SolveCounter()
+      : point_(resilience::FaultInjector::Default().GetPoint("model.task_time")) {
+    resilience::FaultInjector& injector = resilience::FaultInjector::Default();
+    EXPECT_TRUE(injector.Configure("model.task_time", {.probability = 1.0}).ok());
+    injector.Arm(1);
+  }
+  ~SolveCounter() {
+    resilience::FaultInjector::Default().Disarm();
+    resilience::FaultInjector::Default().ResetAll();
+  }
+  std::uint64_t fires() const { return point_.fires(); }
+
+ private:
+  resilience::FaultPoint& point_;
+};
+
+TEST(TaskTimeDistsContractTest, SkewAwareEstimateSolvesEachStateOnce) {
+  // Three jobs with reducer skew: a and b run side by side, c follows a, so
+  // most states hold several running stages.
+  auto job = [](const std::string& name) {
+    JobSpec spec;
+    spec.name = name;
+    spec.input = Bytes::FromGB(4);
+    spec.num_reduce_tasks = 8;
+    spec.replicas = 1;
+    spec.remote_read_fraction = 0.0;
+    spec.reduce_skew_cv = 0.4;
+    return spec;
+  };
+  DagBuilder builder("skewed");
+  const JobId a = builder.AddJob(job("a"));
+  builder.AddJob(job("b"));
+  builder.AddJobAfter(a, job("c"));
+  const DagWorkflow flow = std::move(builder).Build().value();
+  const ClusterSpec cluster = ClusterSpec::PaperCluster();
+  const BoeModel model(cluster.node);
+  const BoeTaskTimeSource source(model, Duration::Seconds(1));
+  EstimatorOptions skewed;
+  skewed.skew_aware = true;
+  const StateBasedEstimator plain_estimator(cluster, SchedulerConfig{});
+  const StateBasedEstimator skew_estimator(cluster, SchedulerConfig{}, skewed);
+
+  SolveCounter counter;
+  const Result<DagEstimate> plain = plain_estimator.Estimate(flow, source);
+  const std::uint64_t plain_solves = counter.fires();
+  const Result<DagEstimate> skew = skew_estimator.Estimate(flow, source);
+  const std::uint64_t skew_solves = counter.fires() - plain_solves;
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(skew.ok()) << skew.status().ToString();
+  std::size_t running = 0;
+  for (const StateEstimate& state : skew.value().states) {
+    running += static_cast<std::size_t>(state.running_count);
+  }
+  ASSERT_GT(running, skew.value().states.size())
+      << "the flow must run several stages at once to tell the paths apart";
+  // One solve per state either way: skew awareness reads the spread off the
+  // same solve instead of re-solving the state per running stage.
+  EXPECT_EQ(plain_solves, plain.value().states.size());
+  EXPECT_EQ(skew_solves, plain_solves);
+  EXPECT_GT(skew.value().makespan.seconds(), 0.0);
 }
 
 }  // namespace
