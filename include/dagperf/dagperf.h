@@ -48,14 +48,14 @@
 #include "scheduler/drf.h"
 #include "sim/simulator.h"
 
-// Resilience: client-side retry with jittered backoff, circuit breakers,
-// the request watchdog, the CoDel-style overload/brownout controller, and
-// the deterministic fault injector chaos tests drive (docs/robustness.md).
+// Resilience: client-side retry with jittered backoff, the circuit breaker
+// the router scores shards with, the CoDel-style overload/brownout
+// controller, and the deterministic fault injector chaos tests drive
+// (docs/robustness.md).
 #include "resilience/circuit_breaker.h"
 #include "resilience/fault.h"
 #include "resilience/overload.h"
 #include "resilience/retry.h"
-#include "resilience/watchdog.h"
 
 // The estimation service: long-lived serving entry point + NDJSON protocol,
 // per-tenant DRF fair-share admission, plus the loopback /metrics HTTP

@@ -33,10 +33,10 @@ enum class ErrorCode {
   /// and the request was shed instead of queued. Retry later — backing off —
   /// with the same inputs.
   kResourceExhausted,
-  /// The serving path is temporarily refusing work: the service is shutting
-  /// down mid-request, or a circuit breaker opened after repeated failures.
-  /// Retryable — the same request succeeds against a healthy (or restarted)
-  /// server.
+  /// The serving path is temporarily refusing work: the service shut down
+  /// mid-request (or, behind the router, the owning shard is down or
+  /// saturated). Retryable — the same request succeeds against a healthy
+  /// (or restarted) server.
   kUnavailable,
 };
 

@@ -10,10 +10,10 @@
 ///     // sharded fleet serving: router::Router consistent-hash front-end,
 ///     // protocol::LineClient, scoped snapshot import (warm handoff)
 ///   #endif
-#define DAGPERF_VERSION_MAJOR 5
-#define DAGPERF_VERSION_MINOR 1
+#define DAGPERF_VERSION_MAJOR 6
+#define DAGPERF_VERSION_MINOR 0
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "5.1"
+#define DAGPERF_VERSION_STRING "6.0"
 
 #endif  // DAGPERF_VERSION_H_

@@ -40,10 +40,11 @@ class CancelToken {
   /// A live token that additionally observes every parent: cancelled() is
   /// true once Cancel() was called on this token *or* on any parent.
   /// Cancelling the linked token does not propagate upward — parents stay
-  /// untouched — which is how one request-scoped token can be fired by a
-  /// watchdog while the caller's token and a service-wide shutdown token
-  /// remain independent signals feeding the same request. Inert parents are
-  /// skipped, so linking against a default-constructed token costs nothing.
+  /// untouched — which is how the caller's token and a service-wide
+  /// shutdown token stay independent signals feeding one request-scoped
+  /// token: firing shutdown never cancels the caller's token. Inert parents
+  /// are skipped, so linking against a default-constructed token costs
+  /// nothing.
   static CancelToken LinkedTo(std::initializer_list<CancelToken> parents) {
     CancelToken token = Cancellable();
     auto observed = std::make_shared<

@@ -31,9 +31,8 @@ const char* ErrorCodeName(ErrorCode code) {
 
 bool IsRetryable(ErrorCode code) {
   // Load shedding and unavailability are transient by definition: the same
-  // request succeeds once the admission queue drains, the circuit breaker
-  // half-opens, or a replacement server comes up — so clients should back
-  // off and retry.
+  // request succeeds once the admission queue drains or a replacement
+  // server (or shard) comes up — so clients should back off and retry.
   return code == ErrorCode::kInternal || code == ErrorCode::kResourceExhausted ||
          code == ErrorCode::kUnavailable;
 }

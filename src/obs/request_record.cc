@@ -47,11 +47,8 @@ void AppendRecordJson(std::ostringstream& out, const RequestRecord& r) {
       << ",\"exec_us\":" << r.exec_us() << ",\"total_us\":" << r.total_us()
       << ",\"states\":" << r.states
       << ",\"resumed_states\":" << r.resumed_states
-      << ",\"retries\":" << static_cast<int>(r.retries)
       << ",\"had_deadline\":" << (r.had_deadline ? "true" : "false")
       << ",\"deadline_met\":" << (r.deadline_met ? "true" : "false")
-      << ",\"watchdog_fired\":" << (r.watchdog_fired ? "true" : "false")
-      << ",\"breaker_rejected\":" << (r.breaker_rejected ? "true" : "false")
       << ",\"shed\":" << (r.shed ? "true" : "false")
       << ",\"expired_in_queue\":" << (r.expired_in_queue ? "true" : "false")
       << ",\"served_inline\":" << (r.served_inline ? "true" : "false")

@@ -57,13 +57,10 @@ struct RequestRecord {
   /// Stable outcome code (ErrorCodeName vocabulary, stored as its numeric
   /// value — obs sits below common and cannot name ErrorCode itself).
   std::uint8_t outcome_code = 0;
-  std::uint8_t retries = 0;
   bool ok = false;
   bool had_deadline = false;
   /// Finished within its deadline (vacuously true without one).
   bool deadline_met = true;
-  bool watchdog_fired = false;
-  bool breaker_rejected = false;
   bool shed = false;
   bool expired_in_queue = false;
   /// Answered on the submitting thread without queueing: the checkpoint
@@ -81,15 +78,15 @@ struct RequestRecord {
   void set_cluster(const std::string& s) { SetName(cluster, kNameBytes, s); }
 };
 
-/// A structured service event (breaker transition, watchdog fire, drain
-/// epoch) pinned alongside the request ring — the "what changed" context a
-/// post-mortem reads next to the slow requests.
+/// A structured service event (drain, shutdown, snapshot, brownout
+/// transition) pinned alongside the request ring — the "what changed"
+/// context a post-mortem reads next to the slow requests.
 struct FlightEvent {
   static constexpr std::size_t kKindBytes = 24;
   static constexpr std::size_t kDetailBytes = 96;
 
   double ts_us = 0.0;
-  char kind[kKindBytes] = {};    // "breaker" | "watchdog" | "drain" | ...
+  char kind[kKindBytes] = {};    // "drain" | "snapshot" | "overload" | ...
   char detail[kDetailBytes] = {};
 };
 

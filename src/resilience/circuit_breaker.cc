@@ -7,51 +7,25 @@
 namespace dagperf {
 namespace resilience {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
-    : options_(std::move(options)) {
+    : options_(options) {
   options_.open_seconds = std::max(0.0, options_.open_seconds);
-  options_.half_open_probes = std::max(1, options_.half_open_probes);
-  options_.half_open_successes = std::max(1, options_.half_open_successes);
-  if (!options_.gauge_name.empty()) {
-    gauge_ = &obs::MetricsRegistry::Default().GetGauge(options_.gauge_name);
-    gauge_->Set(static_cast<double>(BreakerState::kClosed));
-  }
 }
 
 void CircuitBreaker::TransitionLocked(BreakerState next) {
   if (state_ == next) return;
-  const BreakerState from = state_;
   state_ = next;
   ++stats_.transitions;
   if (next == BreakerState::kOpen) {
     ++stats_.opens;
     reopen_ = Deadline::AfterSeconds(options_.open_seconds);
   }
-  if (next == BreakerState::kHalfOpen || next == BreakerState::kClosed) {
-    half_open_inflight_ = 0;
-    half_open_successes_ = 0;
-  }
+  probe_inflight_ = false;
   if (next == BreakerState::kClosed) consecutive_failures_ = 0;
-  if (gauge_ != nullptr) gauge_->Set(static_cast<double>(next));
-  // Transition history: the gauge above is last-write-only, so every change
-  // also bumps the process-wide counter and notifies the owner's hook.
   static obs::Counter* transitions =
       &obs::MetricsRegistry::Default().GetCounter(
           "resilience.breaker_transitions");
   transitions->Add(1);
-  if (options_.on_transition) options_.on_transition(from, next);
 }
 
 Status CircuitBreaker::Allow() {
@@ -65,11 +39,11 @@ Status CircuitBreaker::Allow() {
     TransitionLocked(BreakerState::kHalfOpen);
   }
   if (state_ == BreakerState::kHalfOpen) {
-    if (half_open_inflight_ >= options_.half_open_probes) {
+    if (probe_inflight_) {
       ++stats_.rejected;
-      return Status::Unavailable("circuit breaker half-open, probes in flight");
+      return Status::Unavailable("circuit breaker half-open, probe in flight");
     }
-    ++half_open_inflight_;
+    probe_inflight_ = true;
   }
   ++stats_.allowed;
   return Status::Ok();
@@ -80,12 +54,8 @@ void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.successes;
   consecutive_failures_ = 0;
-  if (state_ == BreakerState::kHalfOpen) {
-    half_open_inflight_ = std::max(0, half_open_inflight_ - 1);
-    if (++half_open_successes_ >= options_.half_open_successes) {
-      TransitionLocked(BreakerState::kClosed);
-    }
-  }
+  // A successful probe proves the path healthy again.
+  if (state_ == BreakerState::kHalfOpen) TransitionLocked(BreakerState::kClosed);
 }
 
 void CircuitBreaker::RecordFailure() {
@@ -102,29 +72,6 @@ void CircuitBreaker::RecordFailure() {
       ++consecutive_failures_ >= options_.failure_threshold) {
     TransitionLocked(BreakerState::kOpen);
   }
-}
-
-void CircuitBreaker::Record(const Status& status) {
-  if (status.ok()) {
-    RecordSuccess();
-    return;
-  }
-  if (CountsAsFailure(status.code())) {
-    RecordFailure();
-    return;
-  }
-  if (options_.failure_threshold <= 0) return;
-  // Neutral outcome (client error, cancellation): release the probe slot a
-  // half-open Allow() claimed without judging the path either way.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == BreakerState::kHalfOpen) {
-    half_open_inflight_ = std::max(0, half_open_inflight_ - 1);
-  }
-}
-
-bool CircuitBreaker::CountsAsFailure(ErrorCode code) {
-  return code == ErrorCode::kInternal || code == ErrorCode::kDeadlineExceeded ||
-         code == ErrorCode::kUnavailable;
 }
 
 BreakerState CircuitBreaker::state() const {

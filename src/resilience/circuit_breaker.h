@@ -2,22 +2,17 @@
 #define DAGPERF_RESILIENCE_CIRCUIT_BREAKER_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <string>
 
 #include "common/cancel.h"
 #include "common/status.h"
 
 namespace dagperf {
-namespace obs {
-class Gauge;
-}  // namespace obs
-
 namespace resilience {
 
-/// Circuit breaker guarding a failure-prone execution path (the estimation
-/// service wraps one around each registered cluster's estimate path).
+/// Circuit breaker guarding a failure-prone path. Its one user is the
+/// router's passive shard scoring (router::ShardHealth): transport failures
+/// talking to a shard process are what open it.
 ///
 /// States:
 ///   kClosed   — traffic flows; `failure_threshold` *consecutive* failures
@@ -25,16 +20,9 @@ namespace resilience {
 ///   kOpen     — Allow() fails fast with UNAVAILABLE{retryable} for
 ///               `open_seconds`, shedding work from a path that is only
 ///               producing failures.
-///   kHalfOpen — after the cooldown, up to `half_open_probes` concurrent
-///               calls are admitted as probes; `half_open_successes`
-///               successes close the breaker, any failure re-opens it.
-///
-/// Only failures that indicate path trouble should be recorded — the service
-/// feeds it through CountsAsFailure, which ignores client errors (invalid
-/// input, unknown names) and deliberate cancellation.
+///   kHalfOpen — after the cooldown, one call is admitted as a probe; its
+///               success closes the breaker, its failure re-opens it.
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-
-const char* BreakerStateName(BreakerState state);
 
 struct CircuitBreakerOptions {
   /// Consecutive failures that open the breaker. <= 0 disables it entirely
@@ -42,22 +30,6 @@ struct CircuitBreakerOptions {
   int failure_threshold = 5;
   /// How long an open breaker rejects before probing.
   double open_seconds = 1.0;
-  /// Probes admitted concurrently while half-open.
-  int half_open_probes = 1;
-  /// Probe successes required to close.
-  int half_open_successes = 1;
-  /// Name of the obs gauge mirroring the state (0 closed / 1 open /
-  /// 2 half-open). Empty = no gauge. The service registers
-  /// "resilience.breaker_state" for the default cluster and
-  /// "resilience.breaker_state.<cluster>" for the rest.
-  std::string gauge_name;
-
-  /// Invoked on every state transition, after the state (and gauge) have
-  /// moved. The gauge only shows the last write; this hook is how transition
-  /// *history* escapes — the service feeds it into the flight recorder and
-  /// the "resilience.breaker_transitions" counter. Called with the breaker
-  /// mutex held: must be cheap and must not call back into this breaker.
-  std::function<void(BreakerState from, BreakerState to)> on_transition;
 };
 
 class CircuitBreaker {
@@ -67,25 +39,13 @@ class CircuitBreaker {
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
 
-  /// Gate before the guarded call: Ok to proceed (and, half-open, claims a
+  /// Gate before the guarded call: Ok to proceed (and, half-open, claims the
   /// probe slot), or Unavailable{retryable} naming the remaining cooldown.
   /// Every Ok *must* be matched by exactly one RecordSuccess/RecordFailure.
   Status Allow();
 
   void RecordSuccess();
   void RecordFailure();
-
-  /// Record* from a Status: success on Ok, failure only when
-  /// CountsAsFailure; other codes release the in-flight probe slot without
-  /// moving the state (a NOT_FOUND on a half-open probe proves nothing
-  /// about the path's health).
-  void Record(const Status& status);
-
-  /// Whether a failed estimate indicts the serving path rather than the
-  /// request: internal errors, expired deadlines (stuck path), and
-  /// upstream unavailability count; invalid input, unknown names, load
-  /// shedding, and cancellation do not.
-  static bool CountsAsFailure(ErrorCode code);
 
   BreakerState state() const;
 
@@ -107,11 +67,9 @@ class CircuitBreaker {
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_inflight_ = 0;
-  int half_open_successes_ = 0;
+  bool probe_inflight_ = false;
   Deadline reopen_;
   Stats stats_;
-  obs::Gauge* gauge_ = nullptr;
 };
 
 }  // namespace resilience

@@ -15,19 +15,10 @@ const char* ShardStateName(ShardState state) {
   return "unknown";
 }
 
-namespace {
-resilience::CircuitBreakerOptions BreakerOptionsFrom(
-    const ShardHealthOptions& options) {
-  resilience::CircuitBreakerOptions breaker;
-  breaker.failure_threshold = options.breaker_failure_threshold;
-  breaker.open_seconds = options.breaker_open_seconds;
-  breaker.gauge_name = options.breaker_gauge_name;
-  return breaker;
-}
-}  // namespace
-
 ShardHealth::ShardHealth(const ShardHealthOptions& options)
-    : options_(options), breaker_(BreakerOptionsFrom(options)) {
+    : options_(options),
+      breaker_({.failure_threshold = options.breaker_failure_threshold,
+                .open_seconds = options.breaker_open_seconds}) {
   if (options_.readmit_quorum < 1) options_.readmit_quorum = 1;
 }
 

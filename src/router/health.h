@@ -1,8 +1,6 @@
 #ifndef DAGPERF_ROUTER_HEALTH_H_
 #define DAGPERF_ROUTER_HEALTH_H_
 
-#include <string>
-
 #include "resilience/circuit_breaker.h"
 
 namespace dagperf {
@@ -37,9 +35,6 @@ struct ShardHealthOptions {
   int breaker_failure_threshold = 3;
   /// Cooldown before the breaker lets a probe through again.
   double breaker_open_seconds = 0.25;
-  /// Gauge name for the underlying breaker ("" = unpublished); the router
-  /// passes "router.shard_state.<id>"-adjacent names per shard.
-  std::string breaker_gauge_name;
 };
 
 /// Per-shard health: a passive error-scoring circuit breaker fused with the

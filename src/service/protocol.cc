@@ -551,17 +551,6 @@ void Protocol::RunWatch(const Json& request, const Json* id,
     frame.Set("stats", StatsToJson(service_->Stats()));
     frame.Set("slo_10s", WindowReportToJson(report.total[0]));
     frame.Set("slo_1m", WindowReportToJson(report.total[1]));
-    // Per-cluster breaker states (0 closed / 1 open / 2 half-open) so a
-    // watch client renders serving health without a second round-trip.
-    Json breakers = Json::MakeObject();
-    const obs::MetricsRegistry::Snapshot snap =
-        obs::MetricsRegistry::Default().Snap();
-    for (const auto& [name, value] : snap.gauges) {
-      if (name.rfind("resilience.breaker_state", 0) == 0) {
-        breakers.Set(name, Json::MakeNumber(value));
-      }
-    }
-    frame.Set("breakers", std::move(breakers));
     if (!sink(OkResponse(id, frame))) return;
     if (single_frame) return;
     if (max_frames != 0 && seq >= max_frames) return;

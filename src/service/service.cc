@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -67,8 +68,8 @@ ServiceMetrics& Metrics() {
 
 /// Chaos seams (resilience/fault.h): service.admit injects admission
 /// rejections after a slot was legitimately granted; service.execute injects
-/// estimator-path failures — the errors the per-cluster breaker and the
-/// protocol's retryable flag exist for.
+/// estimator-path failures, so chaos tests and bench_resilience can drive
+/// the error paths, the protocol's retryable flag and slot conservation.
 resilience::FaultPoint& AdmitFault() {
   static resilience::FaultPoint& point =
       resilience::FaultInjector::Default().GetPoint("service.admit");
@@ -90,9 +91,6 @@ struct EstimationService::Call {
   std::string tenant;
   /// Resolved once at submission; every later step reads this.
   Resolved resolved;
-  /// The caller's raw token, so completion can tell a caller cancel from
-  /// the shutdown signal (MapCancelCause).
-  CancelToken caller_cancel;
   obs::RequestRecord record;
   /// Request observability was armed at submission (obs::MetricsEnabled).
   bool observe = false;
@@ -147,12 +145,6 @@ EstimationService::EstimationService(ServiceOptions options)
   }
   options_.threads = threads;
   options_.max_queue_depth = std::max(1, options_.max_queue_depth);
-  if (options_.watchdog_multiple > 0) {
-    options_.watchdog_multiple = std::max(1.0, options_.watchdog_multiple);
-    resilience::WatchdogOptions watchdog_options;
-    watchdog_options.counter_name = "service.watchdog_cancels";
-    watchdog_ = std::make_unique<resilience::Watchdog>(watchdog_options);
-  }
   TenantRegistry::Options tenant_options;
   tenant_options.capacity_slots = options_.max_queue_depth;
   tenants_ = std::make_unique<TenantRegistry>(tenant_options);
@@ -161,9 +153,9 @@ EstimationService::EstimationService(ServiceOptions options)
     overload_options.target_sojourn_ms = options_.overload_target_sojourn_ms;
     overload_ =
         std::make_unique<resilience::OverloadController>(overload_options);
-    // Ladder transitions into the flight recorder, same as breaker
-    // transitions: the overload gauge only shows the current level, but a
-    // post-mortem needs the escalation/recovery sequence with its timing.
+    // Ladder transitions into the flight recorder: the overload gauge only
+    // shows the current level, but a post-mortem needs the
+    // escalation/recovery sequence with its timing.
     overload_->SetTransitionCallback([this](int from, int to) {
       flight_.AddEvent("overload", "brownout level " + std::to_string(from) +
                                        " -> " + std::to_string(to));
@@ -383,111 +375,88 @@ Result<EstimateResponse> EstimationService::Execute(
       Metrics().expired_in_queue.Add(1);
       if (record != nullptr) record->expired_in_queue = true;
     }
-    return MapCancelCause(status, call.caller_cancel, record);
+    return MapCancelCause(status);
   }
 
   const Resolved& resolved = call.resolved;
   const std::string& workflow_name = resolved.workflow;
   const ClusterEntry& entry = *resolved.cluster;
 
-  // The breaker gates the estimation path only (resolution failures are
-  // answered at submission and never reach it). Every Allow() below is
-  // matched by exactly one Record() on the way out.
-  resilience::CircuitBreaker* breaker = BreakerFor(entry.name);
-  if (breaker != nullptr) {
-    if (Status allowed = breaker->Allow(); !allowed.ok()) {
-      if (record != nullptr) record->breaker_rejected = true;
-      return allowed;
-    }
+  if (Status injected = resilience::InjectAt(ExecuteFault()); !injected.ok()) {
+    return injected;
   }
 
-  Result<WorkflowEstimate> result = [&]() -> Result<WorkflowEstimate> {
-    if (Status injected = resilience::InjectAt(ExecuteFault()); !injected.ok()) {
-      return injected;
-    }
-
-    std::optional<obs::ScopedSpan> span;
-    if (obs::TraceRecorder::Default().enabled()) {
-      span.emplace("serve " + workflow_name, "service");
-      // Links the span to its RequestRecord in flight-recorder dumps.
-      if (record != nullptr) {
-        span->AddArg("request_id", static_cast<double>(record->id));
-      }
-    }
-
-    // Checkpoints this run stores are keyed by the options it runs with, at
-    // `brownout`. Degraded answers are tagged below so clients can re-query
-    // later.
-    EffectiveInputs effective = Effective(request, entry, brownout);
-    effective.options.budget = request.budget;
-    // Submission already fingerprinted these options for its warm probe;
-    // reuse the bytes unless the level moved in between.
-    if (brownout == call.level) {
-      effective.options.checkpoint_global_fp = &call.global_fp;
-    }
-    // The warm path: the estimator resumes recurring workflows from the
-    // service-lifetime checkpoint store.
-    effective.options.checkpoints = &checkpoints_;
-    const StateBasedEstimator estimator(effective.spec, options_.scheduler,
-                                        effective.options);
-    Result<DagEstimate> estimate =
-        estimator.Estimate(*resolved.flow, *entry.source);
-    if (!estimate.ok()) {
-      Status status = estimate.status();
-      // A brownout state cap is the server's doing, not the workflow's:
-      // rewrite the estimator's kInternal into retryable RESOURCE_EXHAUSTED
-      // (with a retry hint) before the breaker sees it, so brownout never
-      // opens the cluster breaker.
-      if (brownout >= 2 && status.code() == ErrorCode::kInternal &&
-          status.message().find("state limit exceeded") != std::string::npos) {
-        return Status::ResourceExhausted(
-                   "brownout (level " + std::to_string(brownout) +
-                   ") state cap hit for " + workflow_name +
-                   ": retry when the server recovers")
-            .WithRetryAfterMs(RetryAfterHintMs());
-      }
-      return status;
-    }
-
-    WorkflowEstimate served;
-    served.estimate = std::move(estimate).value();
-    if (request.explain && brownout < 1) {
-      served.critical_path = CriticalPath(served.estimate);
-    }
-    served.flow = resolved.flow;
-    served.workflow = workflow_name;
-    served.cluster = entry.name;
-    served.degraded = brownout >= 1;
-    served.degrade_level = brownout;
-    const double end_us = obs::MonotonicUs();
-    served.queue_wait_ms = (start_us - call.submit_us) * 1e-3;
-    served.service_ms = (end_us - start_us) * 1e-3;
-    Metrics().queue_wait_us.Record(start_us - call.submit_us);
-    Metrics().latency_us.Record(end_us - call.submit_us);
+  std::optional<obs::ScopedSpan> span;
+  if (obs::TraceRecorder::Default().enabled()) {
+    span.emplace("serve " + workflow_name, "service");
+    // Links the span to its RequestRecord in flight-recorder dumps.
     if (record != nullptr) {
-      record->states = static_cast<std::uint32_t>(served.estimate.states.size());
-      record->resumed_states =
-          static_cast<std::uint32_t>(served.estimate.resumed_states);
-      if (record->resumed_states > 0) {
-        record->path = obs::RequestPath::kIncremental;
-        Metrics().path_incremental.Add(1);
-      } else {
-        record->path = obs::RequestPath::kFullReplay;
-        Metrics().path_full_replay.Add(1);
-      }
+      span->AddArg("request_id", static_cast<double>(record->id));
     }
-    return served;
-  }();
-
-  // kCancelled is neutral to the breaker (Record releases the probe slot
-  // without judging the path); the shutdown/watchdog rewrite happens after
-  // this record, so a shutdown burst cannot open it.
-  if (breaker != nullptr) breaker->Record(result.status());
-  if (!result.ok()) {
-    return MapCancelCause(result.status(), call.caller_cancel, record);
   }
+
+  // Checkpoints this run stores are keyed by the options it runs with, at
+  // `brownout`. Degraded answers are tagged below so clients can re-query
+  // later.
+  EffectiveInputs effective = Effective(request, entry, brownout);
+  effective.options.budget = request.budget;
+  // Submission already fingerprinted these options for its warm probe;
+  // reuse the bytes unless the level moved in between.
+  if (brownout == call.level) {
+    effective.options.checkpoint_global_fp = &call.global_fp;
+  }
+  // The warm path: the estimator resumes recurring workflows from the
+  // service-lifetime checkpoint store.
+  effective.options.checkpoints = &checkpoints_;
+  const StateBasedEstimator estimator(effective.spec, options_.scheduler,
+                                      effective.options);
+  Result<DagEstimate> estimate =
+      estimator.Estimate(*resolved.flow, *entry.source);
+  if (!estimate.ok()) {
+    Status status = estimate.status();
+    // A brownout state cap is the server's doing, not the workflow's:
+    // rewrite the estimator's kInternal into retryable RESOURCE_EXHAUSTED
+    // (with a retry hint), so the client knows the same request can
+    // succeed once the server recovers.
+    if (brownout >= 2 && status.code() == ErrorCode::kInternal &&
+        status.message().find("state limit exceeded") != std::string::npos) {
+      return Status::ResourceExhausted(
+                 "brownout (level " + std::to_string(brownout) +
+                 ") state cap hit for " + workflow_name +
+                 ": retry when the server recovers")
+          .WithRetryAfterMs(RetryAfterHintMs());
+    }
+    return MapCancelCause(status);
+  }
+
   EstimateResponse response;
-  response.estimate = std::move(result).value();
+  WorkflowEstimate& served = response.estimate.emplace();
+  served.estimate = std::move(estimate).value();
+  if (request.explain && brownout < 1) {
+    served.critical_path = CriticalPath(served.estimate);
+  }
+  served.flow = resolved.flow;
+  served.workflow = workflow_name;
+  served.cluster = entry.name;
+  served.degraded = brownout >= 1;
+  served.degrade_level = brownout;
+  const double end_us = obs::MonotonicUs();
+  served.queue_wait_ms = (start_us - call.submit_us) * 1e-3;
+  served.service_ms = (end_us - start_us) * 1e-3;
+  Metrics().queue_wait_us.Record(start_us - call.submit_us);
+  Metrics().latency_us.Record(end_us - call.submit_us);
+  if (record != nullptr) {
+    record->states = static_cast<std::uint32_t>(served.estimate.states.size());
+    record->resumed_states =
+        static_cast<std::uint32_t>(served.estimate.resumed_states);
+    if (record->resumed_states > 0) {
+      record->path = obs::RequestPath::kIncremental;
+      Metrics().path_incremental.Add(1);
+    } else {
+      record->path = obs::RequestPath::kFullReplay;
+      Metrics().path_full_replay.Add(1);
+    }
+  }
   return response;
 }
 
@@ -532,57 +501,10 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
   return response;
 }
 
-resilience::CircuitBreaker* EstimationService::BreakerFor(
-    const std::string& cluster) {
-  if (options_.breaker_failure_threshold <= 0) return nullptr;
-  std::lock_guard<std::mutex> lock(breakers_mutex_);
-  std::unique_ptr<resilience::CircuitBreaker>& slot = breakers_[cluster];
-  if (slot == nullptr) {
-    resilience::CircuitBreakerOptions breaker_options;
-    breaker_options.failure_threshold = options_.breaker_failure_threshold;
-    breaker_options.open_seconds = options_.breaker_open_seconds;
-    breaker_options.gauge_name =
-        cluster == "default" ? "resilience.breaker_state"
-                             : "resilience.breaker_state." + cluster;
-    // Transition history into the flight recorder: the gauge above only
-    // shows the last write, but a post-mortem needs the open/half-open/close
-    // sequence with its timing. Runs under the breaker mutex — AddEvent only
-    // takes the recorder's own (leaf) mutex, so no ordering cycle.
-    breaker_options.on_transition = [this, cluster](
-                                        resilience::BreakerState from,
-                                        resilience::BreakerState to) {
-      flight_.AddEvent("breaker", cluster + ": " +
-                                      resilience::BreakerStateName(from) +
-                                      " -> " +
-                                      resilience::BreakerStateName(to));
-    };
-    slot = std::make_unique<resilience::CircuitBreaker>(breaker_options);
-  }
-  return slot.get();
-}
-
-Status EstimationService::MapCancelCause(const Status& status,
-                                         const CancelToken& caller_cancel,
-                                         obs::RequestRecord* record) {
-  if (status.code() != ErrorCode::kCancelled) return status;
-  if (shutdown_cancel_.cancelled()) {
+Status EstimationService::MapCancelCause(const Status& status) const {
+  if (status.code() == ErrorCode::kCancelled && shutdown_cancel_.cancelled()) {
     return Status::Unavailable(
         "service shut down before completion: retry against a healthy server");
-  }
-  if (!caller_cancel.cancelled()) {
-    // Only the watchdog could have fired the request-scoped token.
-    watchdog_fired_.fetch_add(1, std::memory_order_relaxed);
-    if (record != nullptr) {
-      record->watchdog_fired = true;
-      // Cancelled requests are exactly the ones a post-mortem needs: pin the
-      // fire as a structured event next to the (error-exemplared) record.
-      flight_.AddEvent("watchdog",
-                       std::string(record->workflow) + "@" + record->cluster +
-                           ": hard wall-clock bound exceeded");
-    }
-    return Status::DeadlineExceeded(
-        "cancelled by watchdog: exceeded the hard wall-clock bound (" +
-        std::to_string(options_.watchdog_multiple) + "x deadline)");
   }
   return status;
 }
@@ -683,23 +605,12 @@ void EstimationService::SubmitImpl(
         Deadline::AfterSeconds(options_.default_deadline_seconds);
   }
   call.record.had_deadline = !request.budget.deadline.never();
-  call.caller_cancel = request.budget.cancel;
 
-  // Request-scoped token: what the watchdog fires and the execution polls.
-  // It observes the caller's cancel and the service-wide shutdown signal;
-  // firing it never propagates to the caller's token, so MapCancelCause can
-  // still tell the signals apart.
+  // Request-scoped token, what the estimator polls: it observes the
+  // caller's cancel and the service-wide shutdown signal. Firing shutdown
+  // never propagates to the caller's token.
   request.budget.cancel =
-      CancelToken::LinkedTo({call.caller_cancel, shutdown_cancel_});
-  // Only single estimates are watched: a sweep is many estimates, each
-  // already bounded by the shared budget.
-  std::uint64_t watch_id = 0;
-  if (watchdog_ != nullptr && !request.is_sweep() &&
-      !request.budget.deadline.never()) {
-    watch_id = watchdog_->Watch(
-        request.budget.cancel,
-        request.budget.deadline.remaining_seconds() * options_.watchdog_multiple);
-  }
+      CancelToken::LinkedTo({request.budget.cancel, shutdown_cancel_});
 
   call.submit_us = obs::MonotonicUs();
   // Where the request runs, decided once: a warm estimate is a copy of a
@@ -710,15 +621,14 @@ void EstimationService::SubmitImpl(
     served_inline_.fetch_add(1, std::memory_order_relaxed);
     Metrics().served_inline.Add(1);
     if (call.observe) call.record.served_inline = true;
-    Run(request, call, watch_id);
+    Run(request, call);
     return;
   }
-  pool_->Submit([this, request = std::move(request), call = std::move(call),
-                 watch_id]() mutable { Run(request, call, watch_id); });
+  pool_->Submit([this, request = std::move(request),
+                 call = std::move(call)]() mutable { Run(request, call); });
 }
 
-void EstimationService::Run(const EstimateRequest& request, Call& call,
-                            std::uint64_t watch_id) {
+void EstimationService::Run(const EstimateRequest& request, Call& call) {
   tenants_->OnExecuteStart(call.tenant);
   const double start_us = obs::MonotonicUs();
   if (call.observe) call.record.start_us = start_us;
@@ -734,7 +644,6 @@ void EstimationService::Run(const EstimateRequest& request, Call& call,
                                         ? ExecuteSweep(request, call, start_us)
                                         : Execute(request, call, start_us);
   const double exec_ms = (obs::MonotonicUs() - start_us) * 1e-3;
-  if (watch_id != 0) watchdog_->Unwatch(watch_id);
   Finish(call, std::move(result), exec_ms);
 }
 
@@ -895,7 +804,6 @@ ServiceStats EstimationService::Stats() const {
   stats.failed = failed_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
-  stats.watchdog_fired = watchdog_fired_.load(std::memory_order_relaxed);
   stats.served_inline = served_inline_.load(std::memory_order_relaxed);
   stats.stats_epoch = stats_epoch_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);

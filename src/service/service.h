@@ -7,7 +7,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -23,9 +22,7 @@
 #include "model/task_time_source.h"
 #include "obs/request_record.h"
 #include "obs/slo.h"
-#include "resilience/circuit_breaker.h"
 #include "resilience/overload.h"
-#include "resilience/watchdog.h"
 #include "scheduler/drf.h"
 #include "service/request.h"
 #include "service/tenancy.h"
@@ -64,23 +61,6 @@ struct ServiceOptions {
 
   SchedulerConfig scheduler;
 
-  /// Watchdog backstop: a request still running after `watchdog_multiple x
-  /// its deadline` has its token fired and fails with DEADLINE_EXCEEDED —
-  /// the hard bound for work stuck somewhere that is not polling its budget.
-  /// 0 disables; requests with no deadline are never watched. Must be >= 1
-  /// when set (the cooperative check should always win first).
-  double watchdog_multiple = 0.0;
-
-  /// Consecutive failures (INTERNAL / DEADLINE_EXCEEDED / UNAVAILABLE) that
-  /// open a per-cluster circuit breaker; while open, requests against that
-  /// cluster fail fast with UNAVAILABLE{retryable}. 0 disables (library
-  /// default — `dagperf serve` turns it on). Breaker state is mirrored to
-  /// the obs gauge "resilience.breaker_state[.<cluster>]".
-  int breaker_failure_threshold = 0;
-
-  /// Cooldown before an open breaker probes again.
-  double breaker_open_seconds = 1.0;
-
   /// Serving objectives the SLO tracker burns against (inert by default —
   /// windows still fill, burn rates stay 0). `dagperf serve` maps
   /// --slo-p99-ms / --slo-availability here.
@@ -108,7 +88,7 @@ struct ServiceOptions {
 
   /// max_states cap applied to every estimate at brownout level >= 2; a
   /// capped-out estimate fails with retryable RESOURCE_EXHAUSTED (never
-  /// kInternal, so brownout can't open the cluster breaker).
+  /// kInternal: the cap is the server's doing, so the client may retry).
   int brownout_max_states = 2048;
 
   /// Warm-state snapshot file (model/snapshot.h). When set, Drain/Shutdown
@@ -135,8 +115,6 @@ struct ServiceStats {
   std::uint64_t shed = 0;
   /// Requests whose budget expired while they sat in the queue.
   std::uint64_t expired_in_queue = 0;
-  /// Requests the watchdog had to cancel (hard wall-clock bound).
-  std::uint64_t watchdog_fired = 0;
   /// Admitted requests answered on the submitting thread: single estimates
   /// whose complete result the checkpoint store held (a copy), so they
   /// skipped the pool queue.
@@ -238,7 +216,8 @@ class EstimationService {
 
   ServiceStats Stats() const;
 
-  /// The last-N-requests ring + pinned exemplars + breaker/watchdog events.
+  /// The last-N-requests ring + pinned exemplars + service events (drain,
+  /// shutdown, snapshot, brownout transitions).
   /// Dump it via obs::FlightRecorder::ToJson (the protocol's
   /// {"op":"flightrecorder"} verb and `serve --flight-out` do).
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
@@ -297,10 +276,9 @@ class EstimationService {
 
   /// Runs one admitted request to its answer: tenant execute-start, the
   /// overload sojourn sample (pooled requests only), Execute or
-  /// ExecuteSweep, the watchdog unwatch, Finish. SubmitImpl calls it on the
-  /// submitting thread for a warm request and hands it to the pool for
-  /// everything else.
-  void Run(const EstimateRequest& request, Call& call, std::uint64_t watch_id);
+  /// ExecuteSweep, Finish. SubmitImpl calls it on the submitting thread for
+  /// a warm request and hands it to the pool for everything else.
+  void Run(const EstimateRequest& request, Call& call);
 
   /// The one place a request's outcome is delivered: for an admitted
   /// request the tenant's completion, the completed/failed counters and the
@@ -369,8 +347,7 @@ class EstimationService {
   /// level when it starts and reuses Call::global_fp when that level is
   /// still Call::level. A failure carries its cancel cause
   /// (MapCancelCause). The call's record (when observability is armed)
-  /// accumulates the request's attribution: states executed, path class,
-  /// breaker interaction.
+  /// accumulates the request's attribution: states executed, path class.
   Result<EstimateResponse> Execute(const EstimateRequest& request, Call& call,
                                    double start_us);
 
@@ -381,16 +358,10 @@ class EstimationService {
   Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
                                         Call& call, double start_us);
 
-  /// The per-cluster breaker (created lazily); nullptr when breakers are
-  /// disabled. Entries are never destroyed while the service lives.
-  resilience::CircuitBreaker* BreakerFor(const std::string& cluster);
-
-  /// Rewrites a kCancelled result by cause: shutdown-token fired ->
-  /// UNAVAILABLE{retryable}; watchdog fired (caller's token untouched) ->
-  /// DEADLINE_EXCEEDED; a genuine caller cancel stays kCancelled. A watchdog
-  /// fire is flagged on `record` (when armed) and logged as a flight event.
-  Status MapCancelCause(const Status& status, const CancelToken& caller_cancel,
-                        obs::RequestRecord* record);
+  /// Rewrites a kCancelled result fired by the shutdown token into
+  /// UNAVAILABLE{retryable} ("retry against a healthy server"); a caller's
+  /// own cancel stays kCancelled.
+  Status MapCancelCause(const Status& status) const;
 
   ServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -419,13 +390,6 @@ class EstimationService {
   /// signal.
   CancelToken shutdown_cancel_ = CancelToken::Cancellable();
 
-  /// Hard wall-clock backstop (created in the ctor when watchdog_multiple
-  /// > 0); fires request tokens, never joins threads.
-  std::unique_ptr<resilience::Watchdog> watchdog_;
-
-  mutable std::mutex breakers_mutex_;
-  std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>> breakers_;
-
   /// Request observability (tentpole of the obs layer): ids link records to
   /// trace spans; the recorder and SLO tracker consume completed records.
   obs::FlightRecorder flight_;
@@ -442,7 +406,6 @@ class EstimationService {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> expired_in_queue_{0};
-  std::atomic<std::uint64_t> watchdog_fired_{0};
   std::atomic<std::uint64_t> served_inline_{0};
 };
 

@@ -71,6 +71,14 @@
 #error "the request chainers checked here require dagperf >= 5.0"
 #endif
 
+// 6.0 took the circuit breaker and the watchdog out of the service
+// (ServiceOptions::breaker_*/watchdog_multiple, resilience/watchdog.h) and
+// trimmed CircuitBreakerOptions to the router's shard scoring; the breaker
+// checked below is the 6.0 one.
+#if DAGPERF_VERSION_MAJOR < 6
+#error "the shard-scoring circuit breaker checked here requires dagperf >= 6.0"
+#endif
+
 namespace dagperf {
 namespace {
 

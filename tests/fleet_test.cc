@@ -13,7 +13,10 @@
 //   - fleet-wide conservation: submitted == completed + failed + shed +
 //     expired across the shard fan-out when quiescent;
 //   - a drain verb gracefully stops the fleet, leaving every shard's final
-//     snapshot on disk.
+//     snapshot on disk;
+//   - one tenant's expired deadlines are that tenant's own failures: a
+//     single `dagperf serve` with its default flags keeps answering every
+//     other request, warm copies and cold estimates alike.
 // Seeded like chaos_test: DAGPERF_CHAOS_SEED drives client scheduling
 // jitter and is logged for repro.
 
@@ -35,6 +38,7 @@
 
 #include "common/json.h"
 #include "router/router.h"
+#include "router/supervisor.h"
 #include "service/line_client.h"
 
 namespace dagperf {
@@ -547,6 +551,78 @@ TEST(FleetTest, ShardKillUnderLoadFailsOverAndRejoinsWarm) {
     EXPECT_TRUE(std::filesystem::exists(snapshot))
         << snapshot << " missing after graceful drain";
   }
+}
+
+TEST(FleetTest, OneTenantsExpiredDeadlinesNeverRefuseOtherRequests) {
+  ASSERT_FALSE(DagperfBin().empty());
+  const std::string dir = "fleet_test_deadlines";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // One plain server, every flag but the port at its default: a full-scale
+  // TS-Q9 estimate takes a few hundred microseconds cold, so a 40 us
+  // deadline expires mid-estimate.
+  ShardProcessOptions launch;
+  launch.shard_id = "deadlines";
+  launch.port_file = dir + "/serve.port";
+  launch.stderr_file = dir + "/serve.log";
+  launch.command = {DagperfBin(), "serve",     "--port", "0",
+                    "--port-file", launch.port_file, "--threads", "1"};
+  ShardProcess server(launch);
+  ASSERT_TRUE(server.Start().ok());
+
+  protocol::LineClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  const auto call = [&client](const std::string& line) -> Json {
+    Result<std::string> response = client.Call(line, 60.0);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return Json();
+    Result<Json> parsed = Json::Parse(response.value());
+    EXPECT_TRUE(parsed.ok()) << response.value();
+    return parsed.ok() ? std::move(parsed).value() : Json();
+  };
+  const auto estimate = [](int id, const std::string& tenant, int nodes,
+                           double deadline_s) {
+    std::string line = R"({"op":"estimate","workflow":"TS-Q9","tenant":")" +
+                       tenant + "\"";
+    if (nodes > 0) line += ",\"nodes\":" + std::to_string(nodes);
+    if (deadline_s > 0) line += ",\"deadline_s\":" + std::to_string(deadline_s);
+    return line + ",\"id\":" + std::to_string(id) + "}";
+  };
+
+  // Prime one key: its complete result is now stored.
+  ASSERT_TRUE(call(estimate(1, "other", 0, 0.0)).GetBool("ok", false));
+
+  // Tenant "tight": 20 cold estimates (each its own node count) whose
+  // deadlines expire. Each fails with its own DEADLINE_EXCEEDED at worst.
+  int expired = 0;
+  std::string other_errors;
+  for (int i = 0; i < 20; ++i) {
+    const Json answer = call(estimate(100 + i, "tight", 2 + i, 4e-5));
+    if (answer.GetBool("ok", false)) continue;
+    const Json* error = answer.Get("error");
+    ASSERT_NE(error, nullptr) << answer.Dump();
+    if (error->GetString("code", "") == "DEADLINE_EXCEEDED") {
+      ++expired;
+    } else {
+      other_errors += "\n  tight request " + std::to_string(i) + ": " +
+                      error->GetString("code", "") + ": " +
+                      error->GetString("message", "");
+    }
+  }
+  EXPECT_GE(expired, 8) << "the 40 us deadlines did not expire";
+  EXPECT_TRUE(other_errors.empty()) << other_errors;
+
+  // Tenant "other": the primed copy and a cold estimate with no deadline
+  // are both answered.
+  const Json warm = call(estimate(200, "other", 0, 0.0));
+  EXPECT_TRUE(warm.GetBool("ok", false)) << warm.Dump();
+  const Json cold = call(estimate(201, "other", 60, 0.0));
+  EXPECT_TRUE(cold.GetBool("ok", false)) << cold.Dump();
+
+  client.Close();
+  server.Terminate();
+  EXPECT_TRUE(server.WaitExit(30.0));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

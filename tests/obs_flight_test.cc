@@ -145,12 +145,12 @@ TEST(FlightRecorderTest, EventRingKeepsLastN) {
   obs::FlightRecorderOptions options;
   options.event_capacity = 2;
   obs::FlightRecorder recorder(options);
-  recorder.AddEvent("breaker", "default: closed -> open");
-  recorder.AddEvent("watchdog", "TS-Q6@default: wall-clock bound exceeded");
+  recorder.AddEvent("overload", "brownout level 0 -> 1");
+  recorder.AddEvent("snapshot", "saved 12 checkpoints (4096 bytes)");
   recorder.AddEvent("drain", "pool quiesced");
   const obs::FlightRecorder::Dump dump = recorder.Snapshot();
   ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_STREQ(dump.events.front().kind, "watchdog");
+  EXPECT_STREQ(dump.events.front().kind, "snapshot");
   EXPECT_STREQ(dump.events.back().kind, "drain");
 }
 
@@ -162,7 +162,7 @@ TEST(FlightRecorderTest, ToJsonParsesAndCarriesTheRecordFields) {
   record.resumed_states = 5;
   record.path = obs::RequestPath::kIncremental;
   recorder.Record(record);
-  recorder.AddEvent("breaker", "default: closed -> open");
+  recorder.AddEvent("drain", "pool quiesced");
   Result<Json> parsed = Json::Parse(recorder.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Json& doc = parsed.value();
@@ -177,7 +177,7 @@ TEST(FlightRecorderTest, ToJsonParsesAndCarriesTheRecordFields) {
   EXPECT_DOUBLE_EQ(first.GetNumber("total_us", 0.0), 650.0);
   const Json* events = doc.Get("events");
   ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->AsArray()[0].GetString("kind", ""), "breaker");
+  EXPECT_EQ(events->AsArray()[0].GetString("kind", ""), "drain");
 }
 
 // Concurrent recording against a snapshotting reader: the seqlock must never

@@ -20,8 +20,7 @@
 //   dagperf tune     --job WC|TS|TSC|TS2R|TS3R [--input-gb G]
 //   dagperf serve    [--stdio | --port P] [--scale S] [--nodes N]
 //                    [--threads N] [--queue-depth D] [--deadline-seconds D]
-//                    [--grace-seconds G] [--watchdog-multiple M]
-//                    [--breaker-threshold K] [--read-idle-seconds I]
+//                    [--grace-seconds G] [--read-idle-seconds I]
 //                    [--metrics-port P] [--slo-p99-ms MS] [--slo-availability F]
 //                    [--flight-out FILE.json] [--shard-id ID] [--port-file F]
 //   dagperf route    --shards N [--port P] [--dir DIR] [--scale S]
@@ -39,10 +38,9 @@
 // the TCP server additionally shuts down gracefully on SIGTERM/SIGINT
 // (docs/robustness.md): the listener closes, in-flight requests get
 // --grace-seconds to finish, stragglers are cancelled with
-// UNAVAILABLE{retryable}, and the process exits 0. --breaker-threshold K
-// opens a per-cluster circuit breaker after K consecutive serving failures
-// (0 disables; default 8); --watchdog-multiple M cancels any request
-// running past M x its deadline.
+// UNAVAILABLE{retryable}, and the process exits 0. A request fails only
+// with its own status: an expired deadline is DEADLINE_EXCEEDED for that
+// request alone, never a refusal of the next one.
 //
 // `route` runs a multi-process fleet (src/router/): N child `dagperf serve`
 // shards behind a consistent-hash router on one TCP port. Requests route by
@@ -78,7 +76,7 @@
 // over the `metrics` verb (--prom prints Prometheus text); without --port it
 // prints this process's own registry. `dagperf top --port P` subscribes via
 // the `watch` verb and renders live RPS / p50 / p99 / error rate /
-// checkpoint hit rate / breaker states, one line per frame.
+// checkpoint hit rate / queue depth, one line per frame.
 
 #include <chrono>
 #include <csignal>
@@ -226,7 +224,6 @@ int Usage() {
                "[--json F] [--csv F] [--chrome F] "
                "[--metrics-json F] [--trace-out F] "
                "[--stdio] [--port P] [--queue-depth D] [--grace-seconds G] "
-               "[--watchdog-multiple M] [--breaker-threshold K] "
                "[--read-idle-seconds I] "
                "[--overload-target-ms T] [--snapshot-dir DIR] "
                "[--snapshot-interval-seconds S] "
@@ -748,10 +745,6 @@ int CmdServe(const Args& args) {
   options.threads = args.GetInt("threads", 0);
   options.max_queue_depth = args.GetInt("queue-depth", 256);
   options.default_deadline_seconds = args.GetDouble("deadline-seconds", 0.0);
-  options.watchdog_multiple = args.GetDouble("watchdog-multiple", 0.0);
-  // Serving default: breakers ON (library default is off) — a cluster whose
-  // estimation path keeps failing should shed fast, not grind.
-  options.breaker_failure_threshold = args.GetInt("breaker-threshold", 8);
   if (options.max_queue_depth < 1) {
     return Fail(Status::InvalidArgument("--queue-depth must be >= 1"));
   }
@@ -1141,7 +1134,7 @@ int CmdMetrics(const Args& args) {
 
 /// Live serving dashboard: subscribes to a server's `watch` stream and
 /// renders one line per frame — RPS, latency quantiles, error and
-/// checkpoint hit rates, queue depth, breaker states — until the stream
+/// checkpoint hit rates, queue depth — until the stream
 /// ends (server drained, --iterations reached, or connection lost).
 int CmdTop(const Args& args) {
   if (args.options.count("port") == 0) {
@@ -1155,8 +1148,8 @@ int CmdTop(const Args& args) {
                               std::to_string(interval_ms) +
                               ",\"count\":" + std::to_string(iterations) +
                               ",\"id\":1}";
-  std::printf("%8s %9s %9s %7s %7s %6s %6s  %s\n", "rps", "p50(ms)",
-              "p99(ms)", "err%", "dl-hit%", "hit%", "queue", "breakers");
+  std::printf("%8s %9s %9s %7s %7s %6s %6s\n", "rps", "p50(ms)", "p99(ms)",
+              "err%", "dl-hit%", "hit%", "queue");
   int rc = kExitRuntime;
   int frames = 0;
   const Status status =
@@ -1172,28 +1165,14 @@ int CmdTop(const Args& args) {
         const Json* stats = result ? result->Get("stats") : nullptr;
         if (slo == nullptr || stats == nullptr) return false;
         const Json* incremental = stats->Get("incremental");
-        std::string breakers;
-        if (const Json* b = result->Get("breakers");
-            b != nullptr && b->type() == Json::Type::kObject) {
-          for (const auto& [name, value] : b->AsObject()) {
-            // "resilience.breaker_state[.cluster]" -> cluster name.
-            std::string cluster = name.size() > 24 ? name.substr(25) : "default";
-            const int state = static_cast<int>(value.AsNumber());
-            if (!breakers.empty()) breakers += " ";
-            breakers += cluster + ":" +
-                        (state == 0 ? "closed"
-                                    : state == 1 ? "open" : "half-open");
-          }
-        }
-        if (breakers.empty()) breakers = "-";
-        std::printf("%8.1f %9.2f %9.2f %6.1f%% %6.1f%% %5.0f%% %6.0f  %s\n",
+        std::printf("%8.1f %9.2f %9.2f %6.1f%% %6.1f%% %5.0f%% %6.0f\n",
                     slo->GetNumber("rps", 0.0), slo->GetNumber("p50_ms", 0.0),
                     slo->GetNumber("p99_ms", 0.0),
                     100.0 * slo->GetNumber("error_rate", 0.0),
                     100.0 * slo->GetNumber("deadline_hit_rate", 1.0),
                     100.0 * (incremental ? incremental->GetNumber("hit_rate", 0.0)
                                          : 0.0),
-                    stats->GetNumber("queue_depth", 0.0), breakers.c_str());
+                    stats->GetNumber("queue_depth", 0.0));
         std::fflush(stdout);
         rc = kExitOk;
         // The server stops sending after `count` frames but leaves the
